@@ -3,9 +3,9 @@ expansions at places and at surface flags.
 
 A finite place of the line over a finite field k is a monic irreducible
 polynomial pi; its residue field is the extension of k of degree deg(pi),
-realized as the pinned GaloisField of that degree with the lexicographically
-smallest root of pi as the expansion point.  The place at infinity expands in
-u = 1/t.  Over an artinian coefficient ring A = k[e]/e^m places are read off
+realized as the pinned GaloisField of that degree with the root of pi of
+smallest integer encoding (see `poly.roots_in`) as the expansion point.  The
+place at infinity expands in u = 1/t.  Over an artinian coefficient ring A = k[e]/e^m places are read off
 the residue reduction and the expansions live over B = K[e]/e^m with K the
 residue field of the place.
 

@@ -34,7 +34,7 @@ from .errors import (DivisionByNonUnit, ExpressionSyntaxError, UnknownSymbol,
                      UnsupportedArgument)
 from .geometry import BivarRational, RationalFunction
 from .laurent import LaurentRing, LaurentSeries
-from .rings import ArtinianLocal, GaloisField, PrimeField, embed
+from .rings import ArtinianLocal, GaloisField, PrimeField, _is_prime, embed
 
 
 # ---------------------------------------------------------------------------
@@ -43,13 +43,25 @@ from .rings import ArtinianLocal, GaloisField, PrimeField, embed
 _RING_RE = re.compile(r"F(\d+)(?:\[e\]/e\^(\d+))?$")
 
 
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _prime_power(q: int):
+    """(p, d) with q = p^d and p prime, or None.  With k the largest exponent
+    for which q is a perfect k-th power, q is a prime power iff its k-th root
+    is prime."""
+    for k in range(q.bit_length(), 1, -1):
+        r = _iroot(q, k)
+        if r > 1 and r ** k == q:
+            return (r, k) if _is_prime(r) else None
+    return (q, 1) if _is_prime(q) else None
 
 
 def parse_ring(spec: str):
@@ -61,14 +73,11 @@ def parse_ring(spec: str):
     q = int(m.group(1))
     if q < 2:
         raise ExpressionSyntaxError(f"bad ring spec {spec!r}: need q >= 2", 1, 1)
-    p = _smallest_prime_factor(q)
-    d, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        d += 1
-    if rest != 1:
+    pd = _prime_power(q)
+    if pd is None:
         raise ExpressionSyntaxError(
             f"bad ring spec {spec!r}: {q} is not a prime power", 1, 1)
+    p, d = pd
     field = PrimeField(p) if d == 1 else GaloisField(p, d)
     if m.group(2) is None:
         return field

@@ -9,7 +9,8 @@ from __future__ import annotations
 import random
 
 from .errors import AlgebraError, NotAUnit, UnsupportedArgument
-from .rings import GaloisField, RingDescriptor, RingValue, embed
+from .rings import (GaloisField, RingDescriptor, RingValue, _field_roots,
+                    _raw_encoding, embed)
 
 
 class Poly:
@@ -197,19 +198,6 @@ def _value_encoding(c: RingValue) -> int:
     return _raw_encoding(raw, c.ring)
 
 
-def _raw_encoding(raw, ring) -> int:
-    if isinstance(raw, int):
-        return raw
-    # tuple raw: GaloisField (ints) or ArtinianLocal (nested raws)
-    base = getattr(ring, "base", None)
-    size = base.size if base is not None else ring.char
-    acc = 0
-    for part in reversed(raw):
-        acc = acc * size + (_raw_encoding(part, base) if base is not None
-                            else part)
-    return acc
-
-
 def random_poly(ring, rng, degree: int, monic: bool = False) -> Poly:
     coeffs = [ring.random(rng) for _ in range(degree + 1)]
     if monic:
@@ -378,15 +366,19 @@ _ROOTS_CACHE: dict = {}
 
 def roots_in(f: Poly, target_field) -> list[RingValue]:
     """All roots of f in `target_field`, sorted by the pinned integer
-    encoding (smallest first), found by scanning the field."""
+    encoding (smallest first).  The coefficients are embedded into the
+    target and the roots split off gcd(f, x^Q - x) (see `rings._field_roots`)."""
     key = (f.ring, f.encoding(), target_field)
     cached = _ROOTS_CACHE.get(key)
     if cached is None:
-        roots = []
-        for x in target_field.elements():
-            if f.evaluate(x).is_zero():
-                roots.append(x)
-        roots.sort(key=_value_encoding)
+        if f.is_zero():
+            raise AlgebraError("every element is a root of the zero polynomial")
+        if not target_field.is_field:
+            raise UnsupportedArgument("root finding needs a field target")
+        raws = _field_roots([embed(c, target_field).raw for c in f.coeffs],
+                            target_field)
+        roots = sorted((RingValue(target_field, r) for r in raws),
+                       key=_value_encoding)
         cached = _ROOTS_CACHE[key] = tuple(roots)
     return list(cached)
 

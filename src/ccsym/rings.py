@@ -21,18 +21,40 @@ of Laurent series over them are well defined.
 from __future__ import annotations
 
 import math
+import random
 
 from .errors import AlgebraError, DescriptorMismatch, DivisionByNonUnit
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.  A witness proves n composite at any size;
+    at or above _MR_BOUND passing every base proves nothing, so that raises."""
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s, d = 0, n - 1
+    while d % 2 == 0:
+        s, d = s + 1, d // 2
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
+    if n >= _MR_BOUND:
+        raise AlgebraError(f"primality of {n} is not proven at or above {_MR_BOUND}")
     return True
 
 
@@ -120,7 +142,7 @@ class RingDescriptor:
 
     def coerce(self, x) -> "RingValue":
         if isinstance(x, RingValue):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise DescriptorMismatch(f"cannot coerce {x.ring} value into {self}")
             return x
         if isinstance(x, int):
@@ -128,7 +150,8 @@ class RingDescriptor:
         raise DescriptorMismatch(f"cannot coerce {x!r} into {self}")
 
     def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
+        return self is other or (type(self) is type(other)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash((type(self).__name__, self._key()))
@@ -657,26 +680,148 @@ def _coords(x_raw, desc) -> list[int]:
     return list(x_raw) if isinstance(desc, GaloisField) else [x_raw]
 
 
+def _raw_encoding(raw, ring) -> int:
+    """Stable integer encoding of a payload: base-|k| digits, coordinate 0
+    lowest (k the prime field, or the residue field of an artinian ring)."""
+    if isinstance(raw, int):
+        return raw
+    base = getattr(ring, "base", None)
+    size = base.size if base is not None else ring.char
+    acc = 0
+    for part in reversed(raw):
+        acc = acc * size + (_raw_encoding(part, base) if base is not None
+                            else part)
+    return acc
+
+
+# -- root finding on raw payloads: polynomials are lists of field payloads,
+# low to high, without trailing zeros; the divisors below are monic
+
+
+def _raw_monic(a: list, field) -> list:
+    inv = field._inv(a[-1])
+    return [field._mul(inv, c) for c in a]
+
+
+def _raw_divmod(a: list, b: list, field) -> tuple[list, list]:
+    mul, add, neg = field._mul, field._add, field._neg
+    zero = field._zero_raw()
+    a = list(a)
+    n = len(b) - 1
+    quot = [zero] * max(len(a) - n, 0)
+    for k in range(len(a) - 1, n - 1, -1):
+        c = quot[k - n] = a[k]
+        if c != zero:
+            c = neg(c)
+            for j in range(n):
+                a[k - n + j] = add(a[k - n + j], mul(c, b[j]))
+    del a[n:]
+    while a and a[-1] == zero:
+        a.pop()
+    return quot, a
+
+
+def _raw_add(a: list, b: list, field) -> list:
+    zero = field._zero_raw()
+    if len(a) < len(b):
+        a, b = b, a
+    out = [field._add(x, y) for x, y in zip(a, b)] + a[len(b):]
+    while out and out[-1] == zero:
+        out.pop()
+    return out
+
+
+def _raw_mulmod(a: list, b: list, m: list, field) -> list:
+    if not a or not b:
+        return []
+    mul, add = field._mul, field._add
+    out = [field._zero_raw()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return _raw_divmod(out, m, field)[1]
+
+
+def _raw_powmod(a: list, e: int, m: list, field) -> list:
+    result = [field._one_raw()]
+    while e:
+        if e & 1:
+            result = _raw_mulmod(result, a, m, field)
+        e >>= 1
+        if e:
+            a = _raw_mulmod(a, a, m, field)
+    return result
+
+
+def _raw_gcd(a: list, b: list, field) -> list:
+    """Monic gcd of a monic a and any b."""
+    while b:
+        b = _raw_monic(b, field)
+        a, b = b, _raw_divmod(a, b, field)[1]
+    return a
+
+
+def _field_roots(coeffs: list, field) -> list:
+    """Distinct roots in a finite field of a nonzero polynomial given by raw
+    coefficients (low to high), in no particular order.
+
+    g = gcd(x^Q - x, f) is the product of (x - r) over the roots r; it is
+    split into linear factors by Cantor-Zassenhaus equal-degree splitting
+    with d = 1, seeded from g's encoding so runs are reproducible.
+    """
+    g = _raw_monic(coeffs, field)
+    if len(g) > 2:
+        zero, one = field._zero_raw(), field._one_raw()
+        h = _raw_powmod([zero, one], field.size, g, field)
+        g = _raw_gcd(g, _raw_add(h, [zero, field._neg(one)], field), field)
+    if len(g) <= 2:
+        return [field._neg(g[0])] if len(g) == 2 else []
+    seed = field.size
+    for c in g:
+        seed = seed * 1000003 + _raw_encoding(c, field) + 1
+    rng = random.Random(seed)
+    roots: list = []
+    _split_linear(g, field, rng, roots)
+    return roots
+
+
+def _split_linear(g: list, field, rng, out: list) -> None:
+    """Append the roots of g, a monic product of distinct linear factors."""
+    if len(g) == 2:
+        out.append(field._neg(g[0]))
+        return
+    n = len(g) - 1
+    p, q = field.char, field.size
+    while True:
+        # a*x + b separates the roots r by the quadratic character (odd p)
+        # or the absolute trace (p = 2) of a*r + b
+        r = [field.random(rng).raw, field.random_unit(rng).raw]
+        if p == 2:
+            h = acc = r
+            for _ in range(q.bit_length() - 2):
+                acc = _raw_mulmod(acc, acc, g, field)
+                h = _raw_add(h, acc, field)
+        else:
+            h = _raw_powmod(r, (q - 1) // 2, g, field)
+            h = _raw_add(h, [field._neg(field._one_raw())], field)
+        d = _raw_gcd(g, h, field)
+        if 1 < len(d) <= n:
+            _split_linear(d, field, rng, out)
+            _split_linear(_raw_divmod(g, d, field)[0], field, rng, out)
+            return
+
+
 def _pinned_subfield_generator(sub: GaloisField, big: GaloisField) -> RingValue:
     """The pinned image of sub's generator inside big: the root of sub.minpoly
-    with lexicographically smallest payload tuple."""
+    with lexicographically smallest payload tuple (coordinate 0 first)."""
     key = ("root", sub.p, sub.d, big.d)
     if key in _EMBED_CACHE:
         return RingValue(big, _EMBED_CACHE[key])
-    mp = sub.minpoly
-    best = None
-    for cand in big.elements():
-        acc = big.zero()
-        power = big.one()
-        for c in mp:
-            acc = acc + power * big.from_int(c)
-            power = power * cand
-        acc = acc + power  # monic leading term
-        if acc.is_zero() and (best is None or cand.raw < best):
-            best = cand.raw
-    if best is None:
+    coeffs = [big._from_int_raw(c) for c in sub.minpoly] + [big._one_raw()]
+    roots = _field_roots(coeffs, big)
+    if not roots:
         raise AlgebraError(f"{sub} does not embed into {big}")
-    _EMBED_CACHE[key] = best
+    best = _EMBED_CACHE[key] = min(roots)
     return RingValue(big, best)
 
 

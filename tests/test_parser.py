@@ -3,8 +3,9 @@ round trips."""
 
 import pytest
 
-from ccsym.errors import (DivisionByNonUnit, ExpressionSyntaxError,
-                          UnknownSymbol, UnsupportedArgument)
+from ccsym.errors import (AlgebraError, DivisionByNonUnit,
+                          ExpressionSyntaxError, UnknownSymbol,
+                          UnsupportedArgument)
 from ccsym.geometry import BivarRational, RationalFunction, support_places
 from ccsym.laurent import LaurentRing, LaurentSeries, format_series
 from ccsym.parser import (parse_expression, parse_polynomial, parse_ring,
@@ -36,8 +37,18 @@ def test_parse_ring_whitespace_insensitive():
     assert parse_ring(" F5 [e] / e^2 ") == ArtinianLocal(F5, 2)
 
 
+def test_parse_ring_prime_powers():
+    assert parse_ring("F1024") == GaloisField(2, 10)
+    assert parse_ring("F2401") == GaloisField(7, 4)
+    assert parse_ring("F2305843009213693951") == PrimeField(2 ** 61 - 1)
+    # 2^89 - 1 is prime, but above the range where Miller-Rabin is proven
+    with pytest.raises(AlgebraError):
+        parse_ring(f"F{2 ** 89 - 1}")
+
+
 @pytest.mark.parametrize("bad", ["F6", "F1", "F0", "G5", "F5[x]/x^2",
-                                 "F5[e]/e^1", "F5[e]", "", "5"])
+                                 "F5[e]/e^1", "F5[e]", "", "5", "F36",
+                                 "F3317044064679887385961982"])
 def test_parse_ring_rejects(bad):
     with pytest.raises(ExpressionSyntaxError):
         parse_ring(bad)

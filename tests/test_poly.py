@@ -1,14 +1,17 @@
 """Polynomial arithmetic and finite-field factorization."""
 
+import functools
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ccsym.errors import AlgebraError, NotAUnit, UnsupportedArgument
-from ccsym.poly import (Poly, factor, is_irreducible, poly_gcd, random_poly,
-                        roots_in, squarefree_decomposition)
-from ccsym.rings import ArtinianLocal, GaloisField, PrimeField, embed
+from ccsym import poly
+from ccsym.poly import (Poly, _value_encoding, factor, is_irreducible, poly_gcd,
+                        random_poly, roots_in, squarefree_decomposition)
+from ccsym.rings import ArtinianLocal, GaloisField, PrimeField, RingValue, embed
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -120,6 +123,95 @@ def test_roots_in_extension_pinned_order():
     assert [r.raw for r in roots] == [(2, 1), (1, 2)]
     for r in roots:
         assert f.evaluate(r).is_zero()
+
+
+def _scan_roots(f, target):
+    """Oracle: the former roots_in, which evaluated f at every element."""
+    return sorted((x for x in target.elements() if f.evaluate(x).is_zero()),
+                  key=_value_encoding)
+
+
+@functools.lru_cache(maxsize=None)
+def _log_tables(field):
+    antilog = [field.one()]
+    for _ in range(field.size - 2):
+        antilog.append(antilog[-1] * field.generator())
+    antilog = [a.raw for a in antilog]
+    return antilog, {a: i for i, a in enumerate(antilog)}
+
+
+def _log_scan_roots(f, target):
+    """Oracle for large targets: evaluate f at 0 and at every power g^i of the
+    primitive generator, multiplying through discrete logarithms."""
+    n = target.size - 1
+    antilog, log = _log_tables(target)
+    terms = [(k, log[embed(c, target).raw]) for k, c in enumerate(f.coeffs)
+             if not c.is_zero()]
+    zero, add = target._zero_raw(), target._add
+    roots = [zero] if f.coeff(0).is_zero() else []
+    for i in range(n):
+        acc = zero
+        for k, lc in terms:
+            acc = add(acc, antilog[(lc + k * i) % n])
+        if acc == zero:
+            roots.append(antilog[i])
+    return sorted((RingValue(target, r) for r in roots), key=_value_encoding)
+
+
+def _extensions(field, limit=125):
+    d = field.degree
+    while field.char ** d <= limit:
+        yield PrimeField(field.char) if d == 1 else GaloisField(field.char, d)
+        d += field.degree
+
+
+@pytest.mark.parametrize("field", (F2, F3, F4, F5), ids=str)
+def test_roots_in_matches_scan_for_every_small_monic(monkeypatch, field):
+    monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
+    elements = list(field.elements())
+    for target in _extensions(field):
+        for deg in range(4):
+            for low in itertools.product(elements, repeat=deg):
+                f = Poly(field, list(low) + [field.one()])
+                assert roots_in(f, target) == _scan_roots(f, target), (f, target)
+
+
+def test_roots_in_matches_scan_for_quartic_places_over_f9(monkeypatch):
+    big = GaloisField(3, 8)
+    monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
+    rng = random.Random(20261018)
+    quartics = []
+    while len(quartics) < 20:
+        f = random_poly(F9, rng, 4, monic=True)
+        if is_irreducible(f):
+            quartics.append(f)
+    for f in quartics:
+        roots = roots_in(f, big)
+        assert len(roots) == 4
+        assert roots == _log_scan_roots(f, big), f
+
+
+def test_roots_in_known_roots_over_a_61_bit_prime():
+    big = PrimeField(2 ** 61 - 1)
+    rng = random.Random(7)
+    for _ in range(5):
+        roots = [big.random(rng) for _ in range(4)]
+        f = Poly(big, [1])
+        for r in roots + roots[:1]:  # one repeated root
+            f = f * Poly(big, [-r, big.one()])
+        c = big.random_unit(rng)
+        while c ** ((big.size - 1) // 2) == big.one():
+            c = big.random_unit(rng)
+        f = f * Poly(big, [-c, big.zero(), big.one()])  # x^2 - c has no root
+        expected = sorted(set(roots), key=_value_encoding)
+        assert roots_in(f, big) == expected
+
+
+def test_roots_in_domain_guards():
+    with pytest.raises(AlgebraError):
+        roots_in(Poly.zero(F5), F5)
+    with pytest.raises(UnsupportedArgument):
+        roots_in(Poly(F5, [1, 1]), ArtinianLocal(F5, 2))
 
 
 def test_evaluate_embeds_coefficients():

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from ccsym import poly, rings
+from ccsym.cli import main
 from ccsym.errors import (IncompleteFlagCover, NonUnitLeadingCoefficient,
                           UnsupportedArgument, ZeroFunction)
 from ccsym.geometry import (BivarPoly, BivarRational, RationalFunction,
                             SurfaceFlag)
-from ccsym.poly import Poly, random_poly
+from ccsym.poly import Poly, is_irreducible, random_poly
 from ccsym.reciprocity import cc_check, parshin_check, weil_check
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
 
@@ -66,6 +68,28 @@ def test_weil_nontrivial_norm_from_degree_two_place():
     assert report.ok
     deg2 = [fac for fac in report.factors if fac.degree == 2]
     assert deg2 and not deg2[0].contribution.is_one()
+
+
+def test_weil_never_scans_a_field(monkeypatch, capsys):
+    """Places of high degree and huge prime fields go through root finding,
+    never through enumerating a residue field."""
+    def refuse(self):
+        raise AssertionError(f"enumerated the elements of {self}")
+    monkeypatch.setattr(GaloisField, "elements", refuse)
+    monkeypatch.setattr(PrimeField, "elements", refuse)
+    monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
+    monkeypatch.setattr(rings, "_EMBED_CACHE", {})
+    F9 = GaloisField(3, 2)
+    rng = random.Random(6)
+    pi = random_poly(F9, rng, 6, monic=True)
+    while not is_irreducible(pi):
+        pi = random_poly(F9, rng, 6, monic=True)
+    report = weil_check(RationalFunction(pi), rf(F9, [1, 2]))
+    assert report.ok
+    assert sorted(f.degree for f in report.factors) == [1, 1, 6]
+    assert main(["verify", "weil", "--ring", "F2305843009213693951",
+                 "t-1", "t+2"]) == 0
+    assert "product 1" in capsys.readouterr().out
 
 
 def test_weil_random_many_fields(rng):

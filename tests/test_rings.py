@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ccsym.errors import DivisionByNonUnit, DescriptorMismatch
+from ccsym import rings
+from ccsym.errors import AlgebraError, DivisionByNonUnit, DescriptorMismatch
 from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, embed,
                          format_value, frobenius_conjugate_product,
                          relative_norm)
@@ -150,6 +151,57 @@ class TestEmbeddingsAndNorms:
         for _ in range(20):
             a, b = A9.random_unit(rng), A9.random_unit(rng)
             assert relative_norm(a * b, 1) == relative_norm(a, 1) * relative_norm(b, 1)
+
+
+def _scan_subfield_generator(sub, big):
+    """Oracle: the former embedding pin, which evaluated sub.minpoly at every
+    element of big and kept the root with the smallest payload tuple."""
+    coeffs = [big._from_int_raw(c) for c in reversed(sub.minpoly)]
+    best = None
+    for x in big.elements():
+        acc = big._one_raw()
+        for c in coeffs:
+            acc = big._add(big._mul(acc, x.raw), c)
+        if acc == big._zero_raw() and (best is None or x.raw < best):
+            best = x.raw
+    return best
+
+
+@pytest.mark.parametrize("p, top", [(2, 8), (3, 8), (5, 4)])
+def test_pinned_subfield_generator_matches_scan(monkeypatch, p, top):
+    monkeypatch.setattr(rings, "_EMBED_CACHE", {})
+    for d in range(2, top + 1):
+        big = GaloisField(p, d)
+        for e in range(2, d + 1):
+            if d % e == 0:
+                sub = GaloisField(p, e)
+                pinned = rings._pinned_subfield_generator(sub, big)
+                assert pinned.raw == _scan_subfield_generator(sub, big), (sub, big)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 20000):
+        assert rings._is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not rings._is_prime(n)
+    assert rings._is_prime(2 ** 61 - 1)
+    assert rings._is_prime(2 ** 31 - 1)
+
+
+def test_is_prime_refuses_unproven_range():
+    assert not rings._is_prime(rings._MR_BOUND + 1)  # even: a proof of compositeness
+    with pytest.raises(AlgebraError):
+        rings._is_prime(2 ** 89 - 1)  # a Mersenne prime above the bound
+    with pytest.raises(AlgebraError):
+        PrimeField(2 ** 89 - 1)
 
 
 class TestFormatting:
