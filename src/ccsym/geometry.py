@@ -24,8 +24,8 @@ from .errors import (AlgebraError, NonUnitLeadingCoefficient, UnsupportedArgumen
                      ZeroFunction, ZeroOnCurve)
 from .laurent import LaurentRing, LaurentSeries, laurent_inv
 from .poly import Poly, factor, roots_in
-from .rings import (ArtinianLocal, GaloisField, PrimeField, RingValue, embed)
-from .toeplitz import residue_field, residue_value
+from .rings import (ArtinianLocal, GaloisField, PrimeField, RingValue, embed,
+                    residue_field, residue_value)
 
 
 # -- rational functions on the line ---------------------------------------------

@@ -12,9 +12,9 @@ from .geometry import (BivarPoly, BivarRational, Place, RationalFunction,
                        SurfaceFlag, flag_expand, leading_unit_guard,
                        local_expand, support_places)
 from .poly import Poly
-from .rings import GaloisField, RingValue, format_value, relative_norm
+from .rings import (GaloisField, RingValue, format_value, relative_norm,
+                    residue_field)
 from .symbols import cc_symbol, higher_tame, tame_symbol
-from .toeplitz import residue_field
 
 
 @dataclass(frozen=True)

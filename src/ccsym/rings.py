@@ -58,17 +58,68 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# _factor trial-divides below _TRIAL_BOUND, then splits what is left with
+# Pollard-Brent rho.  Rho's cost grows like the square root of the smallest
+# prime factor; _RHO_BUDGET squarings (a few seconds) reach factors of about
+# 40 bits and bound the time spent on anything harder
+_TRIAL_BOUND = 100
+_RHO_BUDGET = 1 << 23
+
+
 def _factor(n: int) -> dict[int, int]:
+    """Prime factorisation of n >= 1; AlgebraError if a cofactor resists
+    rho within its budget or is too large for _is_prime to prove."""
     out: dict[int, int] = {}
     k = 2
-    while k * k <= n:
+    while k < _TRIAL_BOUND and k * k <= n:
         while n % k == 0:
             out[k] = out.get(k, 0) + 1
             n //= k
         k += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    stack = [n] if n > 1 else []
+    budget = _RHO_BUDGET
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d, budget = _rho(m, budget)
+            stack += [d, m // d]
     return out
+
+
+def _rho(n: int, budget: int) -> tuple[int, int]:
+    """A proper factor of the odd composite n by Pollard-Brent rho, and the
+    budget of squarings left."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                raise AlgebraError(f"cannot factor {n} within the rho budget")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(128, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:
+            # the batch overshot: step through it one squaring at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g, budget
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +348,11 @@ def _minpoly(p: int, d: int) -> tuple[int, ...]:
     key = (p, d)
     if key in _MINPOLY_CACHE:
         return _MINPOLY_CACHE[key]
-    for enc in range(p ** d):
+    order = p ** d - 1
+    primes = list(_factor(order))
+    # for d >= 2 the encodings below p are the binomials x^d + c0, whose
+    # roots satisfy x^(d(p-1)) = 1 and so are never primitive
+    for enc in range(p if d > 1 else 0, p ** d):
         coeffs = tuple((enc // p ** i) % p for i in range(d))
         if not _poly_is_irreducible(coeffs, p, d):
             continue
@@ -305,13 +360,7 @@ def _minpoly(p: int, d: int) -> tuple[int, ...]:
         gf.p, gf.d, gf.minpoly = p, d, coeffs
         gf.char, gf.size, gf.degree = p, p ** d, d
         g = tuple([0, 1] + [0] * (d - 2)) if d > 1 else ((-coeffs[0]) % p,)
-        order = gf.size - 1
-        ok = True
-        for q in _factor(order):
-            if gf._pow(g, order // q) == gf._one_raw():
-                ok = False
-                break
-        if ok:
+        if all(gf._pow(g, order // q) != gf._one_raw() for q in primes):
             _MINPOLY_CACHE[key] = coeffs
             return coeffs
     raise AlgebraError(f"no primitive polynomial found for F_{p}^{d}")  # pragma: no cover
@@ -584,6 +633,22 @@ class RingValue:
 
     def __repr__(self):
         return format_value(self)
+
+
+def residue_field(ring: RingDescriptor) -> RingDescriptor:
+    while isinstance(ring, ArtinianLocal):
+        ring = ring.base
+    return ring
+
+
+def residue_value(x: RingValue) -> RingValue:
+    """Image of a scalar in the residue field of its (artinian) ring."""
+    ring = x.ring
+    raw = x.raw
+    while isinstance(ring, ArtinianLocal):
+        raw = raw[0]
+        ring = ring.base
+    return RingValue(ring, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -985,19 +1050,27 @@ def _artinian_norm(x: RingValue, sub_degree: int) -> RingValue:
                 raw = [z] * ring.m
                 raw[k] = coord.raw
                 rows[slot][j] = rows[slot][j] + RingValue(target, tuple(raw))
-    return _det_small(rows, target)
+    return RingValue(target, _det_cofactor(
+        [[x.raw for x in row] for row in rows], target))
 
 
-def _det_small(rows, ring) -> RingValue:
-    n = len(rows)
+def _det_cofactor(a, ring):
+    """Determinant of a small raw-payload matrix by cofactor expansion along
+    the first row, skipping zero entries."""
+    n = len(a)
+    if n == 0:
+        return ring._one_raw()
     if n == 1:
-        return rows[0][0]
-    acc = ring.zero()
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _det_small(minor, ring)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+        return a[0][0]
+    zero = ring._zero_raw()
+    total = zero
+    for j, x in enumerate(a[0]):
+        if x == zero:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in a[1:]]
+        term = ring._mul(x, _det_cofactor(minor, ring))
+        total = ring._add(total, term if j % 2 == 0 else ring._neg(term))
+    return total
 
 
 def frobenius_conjugate_product(x: RingValue, sub_degree: int = 1) -> RingValue:

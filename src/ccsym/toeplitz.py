@@ -20,141 +20,166 @@ deficiency) and a0, b0 are the stabilized Szego determinant ratios of the
 normalized symbols.  Over a field base D is exactly the identity and the
 formula collapses to the tame symbol; in general it reproduces the
 Contou-Carrere symbol with global exponent +1.
+
+Only the c x c corner of D is ever built, never D itself or an inverse:
+
+    D[:c, :c] = (T(f0) T(g0))[:c, :] Y,   T(g0) X = E_c,   T(f0) Y = X,
+
+with E_c the first c columns of the identity.  The two solves carry c
+right-hand sides and the product takes c rows, and all of it runs on raw
+payloads skipping zero entries, so an n x n window costs O(n^2 c) scalar
+operations on the banded Toeplitz matrices instead of O(n^3).
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraError, NotAUnit, SingularCompression
-from .laurent import LaurentRing, LaurentSeries
-from .rings import ArtinianLocal, RingDescriptor
-
-
-def residue_field(ring: RingDescriptor) -> RingDescriptor:
-    while isinstance(ring, ArtinianLocal):
-        ring = ring.base
-    return ring
-
-
-def residue_value(x):
-    """Image of a scalar in the residue field of its (artinian) ring."""
-    ring = x.ring
-    raw = x.raw
-    while isinstance(ring, ArtinianLocal):
-        raw = raw[0]
-        ring = ring.base
-    from .rings import RingValue
-    return RingValue(ring, raw)
+from .laurent import LaurentSeries
+from .rings import RingValue, _det_cofactor, residue_field, residue_value
 
 
 # -- dense matrices over a local scalar ring ---------------------------------
+#
+# The kernels below work on raw payloads through the descriptor's
+# _add/_mul/_neg/_inv/_is_unit and skip zero entries, so banded Toeplitz
+# input costs far less than a dense product.  mat_mul, mat_inv and mat_det
+# are the RingValue entry points.
 
 def toeplitz_matrix(f: LaurentSeries, n: int):
     """n x n compression of multiplication by f; entry (i, j) = coeff(i-j)."""
-    return [[f.coeff(i - j) for j in range(n)] for i in range(n)]
+    coeffs = [f.coeff(k) for k in range(1 - n, n)]
+    return [[coeffs[n - 1 + i - j] for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
+def _raw(a):
+    return [[x.raw for x in row] for row in a]
+
+
+def _wrap(a, ring):
+    return [[RingValue(ring, x) for x in row] for row in a]
+
+
+def _identity_columns(n: int, c: int, ring):
+    """The first c columns of the n x n identity, as raw payloads."""
+    one, zero = ring._one_raw(), ring._zero_raw()
+    return [[one if i == j else zero for j in range(c)] for i in range(n)]
+
+
+def _mul_raw(a, b, ring):
+    """Product of raw matrices; a's zero entries skip whole rows of b."""
+    zero = ring._zero_raw()
+    add, mul = ring._add, ring._mul
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for l in range(1, k):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        acc = [zero] * len(b[0])
+        for x, brow in zip(row, b):
+            if x != zero:
+                acc = [s if y == zero else add(s, mul(x, y))
+                       for s, y in zip(acc, brow)]
+        out.append(acc)
     return out
 
 
-def mat_inv(a, ring):
-    """Gauss-Jordan inverse over a local ring (pivots must be units)."""
+def _solve_raw(a, b, ring):
+    """X with a X = b by Gauss-Jordan elimination; the pivot of each column
+    is its first unit, and a column without one raises SingularCompression."""
     n = len(a)
-    aug = [list(row) + [ring.one() if i == j else ring.zero()
-                        for j in range(n)] for i, row in enumerate(a)]
+    zero = ring._zero_raw()
+    add, mul, neg, is_unit = ring._add, ring._mul, ring._neg, ring._is_unit
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col].is_unit()), None)
+        piv = next((r for r in range(col, n) if is_unit(rows[r][col])), None)
         if piv is None:
             raise SingularCompression(
                 f"column {col} has no unit pivot; the compression is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = aug[col][col].inv()
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r == col:
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = rows[col]
+        s = ring._inv(prow[col])
+        nz = [(j, mul(s, x)) for j, x in enumerate(prow[col:], col)
+              if x != zero]
+        for j, x in nz:
+            prow[j] = x
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r == col or f == zero:
                 continue
-            factor = aug[r][col]
-            if factor.is_zero():
-                continue
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            f = neg(f)
+            for j, x in nz:
+                row[j] = add(row[j], mul(f, x))
+    return [row[n:] for row in rows]
 
 
-def mat_det(a, ring):
-    """Determinant over a local ring by elimination with unit pivots.
+def _eliminate_below(a, top: int, col: int, ring) -> None:
+    """Clear column col below row top, whose entry there is a unit.  Only
+    the columns right of col are written: callers never read col or the
+    columns left of it again."""
+    zero = ring._zero_raw()
+    add, mul, neg = ring._add, ring._mul, ring._neg
+    prow = a[top]
+    s = ring._inv(prow[col])
+    nz = [(j, x) for j, x in enumerate(prow[col + 1:], col + 1) if x != zero]
+    for row in a[top + 1:]:
+        if row[col] != zero:
+            f = neg(mul(row[col], s))
+            for j, x in nz:
+                row[j] = add(row[j], mul(f, x))
 
-    If some column has no unit pivot the determinant is a non-unit; it is
-    still returned exactly (by cofactor expansion on the small remainder).
-    """
+
+def _det_raw(a, ring):
+    """Determinant by elimination with unit pivots.  If some column has no
+    unit pivot the determinant is a non-unit; it is still exact, by cofactor
+    expansion of the remaining block."""
     n = len(a)
     a = [list(row) for row in a]
-    det = ring.one()
+    det = ring._one_raw()
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col].is_unit()), None)
+        piv = next((r for r in range(col, n) if ring._is_unit(a[r][col])),
+                   None)
         if piv is None:
-            return det * _det_cofactor(
-                [row[col:] for row in a[col:]], ring)
+            return ring._mul(det, _det_cofactor(
+                [row[col:] for row in a[col:]], ring))
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv_p = a[col][col].inv()
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv_p
-            if factor.is_zero():
-                continue
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+            det = ring._neg(det)
+        det = ring._mul(det, a[col][col])
+        _eliminate_below(a, col, col, ring)
     return det
 
 
-def _det_cofactor(a, ring):
+def mat_mul(a, b):
+    ring = a[0][0].ring
+    return _wrap(_mul_raw(_raw(a), _raw(b), ring), ring)
+
+
+def mat_inv(a, ring):
+    """Inverse over a local ring (pivots must be units)."""
     n = len(a)
-    if n == 0:
-        return ring.one()
-    if n == 1:
-        return a[0][0]
-    total = ring.zero()
-    for j in range(n):
-        if a[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        term = a[0][j] * _det_cofactor(minor, ring)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    return _wrap(_solve_raw(_raw(a), _identity_columns(n, n, ring), ring),
+                 ring)
+
+
+def mat_det(a, ring):
+    """Determinant over a local ring, exact also when it is not a unit."""
+    return RingValue(ring, _det_raw(_raw(a), ring))
 
 
 def residue_rank(a, ring) -> int:
     """Rank of the residue-field reduction of a matrix."""
     field = residue_field(ring)
-    m = [[residue_value(x) for x in row] for row in a]
+    zero = field._zero_raw()
+    m = [[residue_value(x).raw for x in row] for row in a]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     rank = 0
-    row = 0
     for col in range(n_cols):
-        piv = next((r for r in range(row, n_rows) if not m[r][col].is_zero()),
+        piv = next((r for r in range(rank, n_rows) if m[r][col] != zero),
                    None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv_p = m[row][col].inv()
-        for r in range(row + 1, n_rows):
-            factor = m[r][col] * inv_p
-            if not factor.is_zero():
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
+        m[rank], m[piv] = m[piv], m[rank]
+        _eliminate_below(m, rank, col, field)
         rank += 1
-        row += 1
-        if row == n_rows:
+        if rank == n_rows:
             break
     return rank
 
@@ -204,13 +229,16 @@ def szego_ratio(f0: LaurentSeries, start: int = None):
 
 
 def _corner_det(f0, g0, corner: int, size: int):
-    ring = f0.ring
-    tf = toeplitz_matrix(f0, size)
-    tg = toeplitz_matrix(g0, size)
-    d = mat_mul(mat_mul(mat_mul(tf, tg), mat_inv(tf, ring.base)),
-                mat_inv(tg, ring.base))
-    block = [row[:corner] for row in d[:corner]]
-    return mat_det(block, ring.base)
+    """det of the corner of D = T(f0) T(g0) T(f0)^-1 T(g0)^-1, built by the
+    corner-only solve in the module docstring."""
+    base = f0.ring.base
+    corner = min(corner, size)
+    tf = _raw(toeplitz_matrix(f0, size))
+    tg = _raw(toeplitz_matrix(g0, size))
+    x = _solve_raw(tg, _identity_columns(size, corner, base), base)
+    y = _solve_raw(tf, x, base)
+    block = _mul_raw(_mul_raw(tf[:corner], tg, base), y, base)
+    return mat_det(_wrap(block, base), base)
 
 
 def joint_torsion(f: LaurentSeries, g: LaurentSeries,

@@ -3,9 +3,11 @@ stdin batch mode."""
 
 import io
 import json
+import time
 
 import pytest
 
+from ccsym import rings
 from ccsym.cli import main
 from ccsym.reciprocity import LocalFactor, ReciprocityReport
 from ccsym.rings import PrimeField
@@ -31,6 +33,17 @@ def test_verify_weil_example(capsys):
     assert code == 0
     assert "product 1" in out
     assert "weil reciprocity holds" in out
+
+
+def test_verify_weil_over_a_galois_field_of_a_huge_prime(capsys):
+    # q = (2^31 - 1)^2: the pinned minpoly search must neither walk the
+    # p never-primitive binomials nor trial-divide q - 1
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "weil", "--ring",
+                       "F4611686014132420609", "t-1", "t+2")
+    assert code == 0
+    assert "product 1" in out
+    assert time.perf_counter() - start < 2.0
 
 
 def test_symbol_tame_example(capsys):
@@ -149,6 +162,16 @@ def test_exit_3_on_weil_over_artinian(capsys):
     code, _, err = run(capsys, "verify", "weil", "--ring", "F3[e]/e^2",
                        "t", "1-t")
     assert code == 3
+
+
+def test_exit_3_past_the_factoring_budget(capsys, monkeypatch):
+    # 2^29 - 1 = 233 * 1103 * 2089 needs rho, which gets no squarings here
+    monkeypatch.setattr(rings, "_RHO_BUDGET", 0)
+    monkeypatch.setattr(rings, "_MINPOLY_CACHE", {})
+    code, _, err = run(capsys, "verify", "weil", "--ring", "F536870912",
+                       "t-1", "t+2")
+    assert code == 3
+    assert "rho budget" in err
 
 
 def test_exit_4_on_false_verdict(capsys, monkeypatch):

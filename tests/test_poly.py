@@ -240,3 +240,16 @@ def test_encoding_distinguishes(data):
     a = random_poly(F9, rng, rng.randrange(0, 4))
     b = random_poly(F9, rng, rng.randrange(0, 4))
     assert (a.encoding() == b.encoding()) == (a == b)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_is_irreducible_matches_sympy(p):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    field = PrimeField(p)
+    for deg in range(1, 5):
+        for low in itertools.product(range(p), repeat=deg):
+            f = Poly(field, list(low) + [1])
+            dense = [1] + list(reversed(low))  # sympy lists high to low
+            assert is_irreducible(f) == \
+                galoistools.gf_irreducible_p(dense, p, ZZ), f

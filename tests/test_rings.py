@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -202,6 +203,74 @@ def test_is_prime_refuses_unproven_range():
         rings._is_prime(2 ** 89 - 1)  # a Mersenne prime above the bound
     with pytest.raises(AlgebraError):
         PrimeField(2 ** 89 - 1)
+
+
+def _trial_division_factor(n):
+    out = {}
+    k = 2
+    while k * k <= n:
+        while n % k == 0:
+            out[k] = out.get(k, 0) + 1
+            n //= k
+        k += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factor_matches_trial_division():
+    for n in range(1, 20000):
+        assert rings._factor(n) == _trial_division_factor(n), n
+
+
+def _next_prime(n):
+    while not rings._is_prime(n):
+        n += 1
+    return n
+
+
+def test_factor_splits_a_semiprime_quickly():
+    # two 38-bit primes; rho's cost grows like the square root of the
+    # smaller one, and 40-bit pairs take 0.4-1.1 s on a 2-core host
+    rng = random.Random(0)
+    p, q = (_next_prime(rng.getrandbits(38) | 1 << 37) for _ in range(2))
+    start = time.perf_counter()
+    assert rings._factor(p * q) == {p: 1, q: 1}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_factor_refuses_past_the_rho_budget(monkeypatch):
+    monkeypatch.setattr(rings, "_RHO_BUDGET", 1000)
+    p, q = _next_prime(10 ** 12), _next_prime(2 * 10 ** 12)
+    with pytest.raises(AlgebraError):
+        rings._factor(p * q)
+
+
+def _scan_minpoly(p, d):
+    """Oracle: the pin scanned from encoding 0, binomials included."""
+    field = PrimeField(p)
+    order = p ** d - 1
+    primes = list(_trial_division_factor(order))
+    for enc in range(p ** d):
+        coeffs = tuple((enc // p ** i) % p for i in range(d))
+        if not rings._poly_is_irreducible(coeffs, p, d):
+            continue
+        modulus = list(coeffs) + [1]
+        if all(rings._raw_powmod([0, 1], order // q, modulus, field) != [1]
+               for q in primes):
+            return coeffs
+    return None
+
+
+def test_minpoly_matches_unskipped_scan(monkeypatch):
+    monkeypatch.setattr(rings, "_MINPOLY_CACHE", {})
+    for p in range(2, 82):
+        if not rings._is_prime(p):
+            continue
+        d = 2
+        while p ** d <= 3 ** 8:
+            assert rings._minpoly(p, d) == _scan_minpoly(p, d), (p, d)
+            d += 1
 
 
 class TestFormatting:

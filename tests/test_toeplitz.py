@@ -1,9 +1,11 @@
 """Toeplitz compressions: index, Szego ratios, joint torsion."""
 
+import itertools
 import random
 
 import pytest
 
+from ccsym import toeplitz
 from ccsym.errors import NotAUnit, PrecisionExhausted, SingularCompression
 from ccsym.laurent import LaurentRing, LaurentSeries, unit_decompose
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
@@ -18,6 +20,8 @@ F9 = GaloisField(3, 2)
 A52 = ArtinianLocal(F5, 2)
 A32 = ArtinianLocal(F3, 2)
 A53 = ArtinianLocal(F5, 3)
+A33 = ArtinianLocal(F3, 3)
+A72 = ArtinianLocal(PrimeField(7), 2)
 
 
 def exact(series):
@@ -85,6 +89,33 @@ def test_mat_det_non_unit_column():
     assert mat_det(m, A52).is_zero()
     m2 = [[e, one], [A52.zero(), one]]
     assert mat_det(m2, A52) == e
+
+
+def _leibniz_det(a, ring):
+    """Oracle: the sum over permutations."""
+    n = len(a)
+    total = ring.zero()
+    for perm in itertools.permutations(range(n)):
+        term = ring.one()
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_mat_det_matches_permutation_expansion(rng):
+    for ring in (F5, F9, A52, A33):
+        for n in range(1, 5):
+            for _ in range(6):
+                a = [[ring.random(rng) for _ in range(n)] for _ in range(n)]
+                if not ring.is_field and rng.random() < 0.5:
+                    # a nilpotent column forces the cofactor fallback
+                    col = rng.randrange(n)
+                    for row in a:
+                        row[col] = row[col] * ring.eps()
+                assert mat_det(a, ring) == _leibniz_det(a, ring), a
 
 
 def test_mat_inv_singular_raises():
@@ -229,3 +260,53 @@ def test_truncated_symbol_exhausts():
     g = series(R, {0: 1}) + series(R, {-1: 1}).scale(A52.eps())
     with pytest.raises(PrecisionExhausted):
         joint_torsion(f, g)
+
+
+# -- the corner-only kernel against the dense product --------------------------
+
+def _dense_corner_det(f0, g0, corner, size):
+    """Oracle: both inverses and all three products in full, then the
+    determinant of the corner block."""
+    base = f0.ring.base
+    tf = toeplitz_matrix(f0, size)
+    tg = toeplitz_matrix(g0, size)
+    d = mat_mul(mat_mul(mat_mul(tf, tg), mat_inv(tf, base)), mat_inv(tg, base))
+    return mat_det([row[:corner] for row in d[:corner]], base)
+
+
+@pytest.mark.parametrize("base", (F5, F9, A32, A33, A72), ids=str)
+def test_corner_det_matches_dense_product(monkeypatch, base):
+    rng = random.Random(f"corner {base}")
+    windows = []
+    corner_det = toeplitz._corner_det
+
+    def checked(f0, g0, corner, size):
+        value = corner_det(f0, g0, corner, size)
+        assert value == _dense_corner_det(f0, g0, corner, size)
+        windows.append((corner, size))
+        return value
+
+    monkeypatch.setattr(toeplitz, "_corner_det", checked)
+    R = LaurentRing(base, "t")
+    for _ in range(6):
+        f = random_unit(R, rng)
+        g = random_unit(R, rng)
+        joint_torsion(f, g)
+        joint_torsion(f, g, corner=8, size=20)
+        joint_torsion(f, g, corner=3)
+    assert len(windows) >= 6 * 4
+
+
+def test_corner_det_singular_compression():
+    # joint_torsion normalises both symbols to index 0, whose compressions
+    # are triangular with a unit diagonal modulo the maximal ideal; the
+    # compression of an index-1 symbol has no unit pivot in its last column
+    R = LaurentRing(A52, "t")
+    one = series(R, {0: 1})
+    shift = series(R, {1: 1})
+    with pytest.raises(SingularCompression,
+                       match="column 3 has no unit pivot"):
+        toeplitz._corner_det(one, shift, 2, 4)
+    with pytest.raises(SingularCompression,
+                       match="column 3 has no unit pivot"):
+        toeplitz._corner_det(shift, one, 2, 4)
