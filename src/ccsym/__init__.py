@@ -12,11 +12,11 @@ from .errors import (AlgebraError, DescriptorMismatch, DivisionByNonUnit,
                      UnsupportedArgument, ZeroFunction, ZeroOnCurve)
 from .rings import (ArtinianLocal, GaloisField, PrimeField, RingValue, embed,
                     format_value, relative_norm)
-from .laurent import (LaurentRing, LaurentSeries, constant_series,
-                      default_precision, format_series, iterated_ring,
-                      laurent_inv, nest, unit_decompose)
-from .symbols import (CONVENTION, cc_symbol, higher_cc, higher_symbol,
-                      higher_tame, steinberg_expand, tame_symbol)
+from .laurent import (LaurentRing, LaurentSeries, default_precision,
+                      format_series, iterated_ring, laurent_inv, nest,
+                      unit_decompose)
+from .symbols import (CONVENTION, cc_symbol, higher_symbol, steinberg_expand,
+                      tame_symbol)
 from .poly import (Poly, factor, is_irreducible, poly_gcd, random_poly,
                    roots_in, squarefree_decomposition)
 from .geometry import (BivarPoly, BivarRational, Place, RationalFunction,

@@ -35,7 +35,7 @@ from .parser import (parse_expression, parse_polynomial, parse_ring,
                      parse_scalar)
 from .reciprocity import cc_check, parshin_check, weil_check
 from .rings import format_value
-from .symbols import CONVENTION, cc_symbol, higher_tame, tame_symbol
+from .symbols import CONVENTION, cc_symbol, higher_symbol, tame_symbol
 from .toeplitz import joint_torsion
 
 SCHEMA = "cc-symbols/1"
@@ -160,7 +160,7 @@ def _cmd_symbol(args):
     elif args.kind == "cc":
         result = cc_symbol(values[0], values[1])
     else:
-        result = higher_tame(values)
+        result = higher_symbol(values)
     text = format_value(result)
     payload = _header("symbol", args)
     payload.update(kind=args.kind, inputs=list(args.exprs), value=text)

@@ -18,13 +18,14 @@ variable) and z1 the coordinate along the curve at the point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (AlgebraError, NonUnitLeadingCoefficient, UnsupportedArgument,
                      ZeroFunction, ZeroOnCurve)
 from .laurent import LaurentRing, LaurentSeries, laurent_inv
 from .poly import Poly, factor, roots_in
-from .rings import (ArtinianLocal, GaloisField, PrimeField, RingValue, embed,
+from .rings import (ArtinianLocal, GaloisField, RingValue, _power, embed,
                     residue_field, residue_value)
 
 
@@ -180,9 +181,7 @@ def residue_extension(scalar_ring, degree: int):
     if degree == 1:
         big = k
     else:
-        p = k.char
-        e = k.d if isinstance(k, GaloisField) else 1
-        big = GaloisField(p, e * degree)
+        big = GaloisField(k.char, k.degree * degree)
     if isinstance(scalar_ring, ArtinianLocal):
         return ArtinianLocal(big, scalar_ring.m)
     return big
@@ -206,9 +205,9 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
         num_s = _poly_at_inverse(f.num, R)
         den_s = _poly_at_inverse(f.den, R)
     else:
-        k = residue_field(S)
-        pin = place.poly.map_coefficients(lambda c: embed(c, _base_field(B)), _base_field(B))
-        roots = roots_in(pin, _base_field(B))
+        K = residue_field(B)
+        pin = place.poly.map_coefficients(lambda c: embed(c, K), K)
+        roots = roots_in(pin, K)
         if not roots:
             raise AlgebraError(f"{place.label()} has no root in the residue field"
                                " (is it irreducible over the right field?)")
@@ -225,10 +224,6 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
         prec = (abs(nu_n - nu_d) + tail) * nil + 8
     inv_den = laurent_inv(den_s, prec - num_s.low)
     return (num_s * inv_den).truncate(prec)
-
-
-def _base_field(ring):
-    return ring.base if isinstance(ring, ArtinianLocal) else ring
 
 
 def _poly_at_series(poly: Poly, sub: LaurentSeries, B) -> LaurentSeries:
@@ -351,14 +346,7 @@ class BivarPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise UnsupportedArgument("negative power of a polynomial")
-        result = BivarPoly.one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, BivarPoly.one(self.ring), operator.mul)
 
     def evaluate(self, a: RingValue, b: RingValue) -> RingValue:
         acc = self.ring.zero()

@@ -24,9 +24,11 @@ symbol evaluators live in `symbols`; they consume these decompositions.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit, NotRegular,
                      PrecisionExhausted)
-from .rings import RingDescriptor, RingValue
+from .rings import RingDescriptor, RingValue, _power
 
 
 class LaurentRing(RingDescriptor):
@@ -119,17 +121,6 @@ class LaurentSeries:
         # ring is nilpotent anyway
         return all(c.is_nilpotent() for c in self.coeffs.values())
 
-    def nilpotency_index(self):
-        import math
-        if not self.is_nilpotent():
-            return math.inf
-        acc = self
-        for k in range(1, self.ring.nil_bound + 1):
-            if acc.is_zero():
-                return k
-            acc = acc * self
-        return self.ring.nil_bound
-
     def valuation(self) -> int:
         """Least exponent carrying a unit coefficient.
 
@@ -214,14 +205,7 @@ class LaurentSeries:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.ring.one(), operator.mul)
 
     # -- structure ------------------------------------------------------------
     def __eq__(self, other):
@@ -394,19 +378,6 @@ class UnitDecomposition:
             out = out * LaurentSeries(ring, {0: ring.base.one(), i: -a}, None)
         return out
 
-    def factors(self):
-        """Elementary factors as (kind, payload) pairs; kinds match symbols.py."""
-        out = []
-        if self.nu:
-            out.append(("uniformizer", self.nu))
-        if not self.lead.is_one():
-            out.append(("constant", self.lead))
-        for i in sorted(self.pos):
-            out.append(("positive", (i, self.pos[i])))
-        for i in sorted(self.neg, reverse=True):
-            out.append(("negative", (i, self.neg[i])))
-        return out
-
     def max_pole(self) -> int:
         return -min(self.neg) if self.neg else 0
 
@@ -554,10 +525,6 @@ def iterated_ring(base: RingDescriptor, variables) -> LaurentRing:
     for v in variables:
         ring = LaurentRing(ring, v)
     return ring
-
-
-def constant_series(ring: LaurentRing, value) -> LaurentSeries:
-    return ring.constant(value)
 
 
 def nest(tower: LaurentRing, table: dict, prec=None, inner_prec=None) -> LaurentSeries:

@@ -1,16 +1,24 @@
-"""Univariate polynomials over the scalar rings, with factorization over
-finite fields (squarefree split, distinct-degree split, Cantor-Zassenhaus
-equal-degree split; the randomized stage is deterministically seeded from the
-polynomial so runs are reproducible).
+"""Univariate polynomials over the scalar rings, with factorization and root
+finding over finite fields.
+
+`Poly` wraps its coefficients as `RingValue`s.  Only the squarefree split
+(`squarefree_decomposition`) runs on them; the rest runs on raw payloads in
+the one finite-field polynomial kernel in `rings` (which this module imports,
+so the kernel cannot live here): `factor` hands each squarefree part to the
+distinct-degree split `_raw_ddf` and the Cantor-Zassenhaus equal-degree split
+`_raw_edf`, `roots_in` to `_field_roots`, and the pinned minimal polynomials
+of `GaloisField` use the same modular powers.  The random choices are seeded
+from the polynomial, and factors and roots are sorted by encoding, so no
+output depends on them.
 """
 
 from __future__ import annotations
 
-import random
+import operator
 
 from .errors import AlgebraError, NotAUnit, UnsupportedArgument
-from .rings import (GaloisField, RingDescriptor, RingValue, _field_roots,
-                    _raw_encoding, embed)
+from .rings import (RingDescriptor, RingValue, _field_roots, _power, _raw_ddf,
+                    _raw_edf, _raw_encoding, _seeded_rng, embed)
 
 
 class Poly:
@@ -126,14 +134,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise UnsupportedArgument("negative power of a polynomial")
-        result = Poly.one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, Poly.one(self.ring), operator.mul)
 
     def scale(self, value: RingValue) -> "Poly":
         return Poly(self.ring, [c * value for c in self.coeffs])
@@ -216,16 +217,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-def _field_power(field) -> tuple[int, int]:
-    p = field.char
-    e = field.d if isinstance(field, GaloisField) else 1
-    return p, e
-
-
 def _pth_root(f: Poly) -> Poly:
     """Inverse Frobenius on a polynomial in x^p (over a perfect field)."""
     field = f.ring
-    p, e = _field_power(field)
+    p, e = field.char, field.degree
     coeffs = []
     for i in range(0, f.degree() + 1, p):
         c = f.coeff(i)
@@ -236,7 +231,7 @@ def _pth_root(f: Poly) -> Poly:
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Pairs (g_i, m_i) with f monic = prod g_i^{m_i}, the g_i squarefree and
     pairwise coprime."""
-    p, _ = _field_power(f.ring)
+    p = f.ring.char
     out: dict[Poly, int] = {}
 
     def accumulate(g: Poly, mult: int):
@@ -270,76 +265,6 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return sorted(merged.items(), key=lambda it: (it[1], it[0].encoding()))
 
 
-def _pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
-    result = Poly.one(base.ring)
-    base = base % modulus
-    while e:
-        if e & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
-        e >>= 1
-    return result
-
-
-def distinct_degree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Pairs (g, d): g the product of the irreducible factors of degree d of
-    a squarefree monic f."""
-    field = f.ring
-    q = field.size
-    out = []
-    x = Poly.x(field)
-    h = x
-    d = 0
-    while f.degree() > 0:
-        d += 1
-        if 2 * d > f.degree():
-            out.append((f, f.degree()))
-            break
-        h = _pow_mod(h, q, f)
-        g = poly_gcd(h - x, f)
-        if g.degree() > 0:
-            out.append((g, d))
-            f = f // g
-            if f.degree() == 0:
-                break
-            h = h % f
-    return out
-
-
-def _equal_degree_split(f: Poly, d: int, rng) -> Poly:
-    """A proper monic factor of f (squarefree, all irreducible factors of
-    degree d, at least two of them)."""
-    field = f.ring
-    p = field.char
-    q = field.size
-    n = f.degree()
-    while True:
-        r = random_poly(field, rng, rng.randrange(1, n))
-        g = poly_gcd(r, f)
-        if 0 < g.degree() < n:
-            return g
-        if p == 2:
-            _, e = _field_power(field)
-            h = Poly.zero(field)
-            acc = r % f
-            for _ in range(e * d):
-                h = h + acc
-                acc = (acc * acc) % f
-        else:
-            h = _pow_mod(r, (q ** d - 1) // 2, f) - Poly.one(field)
-        g = poly_gcd(h, f)
-        if 0 < g.degree() < n:
-            return g
-
-
-def equal_degree_factorization(f: Poly, d: int, rng) -> list[Poly]:
-    if f.degree() == d:
-        return [f]
-    g = _equal_degree_split(f, d, rng)
-    return (equal_degree_factorization(g, d, rng)
-            + equal_degree_factorization(f // g, d, rng))
-
-
 def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:
     """Full factorization over a finite field: leading unit and sorted
     (monic irreducible, multiplicity) pairs."""
@@ -347,18 +272,17 @@ def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:
         raise AlgebraError("cannot factor the zero polynomial")
     if not f.ring.is_field:
         raise UnsupportedArgument("factorization needs field coefficients")
-    lead = f.lead()
-    seed = f.ring.size
-    for c in f.encoding():
-        seed = seed * 1000003 + c + 1
-    rng = random.Random(seed)
+    field = f.ring
+    rng = _seeded_rng([c.raw for c in f.coeffs], field)
     factors: list[tuple[Poly, int]] = []
     for g, mult in squarefree_decomposition(f):
-        for h, d in distinct_degree_decomposition(g):
-            for irr in equal_degree_factorization(h, d, rng):
-                factors.append((irr.monic(), mult))
+        for h, d in _raw_ddf([c.raw for c in g.coeffs], field):
+            irreducibles: list = []
+            _raw_edf(h, d, field, rng, irreducibles)
+            factors += [(Poly(field, [RingValue(field, c) for c in irr]), mult)
+                        for irr in irreducibles]
     factors.sort(key=lambda it: (it[0].degree(), it[0].encoding()))
-    return lead, factors
+    return f.lead(), factors
 
 
 _ROOTS_CACHE: dict = {}

@@ -12,9 +12,8 @@ from .geometry import (BivarPoly, BivarRational, Place, RationalFunction,
                        SurfaceFlag, flag_expand, leading_unit_guard,
                        local_expand, support_places)
 from .poly import Poly
-from .rings import (GaloisField, RingValue, format_value, relative_norm,
-                    residue_field)
-from .symbols import cc_symbol, higher_tame, tame_symbol
+from .rings import RingValue, format_value, relative_norm, residue_field
+from .symbols import cc_symbol, higher_symbol, tame_symbol
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,6 @@ class ReciprocityReport:
         }
 
 
-def _subfield_degree(ring) -> int:
-    k = residue_field(ring)
-    return k.d if isinstance(k, GaloisField) else 1
-
-
 def weil_check(f: RationalFunction, g: RationalFunction,
                precision: int = None) -> ReciprocityReport:
     """Product of normed tame symbols over the support of f and g on the
@@ -90,7 +84,7 @@ def _line_reciprocity(law, local_symbol, f, g, precision) -> ReciprocityReport:
         total = (f.num.degree() + f.den.degree()
                  + g.num.degree() + g.den.degree())
         precision = ring.nil_bound * max(total, 1) + 8
-    e = _subfield_degree(ring)
+    e = residue_field(ring).degree
     factors = []
     product = ring.one()
     for place in support_places(f, g):
@@ -131,7 +125,7 @@ def parshin_check(functions, flags, precision: int = None,
     for flag in flags:
         exps = [flag_expand(f, flag, precision, inner_precision)
                 for f in functions]
-        local = higher_tame(exps)
+        local = higher_symbol(exps)
         factors.append(LocalFactor(flag.label(), 1, local, local))
         product = product * local
     return ReciprocityReport("parshin", product.is_one(), product, tuple(factors))

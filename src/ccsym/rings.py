@@ -21,6 +21,7 @@ of Laurent series over them are well defined.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from .errors import AlgebraError, DescriptorMismatch, DivisionByNonUnit
@@ -120,6 +121,19 @@ def _rho(n: int, budget: int) -> tuple[int, int]:
                 g = math.gcd(x - ys, n)
         if g != n:
             return g, budget
+
+
+def _power(x, e: int, one, mul):
+    """x**e for e >= 0 by square-and-multiply under `mul`, without the final
+    squaring, whose result would go unused."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -269,98 +283,28 @@ class PrimeField(RingDescriptor):
 _MINPOLY_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
-def _poly_is_irreducible(coeffs: tuple[int, ...], p: int, d: int) -> bool:
-    # x^(p^k) mod f for k = 1..d: f irreducible over F_p of degree d iff
-    # x^(p^d) = x mod f and gcd-degree checks pass for proper divisors of d.
-    def polymulmod(a, b):
-        res = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] = (res[i + j] + ai * bj) % p
-        # reduce by x^d = -(c_{d-1}x^{d-1}+...+c_0)
-        for i in range(len(res) - 1, d - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j in range(d):
-                    res[i - d + j] = (res[i - d + j] - c * coeffs[j]) % p
-        while len(res) < d:
-            res.append(0)
-        return res[:d]
-
-    def xpow(e):
-        base = [0, 1] if d > 1 else [(-coeffs[0]) % p]
-        while len(base) < d:
-            base.append(0)
-        result = [1] + [0] * (d - 1)
-        while e:
-            if e & 1:
-                result = polymulmod(result, base)
-            base = polymulmod(base, base)
-            e >>= 1
-        return result
-
-    x = [0, 1] + [0] * (d - 2) if d > 1 else [(-coeffs[0]) % p]
-    if xpow(p ** d) != x:
-        return False
-    full = list(coeffs) + [1]
-    for q in _factor(d):
-        # Rabin: gcd(x^(p^(d/q)) - x, f) must be constant, else f has an
-        # irreducible factor whose degree divides d/q
-        h = xpow(p ** (d // q))
-        diff = [(hc - xc) % p for hc, xc in zip(h, x)]
-        if not _fp_gcd_is_constant(diff, full, p):
-            return False
-    return True
-
-
-def _fp_polymod(a: list, b: list, p: int) -> list:
-    """a mod b over F_p; inputs low-to-high, b trimmed and nonzero."""
-    a = list(a)
-    inv = pow(b[-1] % p, p - 2, p)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        if c:
-            offset = len(a) - len(b)
-            for i, bc in enumerate(b[:-1]):
-                a[offset + i] = (a[offset + i] - c * bc) % p
-        a.pop()
-        while a and a[-1] % p == 0:
-            a.pop()
-    return a
-
-
-def _fp_gcd_is_constant(a: list, b: list, p: int) -> bool:
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        a, b = b, _fp_polymod(a, b, p)
-    return len(a) == 1
-
-
 def _minpoly(p: int, d: int) -> tuple[int, ...]:
-    """Pinned minimal polynomial of the F_{p^d} generator (see module docstring)."""
+    """Pinned minimal polynomial of the F_{p^d} generator (see module docstring).
+
+    A candidate f is accepted when f(0) != 0, x^(p^d) = x and
+    x^((p^d - 1)/q) != 1 mod f for every prime q | p^d - 1.  Then x is a unit
+    of order exactly p^d - 1 in F_p[x]/(f); a quotient that is not a field has
+    at most p^d - 2 units, so f is irreducible and x a generator."""
     key = (p, d)
     if key in _MINPOLY_CACHE:
         return _MINPOLY_CACHE[key]
     order = p ** d - 1
     primes = list(_factor(order))
-    # for d >= 2 the encodings below p are the binomials x^d + c0, whose
-    # roots satisfy x^(d(p-1)) = 1 and so are never primitive
-    for enc in range(p if d > 1 else 0, p ** d):
-        coeffs = tuple((enc // p ** i) % p for i in range(d))
-        if not _poly_is_irreducible(coeffs, p, d):
-            continue
-        gf = GaloisField.__new__(GaloisField)
-        gf.p, gf.d, gf.minpoly = p, d, coeffs
-        gf.char, gf.size, gf.degree = p, p ** d, d
-        g = tuple([0, 1] + [0] * (d - 2)) if d > 1 else ((-coeffs[0]) % p,)
-        if all(gf._pow(g, order // q) != gf._one_raw() for q in primes):
+    # GaloisField's multiplication is arithmetic mod any monic f
+    ring = GaloisField.__new__(GaloisField)
+    ring.p, ring.d = p, d
+    x, one = (0, 1) + (0,) * (d - 2), (1,) + (0,) * (d - 1)
+    # the encodings below p are the binomials x^d + c0, whose roots satisfy
+    # x^(d(p-1)) = 1 and so are never primitive
+    for enc in range(p, p ** d):
+        ring.minpoly = coeffs = tuple((enc // p ** i) % p for i in range(d))
+        if coeffs[0] and ring._pow(x, order + 1) == x and all(
+                ring._pow(x, order // q) != one for q in primes):
             _MINPOLY_CACHE[key] = coeffs
             return coeffs
     raise AlgebraError(f"no primitive polynomial found for F_{p}^{d}")  # pragma: no cover
@@ -411,14 +355,7 @@ class GaloisField(RingDescriptor):
         return tuple(res[:d])
 
     def _pow(self, a, e: int):
-        result = self._one_raw()
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return result
+        return _power(a, e, self._one_raw(), self._mul)
 
     def _inv(self, a):
         if not any(a):
@@ -478,9 +415,10 @@ class ArtinianLocal(RingDescriptor):
 
     def _mul(self, a, b):
         m, base = self.m, self.base
-        res = [base._zero_raw()] * m
+        zero = base._zero_raw()
+        res = [zero] * m
         for i, ai in enumerate(a):
-            if base._is_unit(ai) or ai != base._zero_raw():
+            if ai != zero:
                 for j in range(m - i):
                     res[i + j] = base._add(res[i + j], base._mul(ai, b[j]))
         return tuple(res)
@@ -583,14 +521,7 @@ class RingValue:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.ring.one(), operator.mul)
 
     def is_unit(self) -> bool:
         return self.ring._is_unit(self.raw)
@@ -731,15 +662,6 @@ def _fp_solve(matrix, rhs, p):
     return x
 
 
-def _field_of(desc: RingDescriptor) -> RingDescriptor:
-    return desc.base if isinstance(desc, ArtinianLocal) else desc
-
-
-def _field_degree(desc: RingDescriptor) -> int:
-    f = _field_of(desc)
-    return f.d if isinstance(f, GaloisField) else 1
-
-
 def _coords(x_raw, desc) -> list[int]:
     """F_p coordinates of a field element."""
     return list(x_raw) if isinstance(desc, GaloisField) else [x_raw]
@@ -759,8 +681,8 @@ def _raw_encoding(raw, ring) -> int:
     return acc
 
 
-# -- root finding on raw payloads: polynomials are lists of field payloads,
-# low to high, without trailing zeros; the divisors below are monic
+# -- the finite-field polynomial kernel: polynomials are lists of field
+# payloads, low to high, without trailing zeros; the divisors below are monic
 
 
 def _raw_monic(a: list, field) -> list:
@@ -808,14 +730,8 @@ def _raw_mulmod(a: list, b: list, m: list, field) -> list:
 
 
 def _raw_powmod(a: list, e: int, m: list, field) -> list:
-    result = [field._one_raw()]
-    while e:
-        if e & 1:
-            result = _raw_mulmod(result, a, m, field)
-        e >>= 1
-        if e:
-            a = _raw_mulmod(a, a, m, field)
-    return result
+    return _power(a, e, [field._one_raw()],
+                  lambda u, v: _raw_mulmod(u, v, m, field))
 
 
 def _raw_gcd(a: list, b: list, field) -> list:
@@ -826,54 +742,78 @@ def _raw_gcd(a: list, b: list, field) -> list:
     return a
 
 
+def _seeded_rng(coeffs: list, field) -> random.Random:
+    """An rng seeded from a polynomial's encoding, so runs are reproducible."""
+    seed = field.size
+    for c in coeffs:
+        seed = seed * 1000003 + _raw_encoding(c, field) + 1
+    return random.Random(seed)
+
+
+def _raw_ddf(f: list, field) -> list:
+    """Pairs (g, d): g the product of the irreducible factors of degree d of
+    a squarefree monic f, for every d that has any (distinct-degree split)."""
+    zero, one = field._zero_raw(), field._one_raw()
+    out = []
+    h = [zero, one]
+    d = 0
+    while len(f) > 1:
+        d += 1
+        if 2 * d > len(f) - 1:
+            out.append((f, len(f) - 1))
+            break
+        h = _raw_powmod(h, field.size, f, field)
+        g = _raw_gcd(f, _raw_add(h, [zero, field._neg(one)], field), field)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _raw_divmod(f, g, field)[0]
+            h = _raw_divmod(h, f, field)[1]
+    return out
+
+
+def _raw_edf(g: list, d: int, field, rng, out: list) -> None:
+    """Append the monic irreducible factors of g, a squarefree monic product
+    of irreducible factors of degree d (Cantor-Zassenhaus equal-degree split)."""
+    n = len(g) - 1
+    if n == d:
+        out.append(g)
+        return
+    zero, q = field._zero_raw(), field.size
+    while True:
+        # r of degree < 2d is uniform modulo any two factors (CRT), which
+        # its quadratic character (odd p) or absolute trace (p = 2) in
+        # F_{q^d} then separate with probability about 1/2
+        r = [field.random(rng).raw for _ in range(2 * d)]
+        while r and r[-1] == zero:
+            r.pop()
+        if field.char == 2:
+            h = acc = r
+            for _ in range((q.bit_length() - 1) * d - 1):
+                acc = _raw_mulmod(acc, acc, g, field)
+                h = _raw_add(h, acc, field)
+        else:
+            h = _raw_powmod(r, (q ** d - 1) // 2, g, field)
+            h = _raw_add(h, [field._neg(field._one_raw())], field)
+        c = _raw_gcd(g, h, field)
+        if 1 < len(c) <= n:
+            _raw_edf(c, d, field, rng, out)
+            _raw_edf(_raw_divmod(g, c, field)[0], d, field, rng, out)
+            return
+
+
 def _field_roots(coeffs: list, field) -> list:
     """Distinct roots in a finite field of a nonzero polynomial given by raw
-    coefficients (low to high), in no particular order.
-
-    g = gcd(x^Q - x, f) is the product of (x - r) over the roots r; it is
-    split into linear factors by Cantor-Zassenhaus equal-degree splitting
-    with d = 1, seeded from g's encoding so runs are reproducible.
-    """
+    coefficients (low to high), in no particular order: g = gcd(x^Q - x, f)
+    is the product of (x - r) over the roots r, split by `_raw_edf`."""
     g = _raw_monic(coeffs, field)
     if len(g) > 2:
         zero, one = field._zero_raw(), field._one_raw()
         h = _raw_powmod([zero, one], field.size, g, field)
         g = _raw_gcd(g, _raw_add(h, [zero, field._neg(one)], field), field)
-    if len(g) <= 2:
-        return [field._neg(g[0])] if len(g) == 2 else []
-    seed = field.size
-    for c in g:
-        seed = seed * 1000003 + _raw_encoding(c, field) + 1
-    rng = random.Random(seed)
-    roots: list = []
-    _split_linear(g, field, rng, roots)
-    return roots
-
-
-def _split_linear(g: list, field, rng, out: list) -> None:
-    """Append the roots of g, a monic product of distinct linear factors."""
-    if len(g) == 2:
-        out.append(field._neg(g[0]))
-        return
-    n = len(g) - 1
-    p, q = field.char, field.size
-    while True:
-        # a*x + b separates the roots r by the quadratic character (odd p)
-        # or the absolute trace (p = 2) of a*r + b
-        r = [field.random(rng).raw, field.random_unit(rng).raw]
-        if p == 2:
-            h = acc = r
-            for _ in range(q.bit_length() - 2):
-                acc = _raw_mulmod(acc, acc, g, field)
-                h = _raw_add(h, acc, field)
-        else:
-            h = _raw_powmod(r, (q - 1) // 2, g, field)
-            h = _raw_add(h, [field._neg(field._one_raw())], field)
-        d = _raw_gcd(g, h, field)
-        if 1 < len(d) <= n:
-            _split_linear(d, field, rng, out)
-            _split_linear(_raw_divmod(g, d, field)[0], field, rng, out)
-            return
+    linear: list = []
+    if len(g) > 1:
+        _raw_edf(g, 1, field, _seeded_rng(g, field), linear)
+    return [field._neg(c[0]) for c in linear]
 
 
 def _pinned_subfield_generator(sub: GaloisField, big: GaloisField) -> RingValue:
@@ -997,7 +937,7 @@ def _module_basis(big_field: GaloisField, rel_rank: int) -> list[RingValue]:
 def _artinian_norm(x: RingValue, sub_degree: int) -> RingValue:
     ring = x.ring
     big = ring.base
-    D = _field_degree(ring)
+    D = big.degree
     if D % sub_degree != 0:
         raise DescriptorMismatch(f"no degree-{sub_degree} subfield of {ring}")
     if sub_degree == D:
@@ -1078,7 +1018,7 @@ def frobenius_conjugate_product(x: RingValue, sub_degree: int = 1) -> RingValue:
     q = p^sub_degree.  Returns a value still expressed in the big field."""
     ring = x.ring
     q = ring.char ** sub_degree
-    r = _field_degree(ring) // sub_degree
+    r = residue_field(ring).degree // sub_degree
     acc = ring.one()
     y = x
     for _ in range(r):

@@ -152,7 +152,7 @@ class SymbolTerm:
     """One term of the multilinear expansion of a higher symbol.
 
     `atoms` holds one elementary factor per argument slot, tagged like
-    UnitDecomposition.factors(); `exponent` is the product of the chosen
+    `_decomposition_atoms`; `exponent` is the product of the chosen
     uniformizer multiplicities.
     """
     exponent: int
@@ -263,14 +263,3 @@ def higher_symbol(args):
     for term in steinberg_expand(args):
         out = out * _evaluate_term(term, ring)
     return out
-
-
-def higher_tame(args):
-    """Higher symbol over a field base (all coefficients invertible)."""
-    return higher_symbol(args)
-
-
-def higher_cc(args):
-    """Higher symbol over an artinian local base; nilpotent poles are only
-    supported in the innermost variable."""
-    return higher_symbol(args)

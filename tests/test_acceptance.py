@@ -18,7 +18,7 @@ from ccsym.laurent import LaurentRing, LaurentSeries
 from ccsym.poly import Poly, random_poly
 from ccsym.reciprocity import cc_check, parshin_check, weil_check
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
-from ccsym.symbols import cc_symbol, higher_tame, tame_symbol
+from ccsym.symbols import cc_symbol, higher_symbol, tame_symbol
 from ccsym.toeplitz import joint_torsion
 
 F2, F3, F5, F7 = (PrimeField(p) for p in (2, 3, 5, 7))
@@ -185,9 +185,9 @@ def test_criterion_3_symbol_laws(capsys, rng):
         field = (F5, F7)[i % 2]
         tower = LaurentRing(LaurentRing(field, "t1"), "t2")
         args = tuple(nested_unit(tower, rng) for _ in range(3))
-        base = higher_tame(args)
+        base = higher_symbol(args)
         sigma = perms[i % len(perms)]
-        permuted = higher_tame(tuple(args[j] for j in sigma))
+        permuted = higher_symbol(tuple(args[j] for j in sigma))
         inversions = sum(1 for a in range(3) for b in range(a + 1, 3)
                          if sigma[a] > sigma[b])
         expected = base if inversions % 2 == 0 else base.inv()

@@ -1,0 +1,33 @@
+"""The public names of the package are part of its contract."""
+
+import ccsym
+
+PUBLIC = {
+    "AlgebraError", "ArtinianLocal", "BivarPoly", "BivarRational",
+    "CONVENTION", "Cocycle2", "DescriptorMismatch", "DivisionByNonUnit",
+    "ExpressionSyntaxError", "FiniteGroup", "GaloisField",
+    "IncompleteFlagCover", "InvalidCocycle", "LaurentRing", "LaurentSeries",
+    "LocalFactor", "NonCommutingPair", "NonUnitLeadingCoefficient",
+    "NotAUnit", "NotRegular", "Place", "Poly", "PrecisionExhausted",
+    "PrimeField", "RationalFunction", "ReciprocityReport", "RingValue",
+    "SingularCompression", "SurfaceFlag", "UnknownSymbol",
+    "UnsupportedArgument", "ZeroFunction", "ZeroOnCurve",
+    "bicharacter_cocycle", "cc_check", "cc_symbol", "coboundary", "cocycle",
+    "default_precision", "embed", "errors", "extension_commutator", "factor",
+    "flag_expand", "format_series", "format_value", "geometry",
+    "group_catalog", "groups", "higher_symbol", "is_irreducible",
+    "iterated_ring", "joint_torsion", "laurent", "laurent_inv",
+    "local_expand", "nest", "parse_expression", "parse_polynomial",
+    "parse_ring", "parse_scalar", "parser", "parshin_check", "poly",
+    "poly_gcd", "random_cocycle", "random_poly", "reciprocity",
+    "relative_norm", "residue_extension", "ring_label", "rings", "roots_in",
+    "squarefree_decomposition", "steinberg_expand", "support_places",
+    "symbols", "szego_ratio", "tame_symbol", "toeplitz", "toeplitz_index",
+    "toeplitz_matrix", "trivial_cocycle", "unit_decompose", "weil_check",
+}
+
+
+def test_public_names_are_pinned():
+    # the aliases higher_tame and higher_cc (both higher_symbol) and
+    # constant_series (LaurentRing.constant) are gone on purpose
+    assert set(ccsym.__all__) == PUBLIC

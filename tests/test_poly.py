@@ -69,17 +69,43 @@ def test_gcd_of_multiples(rng):
         assert d % g == Poly.zero(F5)
 
 
+def _monics(field, degree):
+    elements = list(field.elements())
+    for low in itertools.product(elements, repeat=degree):
+        yield Poly(field, list(low) + [field.one()])
+
+
+def _has_no_small_divisor(g):
+    """Oracle: g of degree n is irreducible iff no monic of degree <= n/2
+    divides it."""
+    return g.degree() > 0 and all(
+        not (g % h).is_zero()
+        for d in range(1, g.degree() // 2 + 1) for h in _monics(g.ring, d))
+
+
+def _assert_factorization(f):
+    lead, factors = factor(f)
+    prod = Poly.constant(lead)
+    for g, mult in factors:
+        assert g.is_monic()
+        assert _has_no_small_divisor(g), (f, g)
+        prod = prod * g ** mult
+    assert prod == f
+    assert len({g for g, _ in factors}) == len(factors)
+
+
 def test_factor_roundtrip_all_fields(rng):
     for field in ALL_FIELDS:
         for _ in range(12):
-            f = random_poly(field, rng, rng.randrange(1, 7))
-            lead, factors = factor(f)
-            prod = Poly.constant(lead)
-            for g, mult in factors:
-                assert g.is_monic()
-                assert is_irreducible(g)
-                prod = prod * g ** mult
-            assert prod == f
+            _assert_factorization(random_poly(field, rng, rng.randrange(1, 7)))
+
+
+@pytest.mark.parametrize("field,max_degree", ((F4, 4), (F8, 3), (F9, 3)),
+                         ids=str)
+def test_factor_every_small_monic_over_extension_fields(field, max_degree):
+    for deg in range(1, max_degree + 1):
+        for f in _monics(field, deg):
+            _assert_factorization(f)
 
 
 def test_factor_deterministic():
@@ -168,11 +194,9 @@ def _extensions(field, limit=125):
 @pytest.mark.parametrize("field", (F2, F3, F4, F5), ids=str)
 def test_roots_in_matches_scan_for_every_small_monic(monkeypatch, field):
     monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
-    elements = list(field.elements())
     for target in _extensions(field):
         for deg in range(4):
-            for low in itertools.product(elements, repeat=deg):
-                f = Poly(field, list(low) + [field.one()])
+            for f in _monics(field, deg):
                 assert roots_in(f, target) == _scan_roots(f, target), (f, target)
 
 
@@ -253,3 +277,18 @@ def test_is_irreducible_matches_sympy(p):
             dense = [1] + list(reversed(low))  # sympy lists high to low
             assert is_irreducible(f) == \
                 galoistools.gf_irreducible_p(dense, p, ZZ), f
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_factor_matches_sympy(p):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    field = PrimeField(p)
+    for deg in range(1, 5):
+        for f in _monics(field, deg):
+            dense = [c.raw for c in reversed(f.coeffs)]  # sympy: high to low
+            _, expected = galoistools.gf_factor(dense, p, ZZ)
+            _, factors = factor(f)
+            assert sorted((tuple(c.raw for c in reversed(g.coeffs)), m)
+                          for g, m in factors) == \
+                sorted((tuple(int(c) for c in g), m) for g, m in expected), f

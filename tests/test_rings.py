@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ccsym import rings
 from ccsym.errors import AlgebraError, DivisionByNonUnit, DescriptorMismatch
+from ccsym.poly import Poly, is_irreducible
 from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, embed,
                          format_value, frobenius_conjugate_product,
                          relative_norm)
@@ -247,13 +248,14 @@ def test_factor_refuses_past_the_rho_budget(monkeypatch):
 
 
 def _scan_minpoly(p, d):
-    """Oracle: the pin scanned from encoding 0, binomials included."""
+    """Oracle: the pin scanned from encoding 0, binomials included, with
+    irreducibility tested by factoring."""
     field = PrimeField(p)
     order = p ** d - 1
     primes = list(_trial_division_factor(order))
     for enc in range(p ** d):
         coeffs = tuple((enc // p ** i) % p for i in range(d))
-        if not rings._poly_is_irreducible(coeffs, p, d):
+        if not is_irreducible(Poly(field, list(coeffs) + [1])):
             continue
         modulus = list(coeffs) + [1]
         if all(rings._raw_powmod([0, 1], order // q, modulus, field) != [1]
