@@ -10,25 +10,39 @@ Laurent polynomial.  Precision composes conservatively:
     inv:  Nf - 2*valuation(f)
 
 Coefficients may be scalars (RingValue) or again LaurentSeries, giving the
-iterated rings A((t1))...((tn)) as literal series-of-series.  Both element
-kinds expose the same small protocol (add/mul/inv/is_unit/is_nilpotent/...),
-so all algorithms below are written once.
+iterated rings A((t1))...((tn)) as literal series-of-series.
+
+Inner loops run on payloads: {exponent: payload} dicts driven by the
+coefficient descriptor's raw `_mul`/`_add`/`_neg`, its zero test and its unit
+inverse.  A result series keeps its payload dict and wraps the values once,
+when its `coeffs` are first read.  A scalar payload is `RingValue.raw`; a
+series-valued coefficient is its own payload, with `LaurentRing` supplying
+the series operations and "no stored terms" as the zero test.  So towers run
+the same loops as scalar bases.
 
 Over a local coefficient ring every element splits as
 
     f = prod_{i<0} (1 - a_i t^i) * a_0 t^nu * prod_{i>0} (1 - a_i t^i)
 
-with the negative-index a_i nilpotent; `unit_decompose` computes this.  The
-symbol evaluators live in `symbols`; they consume these decompositions.
+with the negative-index a_i nilpotent; `unit_decompose` computes this.  Its
+positive stage keeps the normalised remainder r = f / (a_0 t^nu) as one dense
+list below the cutoff N: a_i = -r[i], and dividing by (1 - a_i t^i) is the
+in-place recurrence r[k] += a_i r[k-i] for k rising from i to N - 1, which
+costs O(N) per factor.  The symbol evaluators live in `symbols`; they consume
+these decompositions.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit, NotRegular,
                      PrecisionExhausted)
 from .rings import RingDescriptor, RingValue, _power
+
+#: raw coefficient operations that the kernel loops run on
+_CoeffOps = namedtuple("_CoeffOps", "mul add neg nonzero wrap")
 
 
 class LaurentRing(RingDescriptor):
@@ -42,6 +56,8 @@ class LaurentRing(RingDescriptor):
         self.char = base.char
         self.is_field = base.is_field
         self.nil_bound = base.nil_bound
+        self._coeff_ops = _CoeffOps(base._mul, base._add, base._neg,
+                                   base._nonzero_test(), base._wrapper())
 
     def _key(self):
         return (self.base, self.var)
@@ -54,20 +70,23 @@ class LaurentRing(RingDescriptor):
         return inner + 1
 
     def zero(self, prec=None):
-        return LaurentSeries(self, {}, prec)
+        return _series(self, {}, prec)
 
     def one(self):
-        return LaurentSeries(self, {0: self.base.one()}, None)
+        return self._monomial(0, self.base._one_raw())
 
     def from_int(self, n: int):
-        return LaurentSeries(self, {0: self.base.from_int(n)}, None)
+        return self._monomial(0, self.base._from_int_raw(n))
 
     def gen(self, power: int = 1):
         """The monomial var^power, exact."""
-        return LaurentSeries(self, {power: self.base.one()}, None)
+        return self._monomial(power, self.base._one_raw())
 
     def constant(self, value):
-        return LaurentSeries(self, {0: self.base.coerce(value)}, None)
+        return self._monomial(0, self.base.coerce(value).raw)
+
+    def _monomial(self, e: int, payload):
+        return _series(self, {e: payload} if self._coeff_ops.nonzero(payload) else {})
 
     def coerce(self, x):
         if isinstance(x, LaurentSeries):
@@ -85,21 +104,81 @@ class LaurentRing(RingDescriptor):
                 coeffs[e] = self.base.random(rng)
         return LaurentSeries(self, coeffs, prec)
 
+    # -- payload arithmetic, for series-valued coefficients of a tower: a
+    # series is its own payload, and it is zero when it stores no terms
+    _add = staticmethod(operator.add)
+    _neg = staticmethod(operator.neg)
+    _mul = staticmethod(operator.mul)
+
+    def _inv(self, a):
+        return a.inv()
+
+    def _is_unit(self, a):
+        return a.is_unit()
+
+    def _is_nilpotent(self, a):
+        return a.is_nilpotent()
+
+    def _zero_raw(self):
+        return self.zero()
+
+    def _one_raw(self):
+        return self.one()
+
+    def _from_int_raw(self, n):
+        return self.from_int(n)
+
+    def _nonzero_test(self):
+        return _has_terms
+
+    def _wrapper(self):
+        return _same
+
+
+def _has_terms(f) -> bool:
+    return bool(f._raw)
+
+
+def _same(f):
+    return f
+
 
 def _min_exp(coeffs, default):
     return min(coeffs) if coeffs else default
 
 
 class LaurentSeries:
-    __slots__ = ("ring", "coeffs", "prec", "low")
+    """An element of a LaurentRing.  Its nonzero terms are held as a payload
+    dict `_raw`, which the kernel reads and never mutates, and are wrapped
+    into `coeffs` when that is first read."""
+
+    __slots__ = ("ring", "_coeffs", "_raw", "prec", "low")
 
     def __init__(self, ring: LaurentRing, coeffs: dict, prec=None):
-        if prec is not None:
-            coeffs = {e: c for e, c in coeffs.items() if e < prec}
+        nonzero = ring._coeff_ops.nonzero
+        if prec is None:
+            coeffs = {e: c for e, c in coeffs.items() if nonzero(c.raw)}
+        else:
+            coeffs = {e: c for e, c in coeffs.items() if e < prec and nonzero(c.raw)}
         self.ring = ring
-        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
+        self._coeffs = coeffs
+        self._raw = {e: c.raw for e, c in coeffs.items()}
         self.prec = prec
-        self.low = _min_exp(self.coeffs, prec)
+        self.low = _min_exp(coeffs, prec)
+
+    @property
+    def coeffs(self) -> dict:
+        """{exponent: coefficient} of the stored terms; never mutate it."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            wrap = self.ring._coeff_ops.wrap
+            coeffs = self._coeffs = {e: wrap(c) for e, c in self._raw.items()}
+        return coeffs
+
+    @property
+    def raw(self) -> "LaurentSeries":
+        """The payload of a series-valued coefficient: the series itself."""
+        return self
 
     # -- basic queries ------------------------------------------------------
     def coeff(self, e: int):
@@ -108,18 +187,18 @@ class LaurentSeries:
         return self.coeffs.get(e, self.ring.base.zero())
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._raw
 
     def is_one(self) -> bool:
-        return set(self.coeffs) == {0} and self.coeffs[0].is_one()
+        return self._raw.keys() == {0} and self.coeffs[0].is_one()
 
     def is_unit(self) -> bool:
-        return any(c.is_unit() for c in self.coeffs.values())
+        return any(map(self.ring.base._is_unit, self._raw.values()))
 
     def is_nilpotent(self) -> bool:
         # trusts the truncation: the unknown tail of a non-unit over a local
         # ring is nilpotent anyway
-        return all(c.is_nilpotent() for c in self.coeffs.values())
+        return all(map(self.ring.base._is_nilpotent, self._raw.values()))
 
     def valuation(self) -> int:
         """Least exponent carrying a unit coefficient.
@@ -128,15 +207,16 @@ class LaurentSeries:
         the first unit is nilpotent.  NotAUnit if no unit coefficient exists
         in the stored window.
         """
-        for e in sorted(self.coeffs):
-            if self.coeffs[e].is_unit():
+        raw, is_unit = self._raw, self.ring.base._is_unit
+        for e in sorted(raw):
+            if is_unit(raw[e]):
                 return e
         raise NotAUnit(f"no unit coefficient below truncation in {self}")
 
     def degree(self) -> int:
-        if not self.coeffs:
+        if self.is_zero():
             raise AlgebraError("zero series has no degree")
-        return max(self.coeffs)
+        return max(self._raw)
 
     # -- arithmetic -----------------------------------------------------------
     def _lift(self, other) -> "LaurentSeries":
@@ -144,17 +224,16 @@ class LaurentSeries:
 
     def __add__(self, other):
         o = self._lift(other)
-        prec = _merge_prec(self.prec, o.prec)
-        coeffs = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            s = coeffs.get(e)
-            coeffs[e] = c if s is None else s + c
-        return LaurentSeries(self.ring, coeffs, prec)
+        raw = dict(self._raw)
+        _add_into(self.ring, raw, o._raw)
+        return _build(self.ring, raw, _merge_prec(self.prec, o.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.ring, {e: -c for e, c in self.coeffs.items()}, self.prec)
+        negate = self.ring._coeff_ops.neg
+        return _series(self.ring, {e: negate(c) for e, c in self._raw.items()},
+                       self.prec)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -165,36 +244,27 @@ class LaurentSeries:
     def __mul__(self, other):
         o = self._lift(other)
         prec = _mul_prec(self, o)
-        coeffs: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
-                e = e1 + e2
-                if prec is not None and e >= prec:
-                    continue
-                p = c1 * c2
-                s = coeffs.get(e)
-                coeffs[e] = p if s is None else s + p
-        result = LaurentSeries(self.ring, coeffs, prec)
-        if prec is not None and not result.coeffs and (self.coeffs and o.coeffs):
-            lowest = self.low + o.low
-            if lowest >= prec:
-                raise PrecisionExhausted("product has no representable coefficients")
-        return result
+        # low(x) + low(y) < prec whenever both are nonzero, so a product never
+        # exhausts its precision; one whose terms all cancel is O(t^prec)
+        return _series(self.ring, _product(self.ring, self._raw, o._raw, prec),
+                       prec)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by var^k (exact reindexing)."""
         prec = None if self.prec is None else self.prec + k
-        return LaurentSeries(self.ring, {e + k: c for e, c in self.coeffs.items()}, prec)
+        return _series(self.ring, {e + k: c for e, c in self._raw.items()}, prec)
 
     def scale(self, scalar) -> "LaurentSeries":
-        s = self.ring.base.coerce(scalar)
-        return LaurentSeries(self.ring, {e: c * s for e, c in self.coeffs.items()}, self.prec)
+        s = self.ring.base.coerce(scalar).raw
+        mul = self.ring._coeff_ops.mul
+        return _build(self.ring, {e: mul(c, s) for e, c in self._raw.items()},
+                      self.prec)
 
     def truncate(self, prec: int) -> "LaurentSeries":
         new = prec if self.prec is None else min(self.prec, prec)
-        return LaurentSeries(self.ring, self.coeffs, new)
+        return _series(self.ring, {e: c for e, c in self._raw.items() if e < new}, new)
 
     def inv(self, prec=None) -> "LaurentSeries":
         return laurent_inv(self, prec)
@@ -213,7 +283,7 @@ class LaurentSeries:
             other = self.ring.from_int(other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (self.ring == other.ring and self.coeffs == other.coeffs
+        return (self.ring == other.ring and self._raw == other._raw
                 and self.prec == other.prec)
 
     def __hash__(self):
@@ -294,9 +364,101 @@ def default_precision(*series, pole_hint: int = 0) -> int:
     bound = 1
     for f in series:
         bound = max(bound, f.ring.nil_bound)
-        if f.coeffs:
+        if not f.is_zero():
             pole = max(pole, -min(f.low, 0))
     return pole * bound + 8
+
+
+# -- payload kernel ------------------------------------------------------------
+# Inner loops run on {exponent: payload} dicts with the coefficient ring's raw
+# operations (`_CoeffOps`); payload dicts are pruned of zeros and never
+# mutated once a series holds them.
+
+
+def _series(ring: LaurentRing, raw: dict, prec=None) -> LaurentSeries:
+    """Series from a payload dict holding only nonzero payloads below `prec`;
+    they are wrapped when `coeffs` is first read."""
+    f = object.__new__(LaurentSeries)
+    f.ring, f._coeffs, f._raw, f.prec = ring, None, raw, prec
+    f.low = _min_exp(raw, prec)
+    return f
+
+
+def _build(ring: LaurentRing, raw: dict, prec=None) -> LaurentSeries:
+    """Series from any payload dict: exponents at or past `prec` and zero
+    payloads are dropped first."""
+    nonzero = ring._coeff_ops.nonzero
+    if prec is None:
+        raw = {e: c for e, c in raw.items() if nonzero(c)}
+    else:
+        raw = {e: c for e, c in raw.items() if e < prec and nonzero(c)}
+    return _series(ring, raw, prec)
+
+
+def _product(ring: LaurentRing, x: dict, y: dict, bound=None) -> dict:
+    """Schoolbook product of payload dicts below `bound`, zero terms dropped."""
+    mul, add, _, nonzero, _ = ring._coeff_ops
+    out: dict = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = e1 + e2
+            if bound is not None and e >= bound:
+                continue
+            p = mul(c1, c2)
+            s = out.get(e)
+            out[e] = p if s is None else add(s, p)
+    return {e: c for e, c in out.items() if nonzero(c)}
+
+
+def _add_into(ring: LaurentRing, acc: dict, y: dict) -> None:
+    """acc += y in place; a sum that vanishes leaves acc."""
+    _, add, _, nonzero, _ = ring._coeff_ops
+    for e, c in y.items():
+        s = acc.get(e)
+        if s is None:
+            acc[e] = c
+            continue
+        s = add(s, c)
+        if nonzero(s):
+            acc[e] = s
+        else:
+            del acc[e]
+
+
+def _geometric(ring: LaurentRing, m: dict, bound, steps: int):
+    """1 + m + m^2 + ... on payload dicts, each power cut below `bound` (None:
+    exact).  Stops at the first zero power or after `steps` powers; returns
+    the sum and the last power, which is empty iff the series terminated."""
+    one = ring.base._one_raw()
+    acc, term = {0: one}, {0: one}
+    for _ in range(steps):
+        term = _product(ring, term, m, bound)
+        if not term:
+            break
+        _add_into(ring, acc, term)
+    return acc, term
+
+
+def _unit_inverse(ring: LaurentRing, raw: dict, nu: int, prec: int) -> dict:
+    """Payloads of 1/f below t^prec, for f (a payload dict) whose valuation is
+    nu: the geometric series of 1/(1 + u) in a fixed working window."""
+    mul, _, negate, nonzero, _ = ring._coeff_ops
+    L = ring.nil_bound
+    lead_inv = ring.base._inv(raw[nu])
+    # u = f / (lead * t^nu) - 1: no constant term; negatives nilpotent
+    u = {e - nu: mul(c, lead_inv) for e, c in raw.items() if e != nu}
+    u = {e: c for e, c in u.items() if nonzero(c)}
+    rel_prec = prec + nu             # target precision of (1+u)^{-1}
+    pole = max(0, -min(u, default=0))
+    # fixed working window: anything dropped at >= work would need >= L
+    # nilpotent factors to re-enter below rel_prec, so it never does
+    work = rel_prec + (L - 1) * pole
+    limit = max(0, work) + (L - 1) * (pole + 1) + 1
+    acc, term = _geometric(ring, {e: negate(c) for e, c in u.items()}, work, limit)
+    if term:  # pragma: no cover
+        raise AlgebraError("inverse iteration failed to terminate")
+    out = {e - nu: mul(c, lead_inv) for e, c in acc.items() if e < rel_prec}
+    return {e: c for e, c in out.items() if nonzero(c)}
 
 
 def laurent_inv(f: LaurentSeries, prec=None) -> LaurentSeries:
@@ -312,43 +474,17 @@ def laurent_inv(f: LaurentSeries, prec=None) -> LaurentSeries:
     tail_depth = max(0, nu - f.low)
     if prec is None:
         if f.prec is None:
-            if len(f.coeffs) == 1:
-                e, c = next(iter(f.coeffs.items()))
-                return LaurentSeries(f.ring, {-e: c.inv()}, None)
+            raw = f._raw
+            if len(raw) == 1:
+                e, c = next(iter(raw.items()))
+                return _series(f.ring, {-e: f.ring.base._inv(c)})
             prec = default_precision(f) - nu
         else:
             # a perturbation of f at t^N moves 1/f at N - 2nu - 2(L-1)*pole
             prec = f.prec - 2 * nu - 2 * (L - 1) * tail_depth
             if prec <= -nu - (L - 1) * tail_depth:
                 raise PrecisionExhausted("inverse has no representable coefficients")
-    lead = f.coeffs[nu]
-    lead_inv = lead.inv()
-    # u = f / (lead * t^nu) - 1: no constant term; negatives nilpotent
-    u = LaurentSeries(f.ring,
-                      {e - nu: c * lead_inv for e, c in f.coeffs.items() if e != nu},
-                      None)
-    rel_prec = prec + nu             # target precision of (1+u)^{-1}
-    pole = max(0, -(u.low if u.low is not None else 0))
-    # fixed working window: anything dropped at >= work would need >= L
-    # nilpotent factors to re-enter below rel_prec, so it never does
-    work = rel_prec + (L - 1) * pole
-    minus_u = -u
-    acc = f.ring.one()
-    term = f.ring.one()
-    limit = max(0, work) + (L - 1) * (pole + 1) + 1
-    for _ in range(limit):
-        raw = term * minus_u         # both exact: no precision bookkeeping
-        term = LaurentSeries(f.ring,
-                             {e: c for e, c in raw.coeffs.items() if e < work},
-                             None)
-        if term.is_zero():
-            break
-        acc = acc + term
-    else:
-        if not term.is_zero():  # pragma: no cover
-            raise AlgebraError("inverse iteration failed to terminate")
-    return LaurentSeries(f.ring, {e - nu: c * lead_inv for e, c in acc.coeffs.items()},
-                         None).truncate(prec)
+    return _series(f.ring, _unit_inverse(f.ring, f._raw, nu, prec), prec)
 
 
 class UnitDecomposition:
@@ -417,25 +553,23 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
     if not f.is_unit():
         raise NotAUnit(f"cannot decompose non-unit {f!r}")
     ring = f.ring
+    mul, add, negate, nonzero, wrap = ring._coeff_ops
+    one = ring.base._one_raw()
     nu = f.valuation()
-    exact = LaurentSeries(ring, f.coeffs, None)
 
     # stage 1: strip the nilpotent negative tail
-    h = exact
-    w_acc = ring.one()
+    h = f._raw
+    w_acc = {0: one}
     for _ in range(ring.nil_bound + 2):
-        tail = LaurentSeries(ring, {e: c for e, c in h.coeffs.items() if e < nu}, None)
-        if tail.is_zero():
+        tail = {e: c for e, c in h.items() if e < nu}
+        if not tail:
             break
-        regular = h - tail
-        depth = nu - tail.low
-        r_inv = laurent_inv(regular, prec=depth - nu + 1)
-        prod = tail * r_inv
-        w = ring.one() + LaurentSeries(
-            ring, {e: c for e, c in prod.coeffs.items() if e < 0}, None)
-        w_inv = _nilpotent_unit_inverse(w)
-        h = h * w_inv
-        w_acc = w_acc * w
+        regular = {e: c for e, c in h.items() if e >= nu}
+        r_inv = _unit_inverse(ring, regular, nu, 1 - min(tail))
+        w = {0: one}
+        w.update(_product(ring, tail, r_inv, 0))
+        h = _product(ring, h, _nilpotent_unit_inverse(ring, w))
+        w_acc = _product(ring, w_acc, w)
     else:  # pragma: no cover
         raise AlgebraError("negative-tail elimination failed to converge")
 
@@ -445,64 +579,54 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
     neg: dict = {}
     w_rem = w_acc
     while True:
-        tail_exps = [e for e in w_rem.coeffs if e < 0]
+        tail_exps = [e for e in w_rem if e < 0]
         if not tail_exps:
             break
         e = max(tail_exps)
-        a = -w_rem.coeffs[e]
-        neg[e] = a
-        factor = LaurentSeries(ring, {0: ring.base.one(), e: -a}, None)
-        w_rem = w_rem * _nilpotent_unit_inverse(factor)
-    if not w_rem.is_one():  # pragma: no cover
+        neg[e] = wrap(negate(w_rem[e]))
+        factor = {0: one, e: w_rem[e]}
+        w_rem = _product(ring, w_rem, _nilpotent_unit_inverse(ring, factor))
+    if not _build(ring, w_rem).is_one():  # pragma: no cover
         raise AlgebraError("negative part did not resolve cleanly")
 
-    # stage 3: positive factors up to the cutoff
-    lead = h.coeffs[nu]
+    # stage 3: positive factors up to the cutoff, on one dense list r of the
+    # normalised remainder h / (lead t^nu); dividing r by (1 - a t^i) is the
+    # in-place update r[k] += a r[k-i] for k rising from i, so r[k-i] is
+    # already divided when r[k] reads it
+    lead = h[nu]
     if positive_cutoff is None:
         if f.prec is not None:
             positive_cutoff = f.prec - nu
         else:
-            positive_cutoff = (h.degree() - nu) + 1 if h.coeffs else 1
+            positive_cutoff = (max(h) - nu) + 1
+    lead_inv = ring.base._inv(lead)
+    r = [ring.base._zero_raw()] * positive_cutoff
+    for e, c in h.items():
+        if e - nu < positive_cutoff:
+            c = mul(c, lead_inv)
+            if nonzero(c):
+                r[e - nu] = c
     pos: dict = {}
-    lead_inv = lead.inv()
-    rem = h.shift(-nu).scale(lead_inv).truncate(positive_cutoff)
     for i in range(1, positive_cutoff):
-        c = rem.coeffs.get(i)
-        if c is None:
+        if not nonzero(r[i]):
             continue
-        a = -c
-        pos[i] = a
-        inv_factor = _geometric_inverse(ring, i, a, positive_cutoff)
-        rem = (rem * inv_factor).truncate(positive_cutoff)
-    if not (set(rem.coeffs) <= {0}):  # pragma: no cover
+        a = negate(r[i])
+        pos[i] = wrap(a)
+        for k in range(i, positive_cutoff):
+            x = r[k - i]
+            if nonzero(x):
+                r[k] = add(r[k], mul(a, x))
+    if any(map(nonzero, r[1:])):  # pragma: no cover
         raise AlgebraError("positive part did not resolve cleanly")
-    return UnitDecomposition(ring, nu, lead, neg, pos, positive_cutoff)
+    return UnitDecomposition(ring, nu, wrap(lead), neg, pos, positive_cutoff)
 
 
-def _nilpotent_unit_inverse(w: LaurentSeries) -> LaurentSeries:
-    """Exact inverse of 1 + n where n has only negative, nilpotent coefficients."""
-    ring = w.ring
-    n = LaurentSeries(ring, {e: c for e, c in w.coeffs.items() if e != 0}, None)
-    acc = ring.one()
-    term = ring.one()
-    for _ in range(ring.nil_bound - 1 if ring.nil_bound > 1 else 0):
-        term = term * (-n)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
-
-
-def _geometric_inverse(series_ring: LaurentRing, i: int, a, cutoff: int) -> LaurentSeries:
-    """(1 - a t^i)^{-1} truncated to the cutoff: 1 + a t^i + a^2 t^{2i} + ..."""
-    coeffs = {0: series_ring.base.one()}
-    power = a
-    e = i
-    while e < cutoff:
-        coeffs[e] = power
-        power = power * a
-        e += i
-    return LaurentSeries(series_ring, coeffs, cutoff)
+def _nilpotent_unit_inverse(ring: LaurentRing, w: dict) -> dict:
+    """Exact inverse of 1 + n (payload dicts) where n has only negative,
+    nilpotent coefficients."""
+    negate = ring._coeff_ops.neg
+    n = {e: negate(c) for e, c in w.items() if e != 0}
+    return _geometric(ring, n, None, ring.nil_bound - 1)[0]
 
 
 def reduce_mod_t(f: LaurentSeries):

@@ -8,9 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompleteFlagCover, UnsupportedArgument, ZeroFunction
-from .geometry import (BivarPoly, BivarRational, Place, RationalFunction,
-                       SurfaceFlag, flag_expand, leading_unit_guard,
-                       local_expand, support_places)
+from .geometry import (BivarPoly, RationalFunction, SurfaceFlag, flag_expand,
+                       leading_unit_guard, local_expand, support_places)
 from .poly import Poly
 from .rings import RingValue, format_value, relative_norm, residue_field
 from .symbols import cc_symbol, higher_symbol, tame_symbol

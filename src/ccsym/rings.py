@@ -20,6 +20,7 @@ of Laurent series over them are well defined.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -176,6 +177,14 @@ class RingDescriptor:
 
     def _from_int_raw(self, n: int):
         raise NotImplementedError
+
+    def _nonzero_test(self):
+        """A predicate on payloads: false exactly on the zero payload."""
+        return self._zero_raw().__ne__
+
+    def _wrapper(self):
+        """payload -> element."""
+        return functools.partial(RingValue, self)
 
     # -- uniform element API ----------------------------------------------
     def zero(self) -> "RingValue":

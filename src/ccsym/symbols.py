@@ -227,8 +227,7 @@ def _evaluate_term(term: SymbolTerm, ring: LaurentRing):
         if kind == "constant":
             reduced.append(payload)
         elif kind == "positive":
-            reduced.append(lower.one() if isinstance(lower, LaurentRing)
-                           else lower.one())
+            reduced.append(lower.one())
         else:  # pragma: no cover
             raise UnsupportedArgument(f"cannot reduce factor {kind}")
     sign = -1 if swaps % 2 else 1

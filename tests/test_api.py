@@ -1,5 +1,8 @@
 """The public names of the package are part of its contract."""
 
+import ast
+from pathlib import Path
+
 import ccsym
 
 PUBLIC = {
@@ -31,3 +34,34 @@ def test_public_names_are_pinned():
     # the aliases higher_tame and higher_cc (both higher_symbol) and
     # constant_series (LaurentRing.constant) are gone on purpose
     assert set(ccsym.__all__) == PUBLIC
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # names that appear only inside quoted annotations such as -> "RingValue"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+            except SyntaxError:
+                pass
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_an_unused_name():
+    # __init__.py imports names only to re-export them
+    package = Path(ccsym.__file__).parent
+    unused = {path.name: _unused_imports(path)
+              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
