@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from .errors import AlgebraError, InvalidCocycle, NonCommutingPair
 from .groups import FiniteGroup
+from .rings import _is_prime
 
 
 class Cocycle2:
@@ -150,7 +151,7 @@ def extension_commutator(cocycle: Cocycle2, i: int, j: int):
 
 def homs_to_cyclic(group: FiniteGroup, r: int):
     """All homomorphisms G -> Z/r for prime r, as value tuples."""
-    if r < 2 or any(r % k == 0 for k in range(2, r)):
+    if not _is_prime(r):
         raise AlgebraError("homomorphism enumeration expects a prime modulus")
     g = group
     kernel_gens = [g.commutator(i, j) for i in range(g.n) for j in range(g.n)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import (AlgebraError, NonUnitLeadingCoefficient, UnsupportedArgument,
                      ZeroFunction, ZeroOnCurve)
 from .laurent import LaurentRing, LaurentSeries, laurent_inv
-from .poly import Poly, factor, roots_in
+from .poly import Poly, factor, poly_gcd, roots_in
 from .rings import (ArtinianLocal, GaloisField, RingValue, _power, embed,
                     residue_field, residue_value)
 
@@ -50,7 +50,6 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroFunction("denominator is the zero polynomial")
         if ring.is_field and not num.is_zero():
-            from .poly import poly_gcd
             g = poly_gcd(num, den)
             if g.degree() > 0:
                 num, den = num // g, den // g

@@ -2,7 +2,7 @@
 
 Groups are given by an n x n table of element indices with the identity at
 index 0.  The catalog lists one representative of every isomorphism type of
-order at most 16 (51 types); `are_isomorphic` is a brute-force checker used
+order at most 16 (42 types); `are_isomorphic` is a brute-force checker used
 to keep the catalog honest.
 """
 

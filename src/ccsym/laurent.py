@@ -39,7 +39,7 @@ from collections import namedtuple
 
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit, NotRegular,
                      PrecisionExhausted)
-from .rings import RingDescriptor, RingValue, _power
+from .rings import RingDescriptor, RingValue, _power, format_value
 
 #: raw coefficient operations that the kernel loops run on
 _CoeffOps = namedtuple("_CoeffOps", "mul add neg nonzero wrap")
@@ -313,7 +313,6 @@ def format_series(f: LaurentSeries) -> str:
     dropped next to a variable power; bare exponent 1 prints as plain var.
     The result round-trips through the expression parser.
     """
-    from .rings import format_value
     var = f.ring.var
     parts = []
     for e in sorted(f.coeffs):

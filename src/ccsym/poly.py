@@ -259,10 +259,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
             return
 
     run(f.monic(), 1)
-    merged: dict[Poly, int] = {}
-    for g, m in out.items():
-        merged[g] = merged.get(g, 0) + m
-    return sorted(merged.items(), key=lambda it: (it[1], it[0].encoding()))
+    return sorted(out.items(), key=lambda it: (it[1], it[0].encoding()))
 
 
 def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:

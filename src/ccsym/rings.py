@@ -906,131 +906,33 @@ def subfield_descriptor(field, degree: int):
 
 
 def relative_norm(x: RingValue, sub_degree: int = 1) -> RingValue:
-    """Norm down to the degree-`sub_degree` subfield.
+    """Norm down to the degree-`sub_degree` subfield F_q, q = p^sub_degree.
 
-    For a field value in F_{p^D} this is x^((p^D-1)/(p^e-1)) pulled back to
-    F_{p^e} coordinates (with norm(0) = 0).  For an artinian value over
-    F_{p^D} it is the determinant of multiplication by x on the free module
-    over F_{p^e}[e]/(e^m), which restricts to the field formula.
+    Over F_Q, Q = p^D, or F_Q[e]/(e^m), the norm is the product of the r =
+    D/sub_degree conjugates sigma^i(x), sigma the q-power Frobenius on each
+    e-coefficient: the norm of a Galois extension is the product of its
+    conjugates, also after base change to k[e]/(e^m) (Lang, Algebra, VI 5).
+    The product lies in the pinned copy of F_q (or F_q[e]/(e^m)) and is
+    pulled back to its coordinates.  For a field value it is the closed
+    form x^((Q-1)/(q-1)), with norm(0) = 0.
     """
     ring = x.ring
-    if isinstance(ring, ArtinianLocal):
-        return _artinian_norm(x, sub_degree)
-    if isinstance(ring, PrimeField):
-        if sub_degree != 1:
-            raise DescriptorMismatch("prime field only norms to itself")
-        return x
-    D = ring.d
-    if D % sub_degree != 0:
+    if isinstance(ring, PrimeField) and sub_degree != 1:
+        raise DescriptorMismatch("prime field only norms to itself")
+    field = residue_field(ring)
+    if field.degree % sub_degree != 0:
         raise DescriptorMismatch(f"no degree-{sub_degree} subfield of {ring}")
-    sub = subfield_descriptor(ring, sub_degree)
-    if sub_degree == D:
+    if sub_degree == field.degree:
         return x
-    if x.is_zero():
-        return sub.zero()
-    e = (ring.size - 1) // (ring.char ** sub_degree - 1)
-    y = x ** e
-    return _subfield_coords(y, sub)
-
-
-def _module_basis(big_field: GaloisField, rel_rank: int) -> list[RingValue]:
-    g = big_field.generator()
-    basis = []
-    power = big_field.one()
-    for _ in range(rel_rank):
-        basis.append(power)
-        power = power * g
-    return basis
-
-
-def _artinian_norm(x: RingValue, sub_degree: int) -> RingValue:
-    ring = x.ring
-    big = ring.base
-    D = big.degree
-    if D % sub_degree != 0:
-        raise DescriptorMismatch(f"no degree-{sub_degree} subfield of {ring}")
-    if sub_degree == D:
-        return x
-    if not isinstance(big, GaloisField):
-        raise DescriptorMismatch("artinian norm needs a Galois base field")
-    sub_field = subfield_descriptor(big, sub_degree)
-    target = ArtinianLocal(sub_field, ring.m)
-    r = D // sub_degree
-    basis = _module_basis(big, r)
-
-    # F_p-linear decomposition of F_{p^D} as sub_field^r, cached per pair
-    key = ("module", big.p, big.d, sub_degree)
-    if key not in _EMBED_CACHE:
-        if isinstance(sub_field, PrimeField):
-            sub_basis = [big.one()]
-        else:
-            ghat = _pinned_subfield_generator(sub_field, big)
-            sub_basis = []
-            power = big.one()
-            for _ in range(sub_degree):
-                sub_basis.append(power)
-                power = power * ghat
-        cols = []
-        for b in basis:
-            for s in sub_basis:
-                cols.append(_coords((s * b).raw, big))
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(big.d)]
-        _EMBED_CACHE[key] = (matrix, len(sub_basis))
-    matrix, e = _EMBED_CACHE[key]
-
-    def decompose(y: RingValue) -> list[RingValue]:
-        sol = _fp_solve(matrix, _coords(y.raw, big), big.p)
-        out = []
-        for i in range(r):
-            chunk = sol[i * e:(i + 1) * e]
-            out.append(RingValue(sub_field, chunk[0] if e == 1 else tuple(chunk)))
-        return out
-
-    # matrix of multiplication by x over the target ring, in basis `basis`
-    rows = [[None] * r for _ in range(r)]
-    for j, b in enumerate(basis):
-        xb = x * embed(b, ring)
-        for slot in range(r):
-            rows[slot][j] = target.zero()
-        for k in range(ring.m):
-            piece = RingValue(big, xb.raw[k])
-            for slot, coord in enumerate(decompose(piece)):
-                z = sub_field._zero_raw()
-                raw = [z] * ring.m
-                raw[k] = coord.raw
-                rows[slot][j] = rows[slot][j] + RingValue(target, tuple(raw))
-    return RingValue(target, _det_cofactor(
-        [[x.raw for x in row] for row in rows], target))
-
-
-def _det_cofactor(a, ring):
-    """Determinant of a small raw-payload matrix by cofactor expansion along
-    the first row, skipping zero entries."""
-    n = len(a)
-    if n == 0:
-        return ring._one_raw()
-    if n == 1:
-        return a[0][0]
-    zero = ring._zero_raw()
-    total = zero
-    for j, x in enumerate(a[0]):
-        if x == zero:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        term = ring._mul(x, _det_cofactor(minor, ring))
-        total = ring._add(total, term if j % 2 == 0 else ring._neg(term))
-    return total
-
-
-def frobenius_conjugate_product(x: RingValue, sub_degree: int = 1) -> RingValue:
-    """Independent norm oracle: product of x^(q^i) over the Galois orbit,
-    q = p^sub_degree.  Returns a value still expressed in the big field."""
-    ring = x.ring
-    q = ring.char ** sub_degree
-    r = residue_field(ring).degree // sub_degree
-    acc = ring.one()
-    y = x
-    for _ in range(r):
-        acc = acc * y
-        y = y ** q
-    return acc
+    sub = subfield_descriptor(field, sub_degree)
+    q = field.char ** sub_degree
+    if ring is field:
+        if x.is_zero():
+            return sub.zero()
+        return _subfield_coords(x ** ((field.size - 1) // (q - 1)), sub)
+    acc = y = x.raw
+    for _ in range(field.degree // sub_degree - 1):
+        y = tuple(field._pow(c, q) for c in y)
+        acc = ring._mul(acc, y)
+    return RingValue(ArtinianLocal(sub, ring.m), tuple(
+        _subfield_coords(RingValue(field, c), sub).raw for c in acc))

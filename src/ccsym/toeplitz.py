@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from .errors import AlgebraError, NotAUnit, SingularCompression
 from .laurent import LaurentSeries
-from .rings import RingValue, _det_cofactor, residue_field, residue_value
+from .rings import RingValue, residue_field, residue_value
 
 
 # -- dense matrices over a local scalar ring ---------------------------------
@@ -123,6 +123,25 @@ def _eliminate_below(a, top: int, col: int, ring) -> None:
             f = neg(mul(row[col], s))
             for j, x in nz:
                 row[j] = add(row[j], mul(f, x))
+
+
+def _det_cofactor(a, ring):
+    """Determinant of a small raw-payload matrix by cofactor expansion along
+    the first row, skipping zero entries."""
+    n = len(a)
+    if n == 0:
+        return ring._one_raw()
+    if n == 1:
+        return a[0][0]
+    zero = ring._zero_raw()
+    total = zero
+    for j, x in enumerate(a[0]):
+        if x == zero:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in a[1:]]
+        term = ring._mul(x, _det_cofactor(minor, ring))
+        total = ring._add(total, term if j % 2 == 0 else ring._neg(term))
+    return total
 
 
 def _det_raw(a, ring):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -153,6 +154,21 @@ def test_cc_over_galois_base(rng):
         f = random_artinian_rational(ring, rng)
         g = random_artinian_rational(ring, rng)
         assert cc_check(f, g).ok
+
+
+def test_cc_high_degree_place_is_fast(monkeypatch):
+    # f is irreducible over F3: one place of degree 10, where the norm from
+    # F_{3^10}[e]/e^2 must not cost a determinant of size 10
+    monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
+    monkeypatch.setattr(rings, "_EMBED_CACHE", {})
+    A = ArtinianLocal(PrimeField(3), 2)
+    f = rf(A, [1, 1, 1, 0, 2, 2, 1, 2, 0, 0, 1])
+    g = RationalFunction(Poly(A, [A.eps(), A.one()]))
+    start = time.perf_counter()
+    report = cc_check(f, g)
+    assert time.perf_counter() - start < 2.0
+    assert report.ok
+    assert 10 in [fac.degree for fac in report.factors]
 
 
 def test_cc_guards():

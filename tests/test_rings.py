@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from ccsym import rings
 from ccsym.errors import AlgebraError, DivisionByNonUnit, DescriptorMismatch
 from ccsym.poly import Poly, is_irreducible
-from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, embed,
-                         format_value, frobenius_conjugate_product,
-                         relative_norm)
+from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
+                         embed, format_value, relative_norm)
+from ccsym.toeplitz import _det_cofactor
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 F4, F8, F9 = GaloisField(2, 2), GaloisField(2, 3), GaloisField(3, 2)
@@ -123,7 +123,7 @@ class TestEmbeddingsAndNorms:
         # the norm answers in the subfield, so embed before comparing
         for F, e in [(F9, 1), (GaloisField(2, 4), 2), (GaloisField(3, 4), 2)]:
             for x in F.units():
-                assert embed(relative_norm(x, e), F) == frobenius_conjugate_product(x, e)
+                assert embed(relative_norm(x, e), F) == _field_conjugate_product(x, e)
 
     def test_norm_multiplicative(self):
         F81 = GaloisField(3, 4)
@@ -153,6 +153,78 @@ class TestEmbeddingsAndNorms:
         for _ in range(20):
             a, b = A9.random_unit(rng), A9.random_unit(rng)
             assert relative_norm(a * b, 1) == relative_norm(a, 1) * relative_norm(b, 1)
+
+    def test_artinian_norm_conjugates_each_coefficient(self):
+        # N(g + g e) = (g + g e)(g^3 + g^3 e) = g^4 (1 + e)^2 = 2 + e over F3,
+        # since g^4 = -1; raising the whole value to the third power instead
+        # would give g^4 (1 + e)^4 = 2 + 2e
+        A9 = ArtinianLocal(F9, 2)
+        g = embed(F9.generator(), A9)
+        assert format_value(relative_norm(g + g * A9.eps(), 1)) == "2 + e"
+
+
+def _field_conjugate_product(x, sub_degree):
+    """Oracle: the product of the Galois conjugates x^(q^i), q = p^sub_degree,
+    taken inside the big field."""
+    F = x.ring
+    q = F.char ** sub_degree
+    acc, y = F.one(), x
+    for _ in range(F.degree // sub_degree):
+        acc, y = acc * y, y ** q
+    return acc
+
+
+def _determinant_norm(x, sub_degree):
+    """Oracle: the norm as a determinant, by cofactor expansion, of
+    multiplication by x on F_{p^D}[e]/(e^m) as a free module over
+    F_{p^s}[e]/(e^m), s = sub_degree, in the basis 1, g, ..., g^(r-1),
+    r = D/s, reading coordinates off an F_p-linear solve."""
+    ring = x.ring
+    big = ring.base
+    if sub_degree == big.degree:
+        return x
+    sub = rings.subfield_descriptor(big, sub_degree)
+    target = ArtinianLocal(sub, ring.m)
+    r = big.degree // sub_degree
+    basis = [big.generator() ** i for i in range(r)]
+    if sub_degree == 1:
+        sub_basis = [big.one()]
+    else:
+        ghat = rings._pinned_subfield_generator(sub, big)
+        sub_basis = [ghat ** j for j in range(sub_degree)]
+    cols = [rings._coords((s * b).raw, big) for b in basis for s in sub_basis]
+    matrix = [list(row) for row in zip(*cols)]
+
+    def decompose(raw):
+        sol = rings._fp_solve(matrix, rings._coords(raw, big), big.p)
+        chunks = [sol[i * sub_degree:(i + 1) * sub_degree] for i in range(r)]
+        return [c[0] if sub_degree == 1 else tuple(c) for c in chunks]
+
+    zero = sub._zero_raw()
+    rows = [[[zero] * ring.m for _ in range(r)] for _ in range(r)]
+    for j, b in enumerate(basis):
+        for k, piece in enumerate((x * embed(b, ring)).raw):
+            for slot, coord in enumerate(decompose(piece)):
+                rows[slot][j][k] = coord
+    return RingValue(target, _det_cofactor(
+        [[tuple(c) for c in row] for row in rows], target))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("p, D", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                  (3, 4), (5, 2), (7, 2)])
+def test_artinian_norm_matches_determinant_oracle(p, D, m):
+    big = GaloisField(p, D)
+    A = ArtinianLocal(big, m)
+    rng = random.Random(100 * p ** D + m)
+    nonunit = A.eps() * embed(big.generator(), A)
+    samples = [A.zero(), A.one(), nonunit] + [A.random(rng) for _ in range(12)]
+    for s in range(1, D + 1):
+        if D % s:
+            continue
+        for x in samples:
+            got, want = relative_norm(x, s), _determinant_norm(x, s)
+            assert (got.ring, got.raw) == (want.ring, want.raw), (x, s)
 
 
 def _scan_subfield_generator(sub, big):
