@@ -28,8 +28,9 @@ with the negative-index a_i nilpotent; `unit_decompose` computes this.  Its
 positive stage keeps the normalised remainder r = f / (a_0 t^nu) as one dense
 list below the cutoff N: a_i = -r[i], and dividing by (1 - a_i t^i) is the
 in-place recurrence r[k] += a_i r[k-i] for k rising from i to N - 1, which
-costs O(N) per factor.  The symbol evaluators live in `symbols`; they consume
-these decompositions.
+costs O(N) per factor.  A decomposition keeps r, so `extend` reruns only this
+stage at a larger cutoff.  The symbol evaluators live in `symbols`; they
+consume these decompositions.
 """
 
 from __future__ import annotations
@@ -491,18 +492,30 @@ class UnitDecomposition:
 
     `neg` and `pos` map exponents i to the coefficients a_i; `cutoff` is the
     exclusive bound on stored positive indices: the product reconstructs the
-    source exactly below t^(nu + cutoff).
+    source exactly below t^(nu + cutoff).  `rem` holds the payloads of the
+    normalised remainder f / (neg product * lead * t^nu), from which
+    `extend` reads the positive factors at another cutoff.
     """
 
-    __slots__ = ("ring", "nu", "lead", "neg", "pos", "cutoff")
+    __slots__ = ("ring", "nu", "lead", "neg", "pos", "cutoff", "rem")
 
-    def __init__(self, ring, nu, lead, neg, pos, cutoff):
+    def __init__(self, ring, nu, lead, neg, pos, cutoff, rem):
         self.ring = ring
         self.nu = nu
         self.lead = lead
         self.neg = neg
         self.pos = pos
         self.cutoff = cutoff
+        self.rem = rem
+
+    def extend(self, positive_cutoff: int) -> "UnitDecomposition":
+        """The same decomposition with its positive factors below
+        `positive_cutoff`, computed from `rem` without redoing the
+        negative stages."""
+        return UnitDecomposition(
+            self.ring, self.nu, self.lead, self.neg,
+            _positive_factors(self.ring, self.rem, positive_cutoff),
+            positive_cutoff, self.rem)
 
     def reconstruct(self) -> LaurentSeries:
         ring = self.ring
@@ -552,7 +565,7 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
     if not f.is_unit():
         raise NotAUnit(f"cannot decompose non-unit {f!r}")
     ring = f.ring
-    mul, add, negate, nonzero, wrap = ring._coeff_ops
+    mul, _, negate, nonzero, wrap = ring._coeff_ops
     one = ring.base._one_raw()
     nu = f.valuation()
 
@@ -588,10 +601,8 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
     if not _build(ring, w_rem).is_one():  # pragma: no cover
         raise AlgebraError("negative part did not resolve cleanly")
 
-    # stage 3: positive factors up to the cutoff, on one dense list r of the
-    # normalised remainder h / (lead t^nu); dividing r by (1 - a t^i) is the
-    # in-place update r[k] += a r[k-i] for k rising from i, so r[k-i] is
-    # already divided when r[k] reads it
+    # stage 3: positive factors up to the cutoff, from the normalised
+    # remainder h / (lead t^nu)
     lead = h[nu]
     if positive_cutoff is None:
         if f.prec is not None:
@@ -599,25 +610,38 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
         else:
             positive_cutoff = (max(h) - nu) + 1
     lead_inv = ring.base._inv(lead)
-    r = [ring.base._zero_raw()] * positive_cutoff
-    for e, c in h.items():
-        if e - nu < positive_cutoff:
-            c = mul(c, lead_inv)
-            if nonzero(c):
-                r[e - nu] = c
+    rem = {e - nu: mul(c, lead_inv) for e, c in h.items()}
+    rem = {e: c for e, c in rem.items() if nonzero(c)}
+    return UnitDecomposition(ring, nu, wrap(lead), neg,
+                             _positive_factors(ring, rem, positive_cutoff),
+                             positive_cutoff, rem)
+
+
+def _positive_factors(ring: LaurentRing, rem: dict, cutoff: int) -> dict:
+    """{i: a_i} for 0 < i < cutoff with rem = prod (1 - a_i t^i) below
+    t^cutoff, rem a payload dict with constant term 1.
+
+    Runs on one dense list r of rem below the cutoff: dividing r by
+    (1 - a t^i) is the in-place update r[k] += a r[k-i] for k rising from i,
+    so r[k-i] is already divided when r[k] reads it."""
+    mul, add, negate, nonzero, wrap = ring._coeff_ops
+    r = [ring.base._zero_raw()] * cutoff
+    for e, c in rem.items():
+        if e < cutoff:
+            r[e] = c
     pos: dict = {}
-    for i in range(1, positive_cutoff):
+    for i in range(1, cutoff):
         if not nonzero(r[i]):
             continue
         a = negate(r[i])
         pos[i] = wrap(a)
-        for k in range(i, positive_cutoff):
+        for k in range(i, cutoff):
             x = r[k - i]
             if nonzero(x):
                 r[k] = add(r[k], mul(a, x))
     if any(map(nonzero, r[1:])):  # pragma: no cover
         raise AlgebraError("positive part did not resolve cleanly")
-    return UnitDecomposition(ring, nu, wrap(lead), neg, pos, positive_cutoff)
+    return pos
 
 
 def _nilpotent_unit_inverse(ring: LaurentRing, w: dict) -> dict:

@@ -16,6 +16,12 @@ x^2+x+1, F_8 gets x^3+x+1 and F_9 gets x^2+x+2.
 
 All rings here are local: every element is a unit or nilpotent, so valuations
 of Laurent series over them are well defined.
+
+An artinian ring with at most _TABLE_BOUND = 256 elements answers `_mul` and
+`_add` from two flat tables of |A|^2 slots, indexed through a dict over its
+payloads and filled lazily by the arithmetic kernels; at the bound the two
+take about 1 MiB.  One table serves every equal descriptor, and it is built
+on the first multiply or add, not when the ring is constructed.
 """
 
 from __future__ import annotations
@@ -394,8 +400,55 @@ class GaloisField(RingDescriptor):
         return RingValue(self, tuple(rng.randrange(self.p) for _ in range(self.d)))
 
 
+# the largest artinian ring, by number of elements, that gets scalar tables
+_TABLE_BOUND = 256
+
+
+class _ScalarTables:
+    """Lazily filled sum and product tables of a small ring: `index` maps
+    each payload to its number i, `elems[i]` is that payload, and slot
+    i * n + j of `results[0]` (sums) or `results[1]` (products) holds the
+    result for elems[i] and elems[j] as an `elems` entry, or None until
+    first computed."""
+
+    __slots__ = ("index", "elems", "n", "results")
+
+    def __init__(self, payloads):
+        self.elems = list(payloads)
+        self.index = {x: i for i, x in enumerate(self.elems)}
+        self.n = n = len(self.elems)
+        self.results = ([None] * (n * n), [None] * (n * n))
+
+
+# shared per (base, m), so rings built on every call reuse one table
+_TABLE_CACHE: dict[tuple, _ScalarTables] = {}
+
+
+def _tabled(kernel, op: int):
+    """The ring operation `kernel` behind results[op] of the ring's
+    `_tables`; the kernel fills empty slots and serves what has none."""
+    def tabled(self, a, b):
+        tables = self._tables
+        if tables is not None:
+            index = tables.index
+            i, j = index.get(a), index.get(b)
+            if i is not None and j is not None:
+                k = i * tables.n + j
+                results = tables.results[op]
+                c = results[k]
+                if c is None:
+                    c = results[k] = tables.elems[index[kernel(self, a, b)]]
+                return c
+        return kernel(self, a, b)
+    return tabled
+
+
 class ArtinianLocal(RingDescriptor):
-    """k[e]/(e^m) for a finite field k; elements sum_{i<m} a_i e^i."""
+    """k[e]/(e^m) for a finite field k; elements sum_{i<m} a_i e^i.
+
+    `_mul` and `_add` read the shared tables when the ring is small enough
+    (see the module docstring); `_mul_kernel` and `_add_kernel` fill them
+    and serve payloads outside the index and larger rings."""
 
     kind = "artinian-local"
     is_field = False
@@ -416,13 +469,23 @@ class ArtinianLocal(RingDescriptor):
     def __repr__(self):
         return f"{self.base}[e]/e^{self.m}"
 
-    def _add(self, a, b):
+    @functools.cached_property
+    def _tables(self):
+        """The shared tables, built on first use; None above the bound."""
+        key = (self.base, self.m)
+        tables = _TABLE_CACHE.get(key)
+        if tables is None and self.base.size ** self.m <= _TABLE_BOUND:
+            tables = _TABLE_CACHE[key] = _ScalarTables(
+                x.raw for x in self.elements())
+        return tables
+
+    def _add_kernel(self, a, b):
         return tuple(self.base._add(x, y) for x, y in zip(a, b))
 
     def _neg(self, a):
         return tuple(self.base._neg(x) for x in a)
 
-    def _mul(self, a, b):
+    def _mul_kernel(self, a, b):
         m, base = self.m, self.base
         zero = base._zero_raw()
         res = [zero] * m
@@ -431,6 +494,9 @@ class ArtinianLocal(RingDescriptor):
                 for j in range(m - i):
                     res[i + j] = base._add(res[i + j], base._mul(ai, b[j]))
         return tuple(res)
+
+    _add = _tabled(_add_kernel, 0)
+    _mul = _tabled(_mul_kernel, 1)
 
     def _inv(self, a):
         if not self.base._is_unit(a[0]):
@@ -920,7 +986,7 @@ def relative_norm(x: RingValue, sub_degree: int = 1) -> RingValue:
     if isinstance(ring, PrimeField) and sub_degree != 1:
         raise DescriptorMismatch("prime field only norms to itself")
     field = residue_field(ring)
-    if field.degree % sub_degree != 0:
+    if sub_degree < 1 or field.degree % sub_degree != 0:
         raise DescriptorMismatch(f"no degree-{sub_degree} subfield of {ring}")
     if sub_degree == field.degree:
         return x

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .errors import (DescriptorMismatch, NotAUnit, PrecisionExhausted,
                      UnsupportedArgument)
 from .laurent import LaurentRing, LaurentSeries, reduce_mod_t, unit_decompose
+from .rings import _power
 
 CONVENTION = "boundary-composite/v1"
 
@@ -69,41 +70,6 @@ def tame_symbol(f, g):
     return _sign_value(ring.base, nu_f * nu_g) * value
 
 
-def _pair_factors(kind_a, payload_a, kind_b, payload_b, base):
-    """Pairing table on elementary factors; returns a unit of `base`."""
-    if kind_a == "uniformizer" and kind_b == "uniformizer":
-        return _sign_value(base, payload_a * payload_b)
-    if kind_a == "constant" and kind_b == "uniformizer":
-        return payload_a ** payload_b
-    if kind_a == "uniformizer" and kind_b == "constant":
-        return payload_b ** (-payload_a)
-    if kind_a == "positive" and kind_b == "negative":
-        i, a = payload_a
-        j, b = payload_b
-        d = math.gcd(i, j)
-        return (base.one() - a ** (j // d) * b ** (i // d)) ** d
-    if kind_a == "negative" and kind_b == "positive":
-        j, b = payload_a
-        i, a = payload_b
-        d = math.gcd(i, j)
-        return (base.one() - b ** (i // d) * a ** (j // d)) ** (-d)
-    return base.one()
-
-
-def _decomposition_atoms(dec):
-    """Elementary factors as (kind, payload); negative indices normalized."""
-    atoms = []
-    if dec.nu:
-        atoms.append(("uniformizer", dec.nu))
-    if not dec.lead.is_one():
-        atoms.append(("constant", dec.lead))
-    for i in sorted(dec.pos):
-        atoms.append(("positive", (i, dec.pos[i])))
-    for i in sorted(dec.neg, reverse=True):
-        atoms.append(("negative", (-i, dec.neg[i])))
-    return atoms
-
-
 def cc_symbol(f, g):
     """Contou-Carrere symbol of two units of A((t)), valued in A.
 
@@ -127,33 +93,72 @@ def cc_symbol(f, g):
         a = f.coeffs[nu_f]
         b = g.coeffs[nu_g]
         return (_sign_value(base, nu_f * nu_g) * (a ** nu_g)) * (b ** (-nu_f))
-    probe_f = unit_decompose(f, positive_cutoff=1)
-    probe_g = unit_decompose(g, positive_cutoff=1)
-    j_f = probe_f.max_pole()
-    j_g = probe_g.max_pole()
-    cut_f = (L - 1) * j_g + 1
-    cut_g = (L - 1) * j_f + 1
+    # decompose each argument once, then extend its positive factors to what
+    # the other argument's deepest pole needs
+    dec_f = unit_decompose(f, positive_cutoff=1)
+    dec_g = unit_decompose(g, positive_cutoff=1)
+    cut_f = (L - 1) * dec_g.max_pole() + 1
+    cut_g = (L - 1) * dec_f.max_pole() + 1
     for x, nu, cut in ((f, nu_f, cut_f), (g, nu_g, cut_g)):
         if x.prec is not None and nu + cut > x.prec:
             raise PrecisionExhausted(
                 f"need {x!r} modulo t^{nu + cut} to pair against the other "
                 f"argument's poles")
-    dec_f = unit_decompose(f, positive_cutoff=cut_f)
-    dec_g = unit_decompose(g, positive_cutoff=cut_g)
-    out = base.one()
-    for kind_a, payload_a in _decomposition_atoms(dec_f):
-        for kind_b, payload_b in _decomposition_atoms(dec_g):
-            out = out * _pair_factors(kind_a, payload_a, kind_b, payload_b, base)
-    return out
+    return _pair_decompositions(dec_f.extend(cut_f), dec_g.extend(cut_g), base)
+
+
+def _pair_decompositions(dec_f, dec_g, base):
+    """The pairing table of the module docstring over every pair of
+    elementary factors, on payloads: f's factors (T, C, P by rising index,
+    N by rising depth) in turn against g's, skipping trivial pairs."""
+    mul, add, negate, _, wrap = dec_f.ring._coeff_ops
+    one, zero, inv = base._one_raw(), base._zero_raw(), base._inv
+    # over scalar payloads a zero power absorbs the product; over a tower
+    # the product keeps the other factor's precision
+    absorbs = not isinstance(base, LaurentRing)
+
+    def power(x, e):
+        return _power(x, e, one, mul) if e >= 0 else _power(inv(x), -e, one, mul)
+
+    def pair(i, a, j, b, sign):
+        """(1 - a^(j/d) b^(i/d))^(sign*d) for P_i(a) and N_j(b), d = gcd(i, j);
+        None when the b power vanishes."""
+        d = math.gcd(i, j)
+        bp = power(b.raw, i // d)
+        if absorbs and bp == zero:
+            return None
+        return power(add(one, negate(mul(power(a.raw, j // d), bp))), sign * d)
+
+    nu_f, nu_g = dec_f.nu, dec_g.nu
+    out = one
+    if nu_f:
+        if nu_f * nu_g % 2:
+            out = mul(out, base._from_int_raw(-1))
+        if not dec_g.lead.is_one():
+            out = mul(out, power(dec_g.lead.raw, -nu_f))
+    if nu_g and not dec_f.lead.is_one():
+        out = mul(out, power(dec_f.lead.raw, nu_g))
+    for i, a in sorted(dec_f.pos.items()):
+        for j, b in sorted(dec_g.neg.items(), reverse=True):
+            x = pair(i, a, -j, b, 1)
+            if x is not None:
+                out = mul(out, x)
+    for j, b in sorted(dec_f.neg.items(), reverse=True):
+        for i, a in sorted(dec_g.pos.items()):
+            x = pair(i, a, -j, b, -1)
+            if x is not None:
+                out = mul(out, x)
+    return wrap(out)
 
 
 @dataclass(frozen=True)
 class SymbolTerm:
     """One term of the multilinear expansion of a higher symbol.
 
-    `atoms` holds one elementary factor per argument slot, tagged like
-    `_decomposition_atoms`; `exponent` is the product of the chosen
-    uniformizer multiplicities.
+    `atoms` holds one elementary factor per argument slot as (kind, payload):
+    ("uniformizer", nu), ("constant", lead) or ("positive", (i, a_i)), the
+    factors that `_pair_decompositions` pairs for `cc_symbol`; `exponent` is
+    the product of the chosen uniformizer multiplicities.
     """
     exponent: int
     atoms: tuple

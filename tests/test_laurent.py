@@ -568,3 +568,28 @@ def test_deep_pole_positive_factors_match_oracle(spec, depths):
         assert sorted(d.pos) == sorted(pos)
         for i in pos:
             assert d.pos[i] == pos[i], (J, i)
+
+
+def _stage_outcome(fn, *args):
+    try:
+        d = fn(*args)
+    except (AlgebraError, PrecisionExhausted) as exc:
+        return type(exc).__name__, str(exc)
+    return d.nu, d.lead, d.neg, d.pos, d.cutoff
+
+
+@pytest.mark.parametrize("label", DIFF_RINGS)
+def test_extend_matches_decomposing_at_the_cutoff(label):
+    # extending a cutoff-1 decomposition reruns only the positive stage
+    rng = random.Random(f"extend {label}")
+    units = [f for f in _diff_samples(label, 5, 30) if f.is_unit()]
+    assert len(units) >= 8
+    extended = 0
+    for f in units:
+        for cutoff in (1, 2, rng.randrange(3, 30)):
+            want = _stage_outcome(unit_decompose, f, cutoff)
+            got = _stage_outcome(
+                lambda: unit_decompose(f, positive_cutoff=1).extend(cutoff))
+            assert got == want, (f, cutoff)
+            extended += len(want) == 5
+    assert extended >= 16

@@ -375,3 +375,60 @@ def test_units_closed_under_product(seed):
     for R in (F8, ArtinianLocal(F5, 2)):
         u, v = R.random_unit(rng), R.random_unit(rng)
         assert (u * v).is_unit()
+
+
+# -- bounded scalar tables of small artinian rings -----------------------------
+
+def _small_artinian_rings():
+    fields = [F2, F3, F4, F5, F7, F8, F9]
+    return [ArtinianLocal(k, m) for k in fields for m in range(2, 7)
+            if k.size ** m <= 3 ** 4] + [ArtinianLocal(F5, 3)]
+
+
+@pytest.mark.parametrize("A", _small_artinian_rings(), ids=repr)
+def test_tabled_ops_match_the_kernel_on_every_pair(monkeypatch, A):
+    monkeypatch.setattr(rings, "_TABLE_CACHE", {})
+    A.__dict__.pop("_tables", None)
+    elems = [x.raw for x in A.elements()]
+    for fill in (True, False):      # the first pass fills, the second reads
+        for a in elems:
+            for b in elems:
+                mul, add = A._mul(a, b), A._add(a, b)
+                if not fill:
+                    assert mul == A._mul_kernel(a, b), (a, b)
+                    assert add == A._add_kernel(a, b), (a, b)
+    assert all(None not in results for results in A._tables.results)
+
+
+def test_rings_above_the_table_bound_use_the_kernel():
+    A = ArtinianLocal(GaloisField(3, 8), 2)
+    assert A._tables is None
+    rng = random.Random(38)
+    for _ in range(200):
+        a, b = A.random(rng).raw, A.random(rng).raw
+        assert A._mul(a, b) == A._mul_kernel(a, b)
+        assert A._add(a, b) == A._add_kernel(a, b)
+
+
+def test_payloads_outside_the_index_use_the_kernel():
+    A = ArtinianLocal(F5, 2)
+    odd, e = (7, 0), A.eps().raw             # 7 is not a reduced F5 payload
+    assert A._mul(odd, e) == A._mul_kernel(odd, e) == (0, 2)
+    assert A._add(odd, e) == A._add_kernel(odd, e) == (2, 1)
+    assert odd not in A._tables.index
+
+
+def test_equal_descriptors_share_one_table():
+    assert ArtinianLocal(PrimeField(5), 2)._tables is ArtinianLocal(F5, 2)._tables
+    assert (ArtinianLocal(GaloisField(3, 2), 2)._tables
+            is ArtinianLocal(F9, 2)._tables)
+    assert ArtinianLocal(F2, 8)._tables.n == 256
+    assert ArtinianLocal(F2, 9)._tables is None
+
+
+@pytest.mark.parametrize("ring", [F9, ArtinianLocal(F5, 2), ArtinianLocal(F9, 2)],
+                         ids=repr)
+@pytest.mark.parametrize("sub_degree", [0, -1, -2])
+def test_relative_norm_rejects_non_positive_sub_degree(ring, sub_degree):
+    with pytest.raises(DescriptorMismatch, match=f"no degree-{sub_degree} subfield"):
+        relative_norm(ring.from_int(2), sub_degree)

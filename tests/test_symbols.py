@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from ccsym.errors import (NotAUnit, NotRegular, PrecisionExhausted,
                           UnsupportedArgument)
-from ccsym.laurent import LaurentRing, iterated_ring, reduce_mod_t
+from ccsym.laurent import (LaurentRing, iterated_ring, nest, reduce_mod_t,
+                           unit_decompose)
+from ccsym.parser import parse_expression
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
 from ccsym.symbols import (CONVENTION, cc_symbol, higher_symbol,
                            steinberg_expand, tame_symbol)
@@ -307,3 +310,152 @@ class TestSteinbergExpand:
         kinds = {kind for term in steinberg_expand(args, keep_trivial=True)
                  for kind, _ in term.atoms}
         assert "positive" in kinds
+
+
+# -- differential test of the payload pairing against the wrapped one ---------
+# The oracle is the former algorithm: two positive_cutoff=1 probes for the
+# pole depths, full decompositions at the cutoffs, and the pairing table on
+# wrapped elementary factors.
+
+def _o_pair_factors(kind_a, payload_a, kind_b, payload_b, base):
+    sign = lambda n: base.from_int(-1) if n % 2 else base.one()
+    if kind_a == "uniformizer" and kind_b == "uniformizer":
+        return sign(payload_a * payload_b)
+    if kind_a == "constant" and kind_b == "uniformizer":
+        return payload_a ** payload_b
+    if kind_a == "uniformizer" and kind_b == "constant":
+        return payload_b ** (-payload_a)
+    if kind_a == "positive" and kind_b == "negative":
+        (i, a), (j, b) = payload_a, payload_b
+        d = math.gcd(i, j)
+        return (base.one() - a ** (j // d) * b ** (i // d)) ** d
+    if kind_a == "negative" and kind_b == "positive":
+        (j, b), (i, a) = payload_a, payload_b
+        d = math.gcd(i, j)
+        return (base.one() - b ** (i // d) * a ** (j // d)) ** (-d)
+    return base.one()
+
+
+def _o_atoms(dec):
+    atoms = []
+    if dec.nu:
+        atoms.append(("uniformizer", dec.nu))
+    if not dec.lead.is_one():
+        atoms.append(("constant", dec.lead))
+    for i in sorted(dec.pos):
+        atoms.append(("positive", (i, dec.pos[i])))
+    for i in sorted(dec.neg, reverse=True):
+        atoms.append(("negative", (-i, dec.neg[i])))
+    return atoms
+
+
+def _o_cc_symbol(f, g):
+    ring = f.ring
+    if not f.is_unit() or not g.is_unit():
+        raise NotAUnit("Contou-Carrere symbol needs unit arguments")
+    base, L = ring.base, ring.nil_bound
+    nu_f, nu_g = f.valuation(), g.valuation()
+    probe_f = unit_decompose(f, positive_cutoff=1)
+    probe_g = unit_decompose(g, positive_cutoff=1)
+    cut_f = (L - 1) * probe_g.max_pole() + 1
+    cut_g = (L - 1) * probe_f.max_pole() + 1
+    for x, nu, cut in ((f, nu_f, cut_f), (g, nu_g, cut_g)):
+        if x.prec is not None and nu + cut > x.prec:
+            raise PrecisionExhausted(
+                f"need {x!r} modulo t^{nu + cut} to pair against the other "
+                f"argument's poles")
+    out = base.one()
+    for kind_a, payload_a in _o_atoms(unit_decompose(f, positive_cutoff=cut_f)):
+        for kind_b, payload_b in _o_atoms(unit_decompose(g, positive_cutoff=cut_g)):
+            out = out * _o_pair_factors(kind_a, payload_a, kind_b, payload_b, base)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the same exception and message on both sides
+        return type(exc).__name__, str(exc)
+    return value.ring, value.raw
+
+
+DIFF_RINGS = {
+    "F3[e]/e^2": ArtinianLocal(F3, 2), "F5[e]/e^2": ArtinianLocal(F5, 2),
+    "F7[e]/e^2": ArtinianLocal(F7, 2), "F3[e]/e^3": ArtinianLocal(F3, 3),
+    "F5[e]/e^3": ArtinianLocal(F5, 3), "F9[e]/e^2": ArtinianLocal(F9, 2),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DIFF_RINGS))
+def test_cc_symbol_matches_wrapped_pairing_oracle(label):
+    rng = random.Random(f"cc-diff {label}")
+    R = LaurentRing(DIFF_RINGS[label], "t")
+    for k in range(40):
+        low = -1 - k % 5
+        f = random_unit_series(R, rng, low=low, high=4)
+        g = random_unit_series(R, rng, low=-2, high=5)
+        assert _outcome(cc_symbol, f, g) == _outcome(_o_cc_symbol, f, g)
+        assert _outcome(cc_symbol, g, f) == _outcome(_o_cc_symbol, g, f)
+
+
+@pytest.mark.parametrize("label", sorted(DIFF_RINGS))
+def test_cc_symbol_on_precision_36_ratios_matches_oracle(label):
+    # f = a / den at precision 36, as in the `symbols` workload; deep poles
+    # on the other side run out of precision, with the same message
+    rng = random.Random(f"cc-ratio {label}")
+    A = DIFF_RINGS[label]
+    R = LaurentRing(A, "t")
+    for k in range(12):
+        a = random_unit_series(R, rng, low=-2, high=4)
+        den = random_unit_series(R, rng, low=-1, high=3)
+        f = parse_expression(f"({a!r})/({den!r})", A, domain="series",
+                             precision=36)
+        pole = R.gen(-(3 + 12 * (k % 4))).scale(A.eps())
+        g = random_unit_series(R, rng, low=-1, high=4) + pole
+        assert _outcome(cc_symbol, f, g) == _outcome(_o_cc_symbol, f, g)
+        assert _outcome(cc_symbol, g, f) == _outcome(_o_cc_symbol, g, f)
+
+
+@pytest.mark.parametrize("label", ["F5[e]/e^2", "F3[e]/e^2", "F3[e]/e^3"])
+@pytest.mark.parametrize("J", [25, 50, 75, 100])
+def test_cc_symbol_deep_pole_matches_oracle(label, J):
+    A = DIFF_RINGS[label]
+    R = LaurentRing(A, "t")
+    t = R.gen()
+    f = R.one() - R.gen(-J).scale(A.eps() * A.from_int(2))
+    g = R.one() - t + t * t
+    assert _outcome(cc_symbol, f, g) == _outcome(_o_cc_symbol, f, g)
+    assert _outcome(cc_symbol, g, f) == _outcome(_o_cc_symbol, g, f)
+
+
+@pytest.mark.parametrize("m,inner_prec", [(2, None), (3, None), (2, 3), (3, 5)])
+def test_cc_symbol_over_an_artinian_tower_matches_oracle(m, inner_prec):
+    # series-valued payloads, exact and with truncated inner coefficients;
+    # a vanishing power must not skip a pair whose other side is inexact
+    A = ArtinianLocal(F3, m)
+    tower = iterated_ring(A, ["t1", "t2"])
+    rng = random.Random(f"cc-tower {m} {inner_prec}")
+    units = []
+    while len(units) < 60:
+        table = {oe: {ie: A.random(rng)
+                      for ie in rng.sample(range(-2, 4), rng.randrange(1, 4))}
+                 for oe in range(-3, 3) if rng.random() < 0.6}
+        f = nest(tower, table, inner_prec=inner_prec)
+        if f.is_unit():
+            units.append(f)
+    for f, g in zip(units, units[1:]):
+        assert _outcome(cc_symbol, f, g) == _outcome(_o_cc_symbol, f, g)
+
+
+def test_cc_symbol_keeps_the_precision_of_a_skipped_tower_pair():
+    # the e^2 = 0 power of a pair meets an inexact inner coefficient, whose
+    # precision the oracle's product keeps: O(t1^15), not O(t1^16)
+    A = ArtinianLocal(F3, 2)
+    f, g = (parse_expression(text, A, domain="series", depth=2) for text in (
+        "((2*e)*t1)*t2^-1 + (t1^-2)*t2 + (2*t1^3)*t2^2",
+        "(e*t1^-2 + e*t1^-1 + (2 + 2*e))*t2^-3 + (e*t1^-2 + (2 + 2*e) "
+        "+ (1 + 2*e)*t1)*t2^-2 + ((2*e)*t1^-1)*t2^-1 + ((1 + e) + (2*e)*t1)*t2 "
+        "+ ((2*e)*t1^2)*t2^2"))
+    value = cc_symbol(f, g)
+    assert value.prec == 15
+    assert _outcome(cc_symbol, f, g) == _outcome(_o_cc_symbol, f, g)
