@@ -205,8 +205,7 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
         den_s = _poly_at_inverse(f.den, R)
     else:
         K = residue_field(B)
-        pin = place.poly.map_coefficients(lambda c: embed(c, K), K)
-        roots = roots_in(pin, K)
+        roots = roots_in(place.poly, K)
         if not roots:
             raise AlgebraError(f"{place.label()} has no root in the residue field"
                                " (is it irreducible over the right field?)")

@@ -1,15 +1,15 @@
 """Univariate polynomials over the scalar rings, with factorization and root
 finding over finite fields.
 
-`Poly` wraps its coefficients as `RingValue`s.  Only the squarefree split
-(`squarefree_decomposition`) runs on them; the rest runs on raw payloads in
-the one finite-field polynomial kernel in `rings` (which this module imports,
-so the kernel cannot live here): `factor` hands each squarefree part to the
-distinct-degree split `_raw_ddf` and the Cantor-Zassenhaus equal-degree split
-`_raw_edf`, `roots_in` to `_field_roots`, and the pinned minimal polynomials
-of `GaloisField` use the same modular powers.  The random choices are seeded
-from the polynomial, and factors and roots are sorted by encoding, so no
-output depends on them.
+`Poly` wraps its coefficients as `RingValue`s; factoring and root finding run
+on raw payloads.  `factor` splits f into squarefree parts (`_raw_squarefree`)
+and hands each to the one finite-field polynomial kernel in `rings` (which
+this module imports, so the kernel cannot live here): the distinct-degree
+split `_raw_ddf` and the Cantor-Zassenhaus equal-degree split `_raw_edf`.
+`roots_in` runs `_field_roots` over the coefficient field of f, and the
+pinned minimal polynomials of `GaloisField` use the same modular powers.  The
+random choices are seeded from the polynomial, and factors and roots are
+sorted by encoding, so no output depends on them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import operator
 
 from .errors import AlgebraError, NotAUnit, UnsupportedArgument
 from .rings import (RingDescriptor, RingValue, _field_roots, _power, _raw_ddf,
-                    _raw_edf, _raw_encoding, _seeded_rng, embed)
+                    _raw_divmod, _raw_edf, _raw_encoding, _raw_gcd, _raw_monic,
+                    _seeded_rng, embed)
 
 
 class Poly:
@@ -217,49 +218,41 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-def _pth_root(f: Poly) -> Poly:
-    """Inverse Frobenius on a polynomial in x^p (over a perfect field)."""
-    field = f.ring
-    p, e = field.char, field.degree
-    coeffs = []
-    for i in range(0, f.degree() + 1, p):
-        c = f.coeff(i)
-        coeffs.append(c ** (p ** (e - 1)))
-    return Poly(field, coeffs)
+def _raw_squarefree(f: list, field) -> list[tuple[list, int]]:
+    """Pairs (g, m), sorted by (m, encoding): the g squarefree, monic and
+    pairwise coprime with f = prod g^m, for a monic raw f over a field."""
+    p, mul, zero = field.char, field._mul, field._zero_raw()
+    out: dict[tuple, int] = {}
+    e = 1
+    while len(f) > 1:
+        df = [mul(c, field._from_int_raw(i)) for i, c in enumerate(f)][1:]
+        while df and df[-1] == zero:
+            df.pop()
+        if df:
+            g = _raw_gcd(f, df, field)
+            w, i = _raw_divmod(f, g, field)[0], 1
+            while len(w) > 1:
+                y = _raw_gcd(w, g, field)
+                part = tuple(_raw_divmod(w, y, field)[0])
+                if len(part) > 1:
+                    out[part] = out.get(part, 0) + i * e
+                w, g, i = y, _raw_divmod(g, y, field)[0], i + 1
+            f = g
+        if len(f) > 1:
+            # f is a polynomial in x^p: inverse Frobenius on its coefficients
+            f = [_power(c, p ** (field.degree - 1), field._one_raw(), mul)
+                 for c in f[::p]]
+            e *= p
+    return sorted(((list(g), m) for g, m in out.items()), key=lambda it: (
+        it[1], tuple(_raw_encoding(c, field) for c in it[0])))
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Pairs (g_i, m_i) with f monic = prod g_i^{m_i}, the g_i squarefree and
     pairwise coprime."""
-    p = f.ring.char
-    out: dict[Poly, int] = {}
-
-    def accumulate(g: Poly, mult: int):
-        if g.degree() > 0:
-            out[g] = out.get(g, 0) + mult
-
-    def run(f: Poly, e: int):
-        while f.degree() > 0:
-            df = f.derivative()
-            if df.is_zero():
-                f = _pth_root(f)
-                e *= p
-                continue
-            g = poly_gcd(f, df)
-            w = f // g
-            i = 1
-            while w.degree() > 0:
-                y = poly_gcd(w, g)
-                accumulate(w // y, i * e)
-                w = y
-                g = g // y
-                i += 1
-            if g.degree() > 0:
-                run(_pth_root(g), e * p)
-            return
-
-    run(f.monic(), 1)
-    return sorted(out.items(), key=lambda it: (it[1], it[0].encoding()))
+    raw = _raw_monic([c.raw for c in f.coeffs], f.ring) if f.coeffs else []
+    return [(Poly(f.ring, [RingValue(f.ring, c) for c in g]), m)
+            for g, m in _raw_squarefree(raw, f.ring)]
 
 
 def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:
@@ -270,10 +263,11 @@ def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:
     if not f.ring.is_field:
         raise UnsupportedArgument("factorization needs field coefficients")
     field = f.ring
-    rng = _seeded_rng([c.raw for c in f.coeffs], field)
+    raw = [c.raw for c in f.coeffs]
+    rng = _seeded_rng(raw, field)
     factors: list[tuple[Poly, int]] = []
-    for g, mult in squarefree_decomposition(f):
-        for h, d in _raw_ddf([c.raw for c in g.coeffs], field):
+    for g, mult in _raw_squarefree(_raw_monic(raw, field), field):
+        for h, d in _raw_ddf(g, field):
             irreducibles: list = []
             _raw_edf(h, d, field, rng, irreducibles)
             factors += [(Poly(field, [RingValue(field, c) for c in irr]), mult)
@@ -287,8 +281,10 @@ _ROOTS_CACHE: dict = {}
 
 def roots_in(f: Poly, target_field) -> list[RingValue]:
     """All roots of f in `target_field`, sorted by the pinned integer
-    encoding (smallest first).  The coefficients are embedded into the
-    target and the roots split off gcd(f, x^Q - x) (see `rings._field_roots`)."""
+    encoding (smallest first).  f's coefficient field must embed into the
+    target.  The search runs over that coefficient field: each irreducible
+    factor of f with roots in the target gives one root, found in the
+    target, and its Frobenius orbit (see `rings._field_roots`)."""
     key = (f.ring, f.encoding(), target_field)
     cached = _ROOTS_CACHE.get(key)
     if cached is None:
@@ -296,8 +292,8 @@ def roots_in(f: Poly, target_field) -> list[RingValue]:
             raise AlgebraError("every element is a root of the zero polynomial")
         if not target_field.is_field:
             raise UnsupportedArgument("root finding needs a field target")
-        raws = _field_roots([embed(c, target_field).raw for c in f.coeffs],
-                            target_field)
+        embed(f.lead(), target_field)   # raises unless the coefficients embed
+        raws = _field_roots([c.raw for c in f.coeffs], f.ring, target_field)
         roots = sorted((RingValue(target_field, r) for r in raws),
                        key=_value_encoding)
         cached = _ROOTS_CACHE[key] = tuple(roots)

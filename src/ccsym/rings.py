@@ -14,6 +14,11 @@ integer sum(c_i * p^i) ascending) that is irreducible and whose root x is a
 multiplicative generator.  This choice is recorded in the README; F_4 gets
 x^2+x+1, F_8 gets x^3+x+1 and F_9 gets x^2+x+2.
 
+`GaloisField._mul` is a Kronecker substitution (von zur Gathen-Gerhard, Modern
+Computer Algebra, 8.4): both payloads become integers with a slot of
+bitlen(d(p-1)^2) bits per coordinate, and one integer product holds the 2d - 1
+product coefficients, reduced by the pinned minpoly's nonzero terms only.
+
 All rings here are local: every element is a unit or nilpotent, so valuations
 of Laurent series over them are well defined.
 
@@ -312,12 +317,12 @@ def _minpoly(p: int, d: int) -> tuple[int, ...]:
     primes = list(_factor(order))
     # GaloisField's multiplication is arithmetic mod any monic f
     ring = GaloisField.__new__(GaloisField)
-    ring.p, ring.d = p, d
     x, one = (0, 1) + (0,) * (d - 2), (1,) + (0,) * (d - 1)
     # the encodings below p are the binomials x^d + c0, whose roots satisfy
     # x^(d(p-1)) = 1 and so are never primitive
     for enc in range(p, p ** d):
-        ring.minpoly = coeffs = tuple((enc // p ** i) % p for i in range(d))
+        coeffs = tuple((enc // p ** i) % p for i in range(d))
+        ring._pin(p, d, coeffs)
         if coeffs[0] and ring._pow(x, order + 1) == x and all(
                 ring._pow(x, order // q) != one for q in primes):
             _MINPOLY_CACHE[key] = coeffs
@@ -332,12 +337,20 @@ class GaloisField(RingDescriptor):
     def __init__(self, p: int, d: int):
         if d < 2:
             raise AlgebraError("use PrimeField for degree 1")
-        self.p = p
-        self.d = d
-        self.char = p
-        self.degree = d
+        self._pin(p, d, _minpoly(p, d))
+
+    def _pin(self, p: int, d: int, minpoly: tuple):
+        """Arithmetic modulo x^d + minpoly; `_minpoly` pins each candidate."""
+        self.p = self.char = p
+        self.d = self.degree = d
         self.size = p ** d
-        self.minpoly = _minpoly(p, d)
+        self.minpoly = minpoly
+        self._zero = (0,) * d
+        self._one = (1,) + (0,) * (d - 1)
+        # product coefficients are at most d(p-1)^2: slots never carry
+        self._slot = (d * (p - 1) ** 2).bit_length()
+        # for i >= d, x^i = sum t * x^(i+o) over the pairs (o, t) below
+        self._tail = tuple((j - d, -c % p) for j, c in enumerate(minpoly) if c)
 
     def _key(self):
         return (self.p, self.d)
@@ -355,19 +368,24 @@ class GaloisField(RingDescriptor):
         return tuple((-x) % self.p for x in a)
 
     def _mul(self, a, b):
-        p, d, mp = self.p, self.d, self.minpoly
-        res = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] = (res[i + j] + ai * bj) % p
+        p, d, k = self.p, self.d, self._slot   # see the module docstring
+        x = y = 0
+        for i in range(d - 1, -1, -1):
+            x = x << k | a[i]
+            y = y << k | b[i]
+        z = x * y
+        mask = (1 << k) - 1
+        res = []
+        for _ in range(2 * d - 1):
+            res.append(z & mask)
+            z >>= k
         for i in range(2 * d - 2, d - 1, -1):
-            c = res[i]
+            c = res[i] % p
             if c:
-                res[i] = 0
-                for j in range(d):
-                    res[i - d + j] = (res[i - d + j] - c * mp[j]) % p
-        return tuple(res[:d])
+                for j, t in self._tail:
+                    res[i + j] += c * t
+        del res[d:]
+        return tuple([c % p for c in res])
 
     def _pow(self, a, e: int):
         return _power(a, e, self._one_raw(), self._mul)
@@ -384,10 +402,10 @@ class GaloisField(RingDescriptor):
         return not any(a)
 
     def _zero_raw(self):
-        return (0,) * self.d
+        return self._zero
 
     def _one_raw(self):
-        return tuple([1] + [0] * (self.d - 1))
+        return self._one
 
     def _from_int_raw(self, n):
         return tuple([n % self.p] + [0] * (self.d - 1))
@@ -462,6 +480,8 @@ class ArtinianLocal(RingDescriptor):
         self.m = m
         self.char = base.char
         self.nil_bound = m
+        self._zero = (base._zero_raw(),) * m
+        self._one = (base._one_raw(),) + self._zero[1:]
 
     def _key(self):
         return (self.base, self.m)
@@ -520,12 +540,10 @@ class ArtinianLocal(RingDescriptor):
         return not self.base._is_unit(a[0])
 
     def _zero_raw(self):
-        z = self.base._zero_raw()
-        return (z,) * self.m
+        return self._zero
 
     def _one_raw(self):
-        z = self.base._zero_raw()
-        return tuple([self.base._one_raw()] + [z] * (self.m - 1))
+        return self._one
 
     def _from_int_raw(self, n):
         z = self.base._zero_raw()
@@ -846,13 +864,9 @@ def _raw_ddf(f: list, field) -> list:
     return out
 
 
-def _raw_edf(g: list, d: int, field, rng, out: list) -> None:
-    """Append the monic irreducible factors of g, a squarefree monic product
-    of irreducible factors of degree d (Cantor-Zassenhaus equal-degree split)."""
-    n = len(g) - 1
-    if n == d:
-        out.append(g)
-        return
+def _raw_split(g: list, d: int, field, rng) -> list:
+    """A proper monic factor of g, a squarefree monic product of at least two
+    irreducible factors of degree d (Cantor-Zassenhaus)."""
     zero, q = field._zero_raw(), field.size
     while True:
         # r of degree < 2d is uniform modulo any two factors (CRT), which
@@ -870,25 +884,47 @@ def _raw_edf(g: list, d: int, field, rng, out: list) -> None:
             h = _raw_powmod(r, (q ** d - 1) // 2, g, field)
             h = _raw_add(h, [field._neg(field._one_raw())], field)
         c = _raw_gcd(g, h, field)
-        if 1 < len(c) <= n:
-            _raw_edf(c, d, field, rng, out)
-            _raw_edf(_raw_divmod(g, c, field)[0], d, field, rng, out)
-            return
+        if 1 < len(c) < len(g):
+            return c
 
 
-def _field_roots(coeffs: list, field) -> list:
-    """Distinct roots in a finite field of a nonzero polynomial given by raw
-    coefficients (low to high), in no particular order: g = gcd(x^Q - x, f)
-    is the product of (x - r) over the roots r, split by `_raw_edf`."""
-    g = _raw_monic(coeffs, field)
+def _raw_edf(g: list, d: int, field, rng, out: list) -> None:
+    """Append the monic irreducible factors of g, a squarefree monic product
+    of irreducible factors of degree d (equal-degree split)."""
+    if len(g) - 1 == d:
+        out.append(g)
+        return
+    c = _raw_split(g, d, field, rng)
+    _raw_edf(c, d, field, rng, out)
+    _raw_edf(_raw_divmod(g, c, field)[0], d, field, rng, out)
+
+
+def _field_roots(coeffs: list, sub, field) -> list:
+    """Distinct roots in `field`, in no particular order, of a nonzero f with
+    raw coefficients (low to high) in its subfield `sub`.  gcd(f, x^Q - x),
+    Q = |field|, is split over `sub` into irreducibles h; each h of degree d
+    gives one root r in `field`, halved off into the smaller half each time,
+    and its orbit r, r^q, ..., r^(q^(d-1)), q = |sub| (Rabin, SIAM J.
+    Comput. 9, 1980)."""
+    g = _raw_monic(coeffs, sub)
+    rng = _seeded_rng(g, sub)
     if len(g) > 2:
-        zero, one = field._zero_raw(), field._one_raw()
-        h = _raw_powmod([zero, one], field.size, g, field)
-        g = _raw_gcd(g, _raw_add(h, [zero, field._neg(one)], field), field)
-    linear: list = []
-    if len(g) > 1:
-        _raw_edf(g, 1, field, _seeded_rng(g, field), linear)
-    return [field._neg(c[0]) for c in linear]
+        zero, one = sub._zero_raw(), sub._one_raw()
+        h = _raw_powmod([zero, one], field.size, g, sub)
+        g = _raw_gcd(g, _raw_add(h, [zero, sub._neg(one)], sub), sub)
+    roots = []
+    for h, d in _raw_ddf(g, sub):
+        irreducibles: list = []
+        _raw_edf(h, d, sub, rng, irreducibles)
+        for irr in irreducibles:
+            r = [_field_embed(RingValue(sub, c), field).raw for c in irr]
+            while len(r) > 2:
+                c = _raw_split(r, 1, field, rng)
+                r = min(c, _raw_divmod(r, c, field)[0], key=len)
+            roots.append(field._neg(r[0]))
+            for _ in range(d - 1):
+                roots.append(field._pow(roots[-1], sub.size))
+    return roots
 
 
 def _pinned_subfield_generator(sub: GaloisField, big: GaloisField) -> RingValue:
@@ -897,8 +933,7 @@ def _pinned_subfield_generator(sub: GaloisField, big: GaloisField) -> RingValue:
     key = ("root", sub.p, sub.d, big.d)
     if key in _EMBED_CACHE:
         return RingValue(big, _EMBED_CACHE[key])
-    coeffs = [big._from_int_raw(c) for c in sub.minpoly] + [big._one_raw()]
-    roots = _field_roots(coeffs, big)
+    roots = _field_roots(list(sub.minpoly) + [1], PrimeField(big.p), big)
     if not roots:
         raise AlgebraError(f"{sub} does not embed into {big}")
     best = _EMBED_CACHE[key] = min(roots)
@@ -913,7 +948,7 @@ def _field_embed(x: RingValue, target) -> RingValue:
         if src.p != dst.char:
             raise DescriptorMismatch(f"characteristic mismatch {src} -> {dst}")
         return dst.from_int(x.raw)
-    if not isinstance(dst, GaloisField) or dst.d % src.d != 0:
+    if not isinstance(dst, GaloisField) or dst.p != src.p or dst.d % src.d:
         raise DescriptorMismatch(f"{src} does not embed into {dst}")
     ghat = _pinned_subfield_generator(src, dst)
     acc = dst.zero()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccsym.errors import AlgebraError, NotAUnit, UnsupportedArgument
-from ccsym import poly
+from ccsym import poly, rings
 from ccsym.poly import (Poly, _value_encoding, factor, is_irreducible, poly_gcd,
                         random_poly, roots_in, squarefree_decomposition)
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField, RingValue, embed
@@ -132,6 +132,57 @@ def test_squarefree_decomposition_char2():
     assert any(m % 2 == 0 for _, m in parts)
 
 
+def _poly_level_pth_root(f):
+    """Part of the squarefree oracle: inverse Frobenius on a polynomial in
+    x^p, on wrapped coefficients."""
+    field = f.ring
+    p, e = field.char, field.degree
+    return Poly(field, [f.coeff(i) ** (p ** (e - 1))
+                        for i in range(0, f.degree() + 1, p)])
+
+
+def _poly_level_squarefree(f):
+    """Oracle: the former squarefree_decomposition, on wrapped `Poly`s."""
+    p = f.ring.char
+    out = {}
+
+    def run(f, e):
+        while f.degree() > 0:
+            df = f.derivative()
+            if df.is_zero():
+                f = _poly_level_pth_root(f)
+                e *= p
+                continue
+            g = poly_gcd(f, df)
+            w = f // g
+            i = 1
+            while w.degree() > 0:
+                y = poly_gcd(w, g)
+                if (w // y).degree() > 0:
+                    out[w // y] = out.get(w // y, 0) + i * e
+                w = y
+                g = g // y
+                i += 1
+            if g.degree() > 0:
+                run(_poly_level_pth_root(g), e * p)
+            return
+
+    run(f.monic(), 1)
+    return sorted(out.items(), key=lambda it: (it[1], it[0].encoding()))
+
+
+@pytest.mark.parametrize("field", (F2, F3, F4, F9, GaloisField(5, 2)), ids=str)
+def test_squarefree_matches_poly_level_oracle(field):
+    rng = random.Random(8 * field.size)
+    p = field.char
+    for _ in range(40):
+        a = random_poly(field, rng, rng.randrange(1, 3), monic=True)
+        b = random_poly(field, rng, rng.randrange(0, 3))
+        c = random_poly(field, rng, rng.randrange(0, 4))
+        for f in (a ** p * b ** 2 * c, a ** (p * p) * c, b * c ** 3, c):
+            assert squarefree_decomposition(f) == _poly_level_squarefree(f), f
+
+
 def test_factor_rejects_zero_and_non_field():
     with pytest.raises(AlgebraError):
         factor(Poly.zero(F5))
@@ -236,6 +287,85 @@ def test_roots_in_domain_guards():
         roots_in(Poly.zero(F5), F5)
     with pytest.raises(UnsupportedArgument):
         roots_in(Poly(F5, [1, 1]), ArtinianLocal(F5, 2))
+
+
+def _full_split_roots_in(f, target):
+    """Oracle: the former roots_in.  It embeds the coefficients into the
+    target, computes x^Q there, takes gcd(f, x^Q - x) and splits that into
+    linear factors."""
+    if f.is_zero():
+        raise AlgebraError("every element is a root of the zero polynomial")
+    if not target.is_field:
+        raise UnsupportedArgument("root finding needs a field target")
+    g = rings._raw_monic([embed(c, target).raw for c in f.coeffs], target)
+    zero, one = target._zero_raw(), target._one_raw()
+    if len(g) > 2:
+        h = rings._raw_powmod([zero, one], target.size, g, target)
+        g = rings._raw_gcd(g, rings._raw_add(h, [zero, target._neg(one)],
+                                             target), target)
+    linear = []
+    if len(g) > 1:
+        rings._raw_edf(g, 1, target, rings._seeded_rng(g, target), linear)
+    return sorted((RingValue(target, target._neg(c[0])) for c in linear),
+                  key=_value_encoding)
+
+
+def _irreducible(field, rng, degree):
+    while True:
+        f = random_poly(field, rng, degree, monic=True)
+        if is_irreducible(f):
+            return f
+
+
+@pytest.mark.parametrize("field", (F2, F3, F4, F9, GaloisField(5, 2)), ids=str)
+def test_roots_in_matches_full_split_oracle(monkeypatch, field):
+    monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
+    rng = random.Random(field.size)
+    irr = {m: _irreducible(field, rng, m) for m in range(1, 9)}
+    cases = [
+        irr[1] ** 2 * irr[2] * irr[3],      # reducible, a repeated root
+        irr[2] ** 3 * irr[4],               # repeated factor of degree 2
+        irr[5], irr[7],                     # roots in few extensions only
+        irr[6] * irr[2],
+        irr[8],
+        random_poly(field, rng, 8),         # not monic
+        random_poly(field, rng, 0),         # a nonzero constant: no roots
+    ]
+    # every target sees two of the cases in turn, and one polynomial over
+    # the target itself: a case above with its coefficients embedded, or a
+    # random one
+    for r in range(1, 13):
+        target = (field if r == 1 else
+                  GaloisField(field.char, field.degree * r))
+        over_target = (random_poly(target, rng, 3) if r % 3 == 0 else
+                       cases[r % 2].map_coefficients(
+                           lambda c: embed(c, target), target))
+        for f in (cases[r % 8], cases[(r + 3) % 8], over_target):
+            assert roots_in(f, target) == _full_split_roots_in(f, target), \
+                (f, target)
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:    # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("f, target", [
+    (Poly.zero(F5), F5),
+    (Poly(F5, [1, 1]), ArtinianLocal(F5, 2)),
+    (Poly(F9, [1, 1]), F3),
+    (Poly(F9, [1, 0, 1]), GaloisField(3, 3)),
+    (Poly(F4, [1, 1]), F9),
+    (Poly(ArtinianLocal(F3, 2), [1, 1]), F9),
+], ids=repr)
+def test_roots_in_guards_raise_as_the_oracle_does(monkeypatch, f, target):
+    monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
+    expected = _raised(lambda: _full_split_roots_in(f, target))
+    assert expected is not None
+    assert _raised(lambda: roots_in(f, target)) == expected
 
 
 def test_evaluate_embeds_coefficients():

@@ -12,6 +12,7 @@ from ccsym.errors import (IncompleteFlagCover, NonUnitLeadingCoefficient,
                           UnsupportedArgument, ZeroFunction)
 from ccsym.geometry import (BivarPoly, BivarRational, RationalFunction,
                             SurfaceFlag)
+from ccsym.parser import parse_expression
 from ccsym.poly import Poly, is_irreducible, random_poly
 from ccsym.reciprocity import cc_check, parshin_check, weil_check
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
@@ -169,6 +170,24 @@ def test_cc_high_degree_place_is_fast(monkeypatch):
     assert time.perf_counter() - start < 2.0
     assert report.ok
     assert 10 in [fac.degree for fac in report.factors]
+
+
+def test_weil_high_degree_place_is_fast(monkeypatch):
+    # one place of degree 12 over F9, residue field F_{3^24}: one root by
+    # halving and its Frobenius orbit, not a full split in F_{3^24}
+    monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
+    monkeypatch.setattr(rings, "_EMBED_CACHE", {})
+    F9 = GaloisField(3, 2)
+    text = ("t^12 + (1+2*g)*t^11 + 2*g*t^10 + 2*g*t^6 + (2+2*g)*t^5"
+            " + (2+g)*t^4 + 2*t^3 + 2*t + 2*g")
+    f = parse_expression(text, F9, domain="rational")
+    assert is_irreducible(f.num)
+    g = parse_expression("1+2*t", F9, domain="rational")
+    start = time.perf_counter()
+    report = weil_check(f, g)
+    assert time.perf_counter() - start < 2.0
+    assert report.ok
+    assert 12 in [fac.degree for fac in report.factors]
 
 
 def test_cc_guards():

@@ -163,6 +163,12 @@ class TestEmbeddingsAndNorms:
         assert format_value(relative_norm(g + g * A9.eps(), 1)) == "2 + e"
 
 
+def test_embed_refuses_a_field_of_another_characteristic():
+    # F4 -> F9: the degrees divide, but no field embeds across characteristics
+    with pytest.raises(DescriptorMismatch):
+        embed(F4.generator(), F9)
+
+
 def _field_conjugate_product(x, sub_degree):
     """Oracle: the product of the Galois conjugates x^(q^i), q = p^sub_degree,
     taken inside the big field."""
@@ -345,6 +351,57 @@ def test_minpoly_matches_unskipped_scan(monkeypatch):
         while p ** d <= 3 ** 8:
             assert rings._minpoly(p, d) == _scan_minpoly(p, d), (p, d)
             d += 1
+
+
+# -- the Kronecker-packed GaloisField multiply --------------------------------
+
+def _schoolbook_mul(field, a, b):
+    """Oracle: the former GaloisField._mul, coordinate products summed one by
+    one, then reduced by the whole minimal polynomial from the top down."""
+    p, d, mp = field.p, field.d, field.minpoly
+    res = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                res[i + j] = (res[i + j] + ai * bj) % p
+    for i in range(2 * d - 2, d - 1, -1):
+        c = res[i]
+        if c:
+            res[i] = 0
+            for j in range(d):
+                res[i - d + j] = (res[i - d + j] - c * mp[j]) % p
+    return tuple(res[:d])
+
+
+_SMALL_GALOIS = [GaloisField(p, d) for p in (2, 3, 5, 7) for d in range(2, 7)
+                 if p ** d <= 81]
+
+
+@pytest.mark.parametrize("field", _SMALL_GALOIS, ids=repr)
+def test_mul_matches_schoolbook_on_every_pair(field):
+    elems = [x.raw for x in field.elements()]
+    for a in elems:
+        for b in elems:
+            assert field._mul(a, b) == _schoolbook_mul(field, a, b), (a, b)
+
+
+# F_{(2^31-1)^2} has slots of 63 bits, wider than one machine word
+@pytest.mark.parametrize("p, d", [(3, 8), (3, 16), (3, 24), (2, 16), (2, 20),
+                                  (7, 6), (2 ** 31 - 1, 2)])
+def test_mul_matches_schoolbook_on_seeded_pairs(p, d):
+    field = GaloisField(p, d)
+    rng = random.Random(p * 100 + d)
+    for _ in range(500):
+        a, b = field.random(rng).raw, field.random(rng).raw
+        assert field._mul(a, b) == _schoolbook_mul(field, a, b), (a, b)
+
+
+@pytest.mark.parametrize("ring", [F9, GaloisField(2, 5), ArtinianLocal(F5, 2),
+                                  ArtinianLocal(F9, 3)], ids=repr)
+def test_constants_are_built_once_per_descriptor(ring):
+    zero, one = ring._zero_raw(), ring._one_raw()
+    assert ring._zero_raw() is zero and ring._one_raw() is one
+    assert ring.zero() == ring.from_int(0) and ring.one() == ring.from_int(1)
 
 
 class TestFormatting:
