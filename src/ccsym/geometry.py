@@ -211,8 +211,8 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
                                " (is it irreducible over the right field?)")
         alpha = embed(roots[0], B)
         sub = R.constant(alpha) + R.gen()
-        num_s = _poly_at_series(f.num, sub, B)
-        den_s = _poly_at_series(f.den, sub, B)
+        num_s = _horner(f.num.coeffs, sub, lambda c: R.constant(embed(c, B)))
+        den_s = _horner(f.den.coeffs, sub, lambda c: R.constant(embed(c, B)))
     if den_s.is_one():
         return num_s if prec is None else num_s.truncate(prec)
     if prec is None:
@@ -224,19 +224,21 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
     return (num_s * inv_den).truncate(prec)
 
 
-def _poly_at_series(poly: Poly, sub: LaurentSeries, B) -> LaurentSeries:
-    R = sub.ring
-    acc = R.coerce(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * sub + R.constant(embed(c, B))
-    return acc
-
-
 def _poly_at_inverse(poly: Poly, R: LaurentRing) -> LaurentSeries:
     """poly(1/u) as an exact Laurent series."""
     B = R.base
     return LaurentSeries(R, {-i: embed(c, B) for i, c in enumerate(poly.coeffs)
                              if not c.is_zero()}, None)
+
+
+def _horner(coeffs, sub: LaurentSeries, lift) -> LaurentSeries:
+    """sum_i lift(coeffs[i]) * sub^i by Horner's rule, skipping None."""
+    acc = sub.ring.coerce(0)
+    for c in reversed(coeffs):
+        acc = acc * sub
+        if c is not None:
+            acc = acc + lift(c)
+    return acc
 
 
 def leading_unit_guard(*functions: RationalFunction):
@@ -484,11 +486,15 @@ def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
     N1 = N2.base
     z1 = N2.constant(N1.gen())
     z2 = N2.gen()
+
+    def lift(c):
+        return N2.constant(N1.constant(c))
+
     if flag.kind == "graph":
         phi = flag.data[0]
         a = flag.point[0]
         t1_s = N2.constant(N1.constant(a)) + z1
-        phi_s = _poly_at_nested(phi, t1_s, N2)
+        phi_s = _horner(phi.coeffs, t1_s, lift)
         t2_s = phi_s + z2
     elif flag.kind == "vertical":
         c, b = flag.point
@@ -496,8 +502,8 @@ def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
         t2_s = N2.constant(N1.constant(b)) + z1
     else:  # pragma: no cover
         raise UnsupportedArgument(f"unknown flag kind {flag.kind!r}")
-    num_s = _bivar_at(f.num, t1_s, t2_s, N2)
-    den_s = _bivar_at(f.den, t1_s, t2_s, N2)
+    num_s = _bivar_at(f.num, t1_s, t2_s, lift)
+    den_s = _bivar_at(f.den, t1_s, t2_s, lift)
     if den_s.is_zero() or num_s.is_zero():  # pragma: no cover
         raise ZeroOnCurve("function degenerates along the curve")
     if den_s.is_one():
@@ -513,28 +519,11 @@ def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
     return out
 
 
-def _poly_at_nested(poly: Poly, sub: LaurentSeries, N2: LaurentRing) -> LaurentSeries:
-    acc = N2.coerce(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * sub + N2.constant(N2.base.constant(c))
-    return acc
-
-
-def _bivar_at(poly: BivarPoly, t1_s, t2_s, N2: LaurentRing) -> LaurentSeries:
-    # Horner in t2 with inner Horner in t1
-    by_j: dict[int, dict[int, RingValue]] = {}
+def _bivar_at(poly: BivarPoly, t1_s, t2_s, lift) -> LaurentSeries:
+    """poly(t1_s, t2_s): Horner in t2 over rows that are Horner in t1."""
+    rows: dict[int, dict[int, RingValue]] = {}
     for (i, j), c in poly.coeffs.items():
-        by_j.setdefault(j, {})[i] = c
-    acc = N2.coerce(0)
-    for j in range(max(by_j, default=0), -1, -1):
-        acc = acc * t2_s
-        row = by_j.get(j)
-        if row:
-            inner = N2.coerce(0)
-            for i in range(max(row), -1, -1):
-                inner = inner * t1_s
-                c = row.get(i)
-                if c is not None:
-                    inner = inner + N2.constant(N2.base.constant(c))
-            acc = acc + inner
-    return acc
+        rows.setdefault(j, {})[i] = c
+    return _horner([rows.get(j) for j in range(max(rows, default=0) + 1)], t2_s,
+                   lambda row: _horner([row.get(i) for i in range(max(row) + 1)],
+                                       t1_s, lift))

@@ -1,11 +1,12 @@
 """Univariate polynomials over the scalar rings, with factorization and root
 finding over finite fields.
 
-`Poly` wraps its coefficients as `RingValue`s; factoring and root finding run
-on raw payloads.  `factor` splits f into squarefree parts (`_raw_squarefree`)
-and hands each to the one finite-field polynomial kernel in `rings` (which
-this module imports, so the kernel cannot live here): the distinct-degree
-split `_raw_ddf` and the Cantor-Zassenhaus equal-degree split `_raw_edf`.
+`Poly` shows its coefficients as `RingValue`s, but all its arithmetic (sums,
+products, division, monic scaling, derivatives, gcds) runs on raw payloads in
+the one polynomial kernel in `rings`, which this module imports, so the
+kernel cannot live here.  `factor` splits f into squarefree parts
+(`_raw_squarefree`) and hands each to the kernel's distinct-degree split
+`_raw_ddf` and Cantor-Zassenhaus equal-degree split `_raw_edf`.
 `roots_in` runs `_field_roots` over the coefficient field of f, and the
 pinned minimal polynomials of `GaloisField` use the same modular powers.  The
 random choices are seeded from the polynomial, and factors and roots are
@@ -17,9 +18,10 @@ from __future__ import annotations
 import operator
 
 from .errors import AlgebraError, NotAUnit, UnsupportedArgument
-from .rings import (RingDescriptor, RingValue, _field_roots, _power, _raw_ddf,
-                    _raw_divmod, _raw_edf, _raw_encoding, _raw_gcd, _raw_monic,
-                    _seeded_rng, embed)
+from .rings import (RingDescriptor, RingValue, _field_roots, _power, _raw_add,
+                    _raw_ddf, _raw_derivative, _raw_divmod, _raw_edf,
+                    _raw_encoding, _raw_gcd, _raw_monic, _raw_mul, _seeded_rng,
+                    embed)
 
 
 class Poly:
@@ -105,11 +107,17 @@ class Poly:
                 parts.append(f"{ctext}*{power}")
         return " + ".join(parts)
 
-    # -- arithmetic -----------------------------------------------------------
+    # -- arithmetic: each operation runs once on raw payloads, in `rings` ------
+    @classmethod
+    def _of(cls, ring, raw: list) -> "Poly":
+        """The polynomial with payloads `raw`, low to high."""
+        return cls(ring, [RingValue(ring, c) for c in raw])
+
+    def _raw(self) -> list:
+        return [c.raw for c in self.coeffs]
+
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ring, [self.coeff(i) + other.coeff(i)
-                                for i in range(n)])
+        return Poly._of(self.ring, _raw_add(self._raw(), other._raw(), self.ring))
 
     def __neg__(self):
         return Poly(self.ring, [-c for c in self.coeffs])
@@ -119,16 +127,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, RingValue):
-            return Poly(self.ring, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.ring)
-        out = [self.ring.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
+            return self.scale(other)
+        return Poly._of(self.ring, _raw_mul(self._raw(), other._raw(), self.ring))
 
     __rmul__ = __mul__
 
@@ -147,24 +147,17 @@ class Poly:
         return Poly(self.ring, [self.ring.zero()] * k + list(self.coeffs))
 
     def divmod(self, other: "Poly"):
+        """(q, r) with self = q * other + r and deg r < deg other: division by
+        the monic other / c, c = lead(other), whose quotient is c * q."""
         if other.is_zero():
             raise AlgebraError("division by the zero polynomial")
         if not other.lead().is_unit():
             raise NotAUnit("divisor needs a unit leading coefficient")
-        inv_lead = other.lead().inv()
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree()
-        if dn < dd:
-            return Poly.zero(self.ring), self
-        quot = [self.ring.zero()] * (dn - dd + 1)
-        for k in range(dn - dd, -1, -1):
-            c = rem[k + dd] * inv_lead
-            if c.is_zero():
-                continue
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - c * b
-        return Poly(self.ring, quot), Poly(self.ring, rem[:dd])
+        ring = self.ring
+        mul, inv = ring._mul, ring._inv(other.lead().raw)
+        quot, rem = _raw_divmod(self._raw(), [mul(inv, c) for c in other._raw()],
+                                ring)
+        return Poly._of(ring, [mul(inv, c) for c in quot]), Poly._of(ring, rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -175,11 +168,10 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self.scale(self.lead().inv())
+        return Poly._of(self.ring, _raw_monic(self._raw(), self.ring))
 
     def derivative(self) -> "Poly":
-        return Poly(self.ring, [self.coeffs[i] * self.ring.from_int(i)
-                                for i in range(1, len(self.coeffs))])
+        return Poly._of(self.ring, _raw_derivative(self._raw(), self.ring))
 
     def evaluate(self, x: RingValue) -> RingValue:
         acc = x.ring.zero()
@@ -213,21 +205,19 @@ def random_poly(ring, rng, degree: int, monic: bool = False) -> Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over a field."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    if b.is_zero():
+        a, b = b, a
+    return Poly._of(a.ring, _raw_gcd(a._raw(), b._raw(), a.ring))
 
 
 def _raw_squarefree(f: list, field) -> list[tuple[list, int]]:
     """Pairs (g, m), sorted by (m, encoding): the g squarefree, monic and
     pairwise coprime with f = prod g^m, for a monic raw f over a field."""
-    p, mul, zero = field.char, field._mul, field._zero_raw()
+    p, mul = field.char, field._mul
     out: dict[tuple, int] = {}
     e = 1
     while len(f) > 1:
-        df = [mul(c, field._from_int_raw(i)) for i, c in enumerate(f)][1:]
-        while df and df[-1] == zero:
-            df.pop()
+        df = _raw_derivative(f, field)
         if df:
             g = _raw_gcd(f, df, field)
             w, i = _raw_divmod(f, g, field)[0], 1
@@ -250,9 +240,8 @@ def _raw_squarefree(f: list, field) -> list[tuple[list, int]]:
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Pairs (g_i, m_i) with f monic = prod g_i^{m_i}, the g_i squarefree and
     pairwise coprime."""
-    raw = _raw_monic([c.raw for c in f.coeffs], f.ring) if f.coeffs else []
-    return [(Poly(f.ring, [RingValue(f.ring, c) for c in g]), m)
-            for g, m in _raw_squarefree(raw, f.ring)]
+    raw = _raw_monic(f._raw(), f.ring) if f.coeffs else []
+    return [(Poly._of(f.ring, g), m) for g, m in _raw_squarefree(raw, f.ring)]
 
 
 def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:
@@ -263,15 +252,14 @@ def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:
     if not f.ring.is_field:
         raise UnsupportedArgument("factorization needs field coefficients")
     field = f.ring
-    raw = [c.raw for c in f.coeffs]
+    raw = f._raw()
     rng = _seeded_rng(raw, field)
     factors: list[tuple[Poly, int]] = []
     for g, mult in _raw_squarefree(_raw_monic(raw, field), field):
         for h, d in _raw_ddf(g, field):
             irreducibles: list = []
             _raw_edf(h, d, field, rng, irreducibles)
-            factors += [(Poly(field, [RingValue(field, c) for c in irr]), mult)
-                        for irr in irreducibles]
+            factors += [(Poly._of(field, irr), mult) for irr in irreducibles]
     factors.sort(key=lambda it: (it[0].degree(), it[0].encoding()))
     return f.lead(), factors
 
@@ -293,7 +281,7 @@ def roots_in(f: Poly, target_field) -> list[RingValue]:
         if not target_field.is_field:
             raise UnsupportedArgument("root finding needs a field target")
         embed(f.lead(), target_field)   # raises unless the coefficients embed
-        raws = _field_roots([c.raw for c in f.coeffs], f.ring, target_field)
+        raws = _field_roots(f._raw(), f.ring, target_field)
         roots = sorted((RingValue(target_field, r) for r in raws),
                        key=_value_encoding)
         cached = _ROOTS_CACHE[key] = tuple(roots)

@@ -11,7 +11,8 @@ from .errors import IncompleteFlagCover, UnsupportedArgument, ZeroFunction
 from .geometry import (BivarPoly, RationalFunction, SurfaceFlag, flag_expand,
                        leading_unit_guard, local_expand, support_places)
 from .poly import Poly
-from .rings import RingValue, format_value, relative_norm, residue_field
+from .rings import (RingValue, _raw_add, _raw_mul, format_value, relative_norm,
+                    residue_field)
 from .symbols import cc_symbol, higher_symbol, tame_symbol
 
 
@@ -137,70 +138,51 @@ def _curve_key(flag: SurfaceFlag):
 
 
 def _divide_out(poly: BivarPoly, flag: SurfaceFlag):
-    """(multiplicity, cofactor) of the flag's curve equation in the polynomial."""
-    mult = 0
-    while not poly.is_zero():
-        quot, rem = _divmod_by_curve(poly, flag)
-        if rem is None or not rem.is_zero():
-            break
-        poly = quot
-        mult += 1
-    return mult, poly
+    """(multiplicity, cofactor) of the flag's curve equation in the polynomial.
 
-
-def _divmod_by_curve(poly: BivarPoly, flag: SurfaceFlag):
+    The curve is y - h(x): t2 - phi(t1) for a graph, t1 - c for a vertical
+    line.  The polynomial is held as raw rows in x by powers of y, and
+    synthetic division by y - h repeats until a remainder is nonzero."""
     ring = poly.ring
     if flag.kind == "vertical":
-        c = flag.data[0]
-        # synthetic division by (t1 - c), coefficients in k[t2]
-        if not poly.coeffs:
-            return poly, BivarPoly.zero(ring)
-        top = max(i for i, _ in poly.coeffs)
-        quot: dict = {}
-        carry: dict[int, RingValue] = {}
-        for i in range(top, 0, -1):
-            row = {j: v for (ii, j), v in poly.coeffs.items() if ii == i}
-            for j, v in row.items():
-                carry[j] = carry.get(j, ring.zero()) + v
-            for j, v in carry.items():
-                if not v.is_zero():
-                    quot[(i - 1, j)] = v
-            carry = {j: v * c for j, v in carry.items()}
-        rem = BivarPoly(ring, {(0, j): v for j, v in carry.items()})
-        rem = rem + BivarPoly(ring, {(0, j): v for (ii, j), v in poly.coeffs.items()
-                                     if ii == 0})
-        return BivarPoly(ring, quot), rem
-    phi = flag.data[0]
-    # division by (t2 - phi(t1)), coefficients in k[t1]
-    if not poly.coeffs:
-        return poly, BivarPoly.zero(ring)
-    top = max(j for _, j in poly.coeffs)
-    quot_rows: dict[int, Poly] = {}
-    carry_poly = Poly.zero(ring)
-    for j in range(top, 0, -1):
-        row = Poly(ring, [poly.coeffs.get((i, j), ring.zero())
-                          for i in range(0, 1 + max((i for (i, jj) in poly.coeffs
-                                                     if jj == j), default=0))])
-        carry_poly = carry_poly + row
-        quot_rows[j - 1] = carry_poly
-        carry_poly = carry_poly * phi
-    row0 = Poly(ring, [poly.coeffs.get((i, 0), ring.zero())
-                       for i in range(0, 1 + max((i for (i, jj) in poly.coeffs
-                                                  if jj == 0), default=0))])
-    rem_poly = carry_poly + row0
-    quot = {}
-    for j, qp in quot_rows.items():
-        for i, cf in enumerate(qp.coeffs):
-            if not cf.is_zero():
-                quot[(i, j)] = cf
-    rem = BivarPoly(ring, {(i, 0): cf for i, cf in enumerate(rem_poly.coeffs)
-                           if not cf.is_zero()})
-    return BivarPoly(ring, quot), rem
+        y, h = 0, Poly.constant(flag.data[0])._raw()
+    else:
+        y, h = 1, flag.data[0]._raw()
+    zero = ring._zero_raw()
+    rows = [[] for _ in range(1 + max((ij[y] for ij in poly.coeffs),
+                                      default=-1))]
+    for ij, c in poly.coeffs.items():
+        row, i = rows[ij[y]], ij[1 - y]
+        row.extend([zero] * (i + 1 - len(row)))
+        row[i] = c.raw
+    mult = 0
+    while rows:
+        carry, quot = [], []
+        for row in reversed(rows[1:]):
+            carry = _raw_add(carry, row, ring)
+            quot.append(carry)
+            carry = _raw_mul(carry, h, ring)
+        if _raw_add(carry, rows[0], ring):
+            break
+        rows, mult = quot[::-1], mult + 1
+    if mult:
+        poly = BivarPoly(ring, {(i, j) if y else (j, i): RingValue(ring, c)
+                                for j, row in enumerate(rows)
+                                for i, c in enumerate(row)})
+    return mult, poly
 
 
 def _check_flag_cover(functions, flags):
     """Every curve through a marked point carrying a zero or pole of some
-    function must be one of the flags (at that point)."""
+    function must be one of the flags (at that point).
+
+    At each point the candidate curves (the flags there, the vertical line
+    and every line through it) are divided out of each numerator and
+    denominator in turn, once per pair.  The candidates are distinct monic
+    irreducibles of degree 1 in t1 or t2, so dividing out the earlier ones
+    leaves the multiplicity of the later ones unchanged: one pass gives both
+    every multiplicity and the cofactor, whose value at the point tells
+    whether some other curve through it carries a zero or pole."""
     if not flags:
         raise IncompleteFlagCover("no flags given")
     ring = functions[0].ring
@@ -215,29 +197,22 @@ def _check_flag_cover(functions, flags):
             phi = Poly(ring, [y0 - lam * x0, lam])
             candidates.append(SurfaceFlag.graph(phi, x0))
         candidates.extend(fl for fl in flags if fl.point == point)
-        seen = set()
-        unique = []
+        unique = {}   # by curve, first seen first
         for fl in candidates:
-            key = _curve_key(fl)
-            if key not in seen:
-                seen.add(key)
-                unique.append(fl)
+            unique.setdefault(_curve_key(fl), fl)
         for f in functions:
-            residual_vanishes = False
-            for poly in (f.num, f.den):
+            order = dict.fromkeys(unique, 0)   # of f along each curve
+            for poly, sign in ((f.num, 1), (f.den, -1)):
                 rest = poly
-                for fl in unique:
-                    _, rest = _divide_out(rest, fl)
-                if rest.is_zero() or rest.evaluate(x0, y0).is_zero():
-                    residual_vanishes = True
-            if residual_vanishes:
-                raise IncompleteFlagCover(
-                    f"a curve through ({x0}, {y0}) outside the flag family"
-                    f" carries a zero or pole of {f!r}")
-            for fl in unique:
-                num_mult, _ = _divide_out(f.num, fl)
-                den_mult, _ = _divide_out(f.den, fl)
-                if num_mult != den_mult and _curve_key(fl) not in provided:
+                for key, fl in unique.items():
+                    mult, rest = _divide_out(rest, fl)
+                    order[key] += sign * mult
+                if rest.evaluate(x0, y0).is_zero():
+                    raise IncompleteFlagCover(
+                        f"a curve through ({x0}, {y0}) outside the flag family"
+                        f" carries a zero or pole of {f!r}")
+            for key, fl in unique.items():
+                if order[key] and key not in provided:
                     raise IncompleteFlagCover(
                         f"function {f!r} has a zero or pole along"
                         f" {fl.label()} which is missing from the flags")

@@ -362,10 +362,10 @@ class GaloisField(RingDescriptor):
         return RingValue(self, tuple([0, 1] + [0] * (self.d - 2)))
 
     def _add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return tuple([(x + y) % self.p for x, y in zip(a, b)])
 
     def _neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return tuple([(-x) % self.p for x in a])
 
     def _mul(self, a, b):
         p, d, k = self.p, self.d, self._slot   # see the module docstring
@@ -639,9 +639,6 @@ class RingValue:
             acc = acc * self
         return self.ring.nil_bound  # pragma: no cover (m^nil_bound = 0 by construction)
 
-    def norm(self, sub_degree: int = 1) -> "RingValue":
-        return relative_norm(self, sub_degree)
-
     def __eq__(self, other):
         if isinstance(other, int):
             try:
@@ -774,8 +771,16 @@ def _raw_encoding(raw, ring) -> int:
     return acc
 
 
-# -- the finite-field polynomial kernel: polynomials are lists of field
-# payloads, low to high, without trailing zeros; the divisors below are monic
+# -- the polynomial kernel: lists of payloads, low to high, without trailing
+# zeros; divisors are monic.  Sums, products, derivatives and division hold
+# over any scalar ring; gcds, factoring and roots need a field
+
+
+def _raw_trim(a: list, zero) -> list:
+    """a without its trailing zeros, in place."""
+    while a and a[-1] == zero:
+        a.pop()
+    return a
 
 
 def _raw_monic(a: list, field) -> list:
@@ -796,30 +801,33 @@ def _raw_divmod(a: list, b: list, field) -> tuple[list, list]:
             for j in range(n):
                 a[k - n + j] = add(a[k - n + j], mul(c, b[j]))
     del a[n:]
-    while a and a[-1] == zero:
-        a.pop()
-    return quot, a
+    return quot, _raw_trim(a, zero)
 
 
 def _raw_add(a: list, b: list, field) -> list:
-    zero = field._zero_raw()
     if len(a) < len(b):
         a, b = b, a
-    out = [field._add(x, y) for x, y in zip(a, b)] + a[len(b):]
-    while out and out[-1] == zero:
-        out.pop()
-    return out
+    return _raw_trim([field._add(x, y) for x, y in zip(a, b)] + a[len(b):],
+                     field._zero_raw())
+
+
+def _raw_mul(a: list, b: list, field) -> list:
+    mul, add, zero = field._mul, field._add, field._zero_raw()
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return _raw_trim(out, zero)
 
 
 def _raw_mulmod(a: list, b: list, m: list, field) -> list:
-    if not a or not b:
-        return []
-    mul, add = field._mul, field._add
-    out = [field._zero_raw()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = add(out[i + j], mul(x, y))
-    return _raw_divmod(out, m, field)[1]
+    return _raw_divmod(_raw_mul(a, b, field), m, field)[1]
+
+
+def _raw_derivative(a: list, field) -> list:
+    return _raw_trim([field._mul(c, field._from_int_raw(i))
+                      for i, c in enumerate(a)][1:], field._zero_raw())
 
 
 def _raw_powmod(a: list, e: int, m: list, field) -> list:
@@ -828,7 +836,7 @@ def _raw_powmod(a: list, e: int, m: list, field) -> list:
 
 
 def _raw_gcd(a: list, b: list, field) -> list:
-    """Monic gcd of a monic a and any b."""
+    """Monic gcd of a and b, for b nonzero or a monic."""
     while b:
         b = _raw_monic(b, field)
         a, b = b, _raw_divmod(a, b, field)[1]
@@ -872,9 +880,7 @@ def _raw_split(g: list, d: int, field, rng) -> list:
         # r of degree < 2d is uniform modulo any two factors (CRT), which
         # its quadratic character (odd p) or absolute trace (p = 2) in
         # F_{q^d} then separate with probability about 1/2
-        r = [field.random(rng).raw for _ in range(2 * d)]
-        while r and r[-1] == zero:
-            r.pop()
+        r = _raw_trim([field.random(rng).raw for _ in range(2 * d)], zero)
         if field.char == 2:
             h = acc = r
             for _ in range((q.bit_length() - 1) * d - 1):

@@ -9,7 +9,7 @@ from ccsym.geometry import (BivarPoly, BivarRational, Place, RationalFunction,
                             support_places)
 from ccsym.laurent import format_series
 from ccsym.poly import Poly
-from ccsym.reciprocity import _divmod_by_curve
+from ccsym.reciprocity import _divide_out
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
 
 F5 = PrimeField(5)
@@ -171,20 +171,23 @@ def test_bivar_substitutions():
 
 
 def test_divmod_by_curve_identity(rng):
+    # through the cofactor identity of _divide_out, which divides by the
+    # curve equation until a remainder is nonzero
     for _ in range(25):
         poly = BivarPoly(F5, {(rng.randrange(3), rng.randrange(3)):
                               rng.randrange(5) for _ in range(4)})
         for flag in (SurfaceFlag.vertical(F5.from_int(2), F5.zero()),
+                     SurfaceFlag.vertical(F5.zero(), F5.one()),
                      SurfaceFlag.graph(Poly(F5, [1, 3]), F5.zero()),
                      SurfaceFlag.graph(Poly(F5, [0, 0, 1]), F5.one())):
-            quot, rem = _divmod_by_curve(poly, flag)
             eq = flag.curve_equation()
-            assert quot * eq + rem == poly
-            # remainder has no transverse variable left
-            if flag.kind == "vertical":
-                assert all(i == 0 for i, _ in rem.coeffs)
-            else:
-                assert all(j == 0 for _, j in rem.coeffs)
+            for k in range(3):
+                target = poly * eq ** k
+                mult, rest = _divide_out(target, flag)
+                assert rest * eq ** mult == target
+                if not poly.is_zero():
+                    assert mult >= k
+                    assert _divide_out(rest, flag)[0] == 0
 
 
 def test_flag_expand_coordinates():

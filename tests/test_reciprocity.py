@@ -8,13 +8,15 @@ import pytest
 
 from ccsym import poly, rings
 from ccsym.cli import main
-from ccsym.errors import (IncompleteFlagCover, NonUnitLeadingCoefficient,
-                          UnsupportedArgument, ZeroFunction)
+from ccsym.errors import (AlgebraError, IncompleteFlagCover,
+                          NonUnitLeadingCoefficient, UnsupportedArgument,
+                          ZeroFunction)
 from ccsym.geometry import (BivarPoly, BivarRational, RationalFunction,
                             SurfaceFlag)
 from ccsym.parser import parse_expression
 from ccsym.poly import Poly, is_irreducible, random_poly
-from ccsym.reciprocity import cc_check, parshin_check, weil_check
+from ccsym.reciprocity import (_check_flag_cover, _curve_key, cc_check,
+                               parshin_check, weil_check)
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
 
 F5 = PrimeField(5)
@@ -275,3 +277,160 @@ def test_parshin_arity_and_zero_guards():
                        BivarRational(BivarPoly.zero(F5))), flags)
     with pytest.raises(IncompleteFlagCover):
         parshin_check((pool["t1"], pool["t2"], pool["t1+t2"]), [])
+
+
+# -- the two-pass flag cover check on wrapped polynomials, kept as an oracle ---
+
+def _wrapped_divmod_by_curve(poly, flag):
+    ring = poly.ring
+    if flag.kind == "vertical":
+        c = flag.data[0]
+        # synthetic division by (t1 - c), coefficients in k[t2]
+        if not poly.coeffs:
+            return poly, BivarPoly.zero(ring)
+        top = max(i for i, _ in poly.coeffs)
+        quot = {}
+        carry = {}
+        for i in range(top, 0, -1):
+            row = {j: v for (ii, j), v in poly.coeffs.items() if ii == i}
+            for j, v in row.items():
+                carry[j] = carry.get(j, ring.zero()) + v
+            for j, v in carry.items():
+                if not v.is_zero():
+                    quot[(i - 1, j)] = v
+            carry = {j: v * c for j, v in carry.items()}
+        rem = BivarPoly(ring, {(0, j): v for j, v in carry.items()})
+        rem = rem + BivarPoly(ring, {(0, j): v for (ii, j), v in poly.coeffs.items()
+                                     if ii == 0})
+        return BivarPoly(ring, quot), rem
+    phi = flag.data[0]
+    # division by (t2 - phi(t1)), coefficients in k[t1]
+    if not poly.coeffs:
+        return poly, BivarPoly.zero(ring)
+    top = max(j for _, j in poly.coeffs)
+    quot_rows = {}
+    carry_poly = Poly.zero(ring)
+    for j in range(top, 0, -1):
+        row = Poly(ring, [poly.coeffs.get((i, j), ring.zero())
+                          for i in range(0, 1 + max((i for (i, jj) in poly.coeffs
+                                                     if jj == j), default=0))])
+        carry_poly = carry_poly + row
+        quot_rows[j - 1] = carry_poly
+        carry_poly = carry_poly * phi
+    row0 = Poly(ring, [poly.coeffs.get((i, 0), ring.zero())
+                       for i in range(0, 1 + max((i for (i, jj) in poly.coeffs
+                                                  if jj == 0), default=0))])
+    rem_poly = carry_poly + row0
+    quot = {}
+    for j, qp in quot_rows.items():
+        for i, cf in enumerate(qp.coeffs):
+            if not cf.is_zero():
+                quot[(i, j)] = cf
+    rem = BivarPoly(ring, {(i, 0): cf for i, cf in enumerate(rem_poly.coeffs)
+                           if not cf.is_zero()})
+    return BivarPoly(ring, quot), rem
+
+
+def _wrapped_divide_out(poly, flag):
+    mult = 0
+    while not poly.is_zero():
+        quot, rem = _wrapped_divmod_by_curve(poly, flag)
+        if not rem.is_zero():
+            break
+        poly = quot
+        mult += 1
+    return mult, poly
+
+
+def _two_pass_flag_cover(functions, flags):
+    if not flags:
+        raise IncompleteFlagCover("no flags given")
+    ring = functions[0].ring
+    points = {}
+    for flag in flags:
+        points.setdefault(flag.point, set()).add(_curve_key(flag))
+    for point, provided in points.items():
+        x0, y0 = point
+        candidates = [SurfaceFlag.vertical(x0, y0)]
+        for lam in ring.elements():
+            phi = Poly(ring, [y0 - lam * x0, lam])
+            candidates.append(SurfaceFlag.graph(phi, x0))
+        candidates.extend(fl for fl in flags if fl.point == point)
+        seen = set()
+        unique = []
+        for fl in candidates:
+            key = _curve_key(fl)
+            if key not in seen:
+                seen.add(key)
+                unique.append(fl)
+        for f in functions:
+            residual_vanishes = False
+            for poly in (f.num, f.den):
+                rest = poly
+                for fl in unique:
+                    _, rest = _wrapped_divide_out(rest, fl)
+                if rest.is_zero() or rest.evaluate(x0, y0).is_zero():
+                    residual_vanishes = True
+            if residual_vanishes:
+                raise IncompleteFlagCover(
+                    f"a curve through ({x0}, {y0}) outside the flag family"
+                    f" carries a zero or pole of {f!r}")
+            for fl in unique:
+                num_mult, _ = _wrapped_divide_out(f.num, fl)
+                den_mult, _ = _wrapped_divide_out(f.den, fl)
+                if num_mult != den_mult and _curve_key(fl) not in provided:
+                    raise IncompleteFlagCover(
+                        f"function {f!r} has a zero or pole along"
+                        f" {fl.label()} which is missing from the flags")
+
+
+def _cover_outcome(check, functions, flags):
+    try:
+        check(functions, flags)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+    return "covered"
+
+
+def _random_bivar_function(field, rng):
+    """A quotient of products of curves through the origin and elsewhere,
+    some repeated, and of random polynomials of degree at most 2."""
+    def factor():
+        kind = rng.randrange(4)
+        if kind == 0:       # a line through the origin
+            lam = rng.randrange(field.char + 1)
+            return BivarPoly(field, {(1, 0): 1} if lam == field.char
+                             else {(0, 1): 1, (1, 0): -lam})
+        if kind == 1:       # a line or parabola missing the origin
+            return BivarPoly(field, {(0, 1): 1, (rng.randrange(1, 3), 0): 1,
+                                     (0, 0): rng.randrange(1, field.char)})
+        if kind == 2:       # the parabola t2 = c t1^2 through the origin
+            return BivarPoly(field, {(0, 1): 1, (2, 0): -rng.randrange(1, 3)})
+        return BivarPoly(field, {(i, j): rng.randrange(field.char)
+                                 for i in range(3) for j in range(3 - i)})
+
+    def product():
+        out = BivarPoly.one(field)
+        for _ in range(rng.randrange(3)):
+            out = out * factor() ** rng.randrange(1, 3)
+        return out
+
+    num, den = product(), product()
+    while num.is_zero() or den.is_zero():
+        num, den = product(), product()
+    return BivarRational(num, den)
+
+
+@pytest.mark.parametrize("field", [F5, F7], ids=repr)
+def test_flag_cover_matches_the_two_pass_check(field):
+    rng = random.Random(f"flag cover {field!r}")
+    full = origin_flags(field)
+    families = [full] + [full[:k] + full[k + 1:] for k in range(len(full))]
+    seen = set()
+    for _ in range(30):
+        functions = [_random_bivar_function(field, rng) for _ in range(3)]
+        for flags in families:
+            want = _cover_outcome(_two_pass_flag_cover, functions, flags)
+            assert _cover_outcome(_check_flag_cover, functions, flags) == want
+            seen.add(want if want == "covered" else want[1].split()[0])
+    assert seen == {"covered", "a", "function"}   # every outcome was reached
