@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import operator
 
-from .errors import AlgebraError, NotAUnit, UnsupportedArgument
+from .errors import (AlgebraError, DescriptorMismatch, NotAUnit,
+                     UnsupportedArgument)
 from .rings import (RingDescriptor, RingValue, _field_roots, _power, _raw_add,
                     _raw_ddf, _raw_derivative, _raw_divmod, _raw_edf,
                     _raw_encoding, _raw_gcd, _raw_monic, _raw_mul, _seeded_rng,
@@ -126,8 +127,12 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            other = self.ring.from_int(other)
         if isinstance(other, RingValue):
             return self.scale(other)
+        if not isinstance(other, Poly):
+            raise DescriptorMismatch(f"cannot multiply a polynomial by {other!r}")
         return Poly._of(self.ring, _raw_mul(self._raw(), other._raw(), self.ring))
 
     __rmul__ = __mul__
@@ -205,6 +210,8 @@ def random_poly(ring, rng, degree: int, monic: bool = False) -> Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over a field."""
+    if not a.ring.is_field:
+        raise UnsupportedArgument("gcds need field coefficients")
     if b.is_zero():
         a, b = b, a
     return Poly._of(a.ring, _raw_gcd(a._raw(), b._raw(), a.ring))

@@ -14,19 +14,30 @@ integer sum(c_i * p^i) ascending) that is irreducible and whose root x is a
 multiplicative generator.  This choice is recorded in the README; F_4 gets
 x^2+x+1, F_8 gets x^3+x+1 and F_9 gets x^2+x+2.
 
-`GaloisField._mul` is a Kronecker substitution (von zur Gathen-Gerhard, Modern
-Computer Algebra, 8.4): both payloads become integers with a slot of
-bitlen(d(p-1)^2) bits per coordinate, and one integer product holds the 2d - 1
-product coefficients, reduced by the pinned minpoly's nonzero terms only.
+A Galois field with at most _LOG_BOUND = 2^13 elements (this covers F_{3^8},
+the residue field of a degree-4 place over F9) answers `_mul`, `_add`, `_inv`
+and `_pow` from log and Zech tables to its pinned generator g
+(Lidl-Niederreiter, Finite Fields, 9.1; Huber, IEEE Trans. Inf. Theory 36,
+1990): `exp[i] = g^i`, `log` inverts it, and `zech[k]` is the log of 1 + g^k,
+so a product is one index sum and a sum g^i + g^j = g^(i + zech[j - i]) one
+more lookup.  The tables are built on first use, one per (p, d) for every
+equal descriptor; at the bound they take about 1.8 MiB (1.2 MiB for F_{3^8}).
+Larger fields, and unreduced payloads, use the kernels: `_add_kernel` adds
+coordinates, and `_mul_kernel` is a Kronecker substitution (von zur
+Gathen-Gerhard, Modern Computer Algebra, 8.4): both payloads become integers
+with a slot of bitlen(d(p-1)^2) bits per coordinate, and one integer product
+holds the 2d - 1 product coefficients, reduced by the pinned minpoly's nonzero
+terms only.
 
 All rings here are local: every element is a unit or nilpotent, so valuations
 of Laurent series over them are well defined.
 
 An artinian ring with at most _TABLE_BOUND = 256 elements answers `_mul` and
-`_add` from two flat tables of |A|^2 slots, indexed through a dict over its
-payloads and filled lazily by the arithmetic kernels; at the bound the two
-take about 1 MiB.  One table serves every equal descriptor, and it is built
-on the first multiply or add, not when the ring is constructed.
+`_add` from two flat tables of |A|^2 slots, and `_inv` from one of |A| slots,
+indexed through a dict over its payloads and filled lazily by the arithmetic
+kernels; at the bound they take about 1 MiB.  One table serves every equal
+descriptor, and it is built on the first multiply, add or inverse, not when
+the ring is constructed.
 """
 
 from __future__ import annotations
@@ -315,16 +326,21 @@ def _minpoly(p: int, d: int) -> tuple[int, ...]:
         return _MINPOLY_CACHE[key]
     order = p ** d - 1
     primes = list(_factor(order))
-    # GaloisField's multiplication is arithmetic mod any monic f
+    # GaloisField's kernel multiply is arithmetic mod any monic f; the
+    # candidates never touch the log tables, which assume a generator
     ring = GaloisField.__new__(GaloisField)
     x, one = (0, 1) + (0,) * (d - 2), (1,) + (0,) * (d - 1)
+
+    def power(e):
+        return _power(x, e, one, ring._mul_kernel)
+
     # the encodings below p are the binomials x^d + c0, whose roots satisfy
     # x^(d(p-1)) = 1 and so are never primitive
     for enc in range(p, p ** d):
         coeffs = tuple((enc // p ** i) % p for i in range(d))
         ring._pin(p, d, coeffs)
-        if coeffs[0] and ring._pow(x, order + 1) == x and all(
-                ring._pow(x, order // q) != one for q in primes):
+        if coeffs[0] and power(order + 1) == x and all(
+                power(order // q) != one for q in primes):
             _MINPOLY_CACHE[key] = coeffs
             return coeffs
     raise AlgebraError(f"no primitive polynomial found for F_{p}^{d}")  # pragma: no cover
@@ -361,13 +377,50 @@ class GaloisField(RingDescriptor):
     def generator(self) -> "RingValue":
         return RingValue(self, tuple([0, 1] + [0] * (self.d - 2)))
 
+    @functools.cached_property
+    def _logs(self):
+        """The shared log and Zech tables, built on first use; None above
+        _LOG_BOUND."""
+        key = (self.p, self.d)
+        tables = _LOG_CACHE.get(key)
+        if tables is None and self.size <= _LOG_BOUND:
+            tables = _LOG_CACHE[key] = _LogTables(self)
+        return tables
+
+    # With the tables, a nonzero payload is a power g^i of the generator, and
+    # the list index i + j - n is (i + j) mod n for 0 <= i, j < n = q - 1.
+    # Zero has no log: against a reduced payload it is answered at once, and
+    # an unreduced payload, which has no log either, goes to the kernel
     def _add(self, a, b):
+        t = self._logs
+        if t is not None:
+            i, j = t.log.get(a), t.log.get(b)
+            if i is not None and j is not None:
+                z = t.zech[j - i]       # g^i + g^j = g^i (1 + g^(j-i))
+                return self._zero if z is None else t.exp[i + z - t.n]
+            if ((i is not None or a == self._zero)
+                    and (j is not None or b == self._zero)):
+                return b if i is None else a
+        return self._add_kernel(a, b)
+
+    def _mul(self, a, b):
+        t = self._logs
+        if t is not None:
+            i, j = t.log.get(a), t.log.get(b)
+            if i is not None and j is not None:
+                return t.exp[i + j - t.n]
+            if ((i is not None or a == self._zero)
+                    and (j is not None or b == self._zero)):
+                return self._zero
+        return self._mul_kernel(a, b)
+
+    def _add_kernel(self, a, b):
         return tuple([(x + y) % self.p for x, y in zip(a, b)])
 
     def _neg(self, a):
         return tuple([(-x) % self.p for x in a])
 
-    def _mul(self, a, b):
+    def _mul_kernel(self, a, b):
         p, d, k = self.p, self.d, self._slot   # see the module docstring
         x = y = 0
         for i in range(d - 1, -1, -1):
@@ -388,9 +441,19 @@ class GaloisField(RingDescriptor):
         return tuple([c % p for c in res])
 
     def _pow(self, a, e: int):
+        t = self._logs
+        if t is not None:
+            i = t.log.get(a)
+            if i is not None:
+                return t.exp[i * e % t.n]
         return _power(a, e, self._one_raw(), self._mul)
 
     def _inv(self, a):
+        t = self._logs
+        if t is not None:
+            i = t.log.get(a)
+            if i is not None:
+                return t.exp[-i]
         if not any(a):
             raise DivisionByNonUnit(f"0 is not invertible in {self}")
         return self._pow(a, self.size - 2)
@@ -420,22 +483,56 @@ class GaloisField(RingDescriptor):
 
 # the largest artinian ring, by number of elements, that gets scalar tables
 _TABLE_BOUND = 256
+# the largest Galois field that gets log and Zech tables: the smallest power
+# of two that covers F_{3^8}, the residue field of degree-4 places over F9
+_LOG_BOUND = 1 << 13
+
+
+class _LogTables:
+    """Discrete logarithms to the pinned generator g of a Galois field with
+    q elements (Lidl-Niederreiter, Finite Fields, 9.1): `exp[i]` is the
+    payload of g^i for 0 <= i < n = q - 1, `log` maps each nonzero payload
+    back to its i, and `zech[k]` is the log of 1 + g^k (Zech's logarithm),
+    or None where 1 + g^k = 0.  `exp` is filled by repeated multiplication
+    by g, a shift of the coordinates with the top one folded back through
+    g^d = -minpoly(g); the log keys are the exp entries."""
+
+    __slots__ = ("exp", "log", "zech", "n")
+
+    def __init__(self, field: "GaloisField"):
+        p, x = field.p, field._one_raw()
+        fold = [-c % p for c in field.minpoly]
+        self.n = n = field.size - 1
+        self.exp = exp = [x]
+        for _ in range(n - 1):
+            top, x = x[-1], (0,) + x[:-1]
+            if top:
+                x = tuple([(c + top * f) % p for c, f in zip(x, fold)])
+            exp.append(x)
+        self.log = log = dict(zip(exp, range(n)))
+        self.zech = [log.get(((x[0] + 1) % p,) + x[1:]) for x in exp]
+
+
+# shared per (p, d), so fields built on every call reuse one table
+_LOG_CACHE: dict[tuple[int, int], _LogTables] = {}
 
 
 class _ScalarTables:
-    """Lazily filled sum and product tables of a small ring: `index` maps
-    each payload to its number i, `elems[i]` is that payload, and slot
-    i * n + j of `results[0]` (sums) or `results[1]` (products) holds the
-    result for elems[i] and elems[j] as an `elems` entry, or None until
-    first computed."""
+    """Lazily filled sum, product and inverse tables of a small ring:
+    `index` maps each payload to its number i, `elems[i]` is that payload,
+    slot i * n + j of `results[0]` (sums) or `results[1]` (products) holds
+    the result for elems[i] and elems[j] as an `elems` entry, and slot i of
+    `inverses` the inverse of the unit elems[i]; every slot is None until
+    first computed, and a non-unit's stays None."""
 
-    __slots__ = ("index", "elems", "n", "results")
+    __slots__ = ("index", "elems", "n", "results", "inverses")
 
     def __init__(self, payloads):
         self.elems = list(payloads)
         self.index = {x: i for i, x in enumerate(self.elems)}
         self.n = n = len(self.elems)
         self.results = ([None] * (n * n), [None] * (n * n))
+        self.inverses = [None] * n
 
 
 # shared per (base, m), so rings built on every call reuse one table
@@ -464,9 +561,10 @@ def _tabled(kernel, op: int):
 class ArtinianLocal(RingDescriptor):
     """k[e]/(e^m) for a finite field k; elements sum_{i<m} a_i e^i.
 
-    `_mul` and `_add` read the shared tables when the ring is small enough
-    (see the module docstring); `_mul_kernel` and `_add_kernel` fill them
-    and serve payloads outside the index and larger rings."""
+    `_mul`, `_add` and `_inv` read the shared tables when the ring is small
+    enough (see the module docstring); `_mul_kernel`, `_add_kernel` and
+    `_inv_kernel` fill them and serve payloads outside the index and larger
+    rings."""
 
     kind = "artinian-local"
     is_field = False
@@ -506,19 +604,31 @@ class ArtinianLocal(RingDescriptor):
         return tuple(self.base._neg(x) for x in a)
 
     def _mul_kernel(self, a, b):
-        m, base = self.m, self.base
-        zero = base._zero_raw()
+        m, add, mul = self.m, self.base._add, self.base._mul
+        zero = self.base._zero_raw()
         res = [zero] * m
         for i, ai in enumerate(a):
             if ai != zero:
                 for j in range(m - i):
-                    res[i + j] = base._add(res[i + j], base._mul(ai, b[j]))
+                    res[i + j] = add(res[i + j], mul(ai, b[j]))
         return tuple(res)
 
     _add = _tabled(_add_kernel, 0)
     _mul = _tabled(_mul_kernel, 1)
 
     def _inv(self, a):
+        tables = self._tables
+        if tables is not None:
+            i = tables.index.get(a)
+            if i is not None:
+                c = tables.inverses[i]
+                if c is None:
+                    c = tables.inverses[i] = tables.elems[
+                        tables.index[self._inv_kernel(a)]]
+                return c
+        return self._inv_kernel(a)
+
+    def _inv_kernel(self, a):
         if not self.base._is_unit(a[0]):
             raise DivisionByNonUnit(f"constant term of {a} is not a unit in {self}")
         # invert the unit part, then Neumann series against the nilpotent tail

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ccsym.errors import (AlgebraError, DivisionByNonUnit, NotAUnit,
+from ccsym.errors import (AlgebraError, DescriptorMismatch, NotAUnit,
                           UnsupportedArgument)
 from ccsym import poly, rings
 from ccsym.poly import (Poly, _value_encoding, factor, is_irreducible, poly_gcd,
@@ -520,10 +520,21 @@ def test_poly_ops_match_the_wrapped_loops(ring):
         for new, old in ops:
             assert _outcome(new, a, b) == _outcome(old, a, b), (new, a, b)
         if not ring.is_field:
-            # outside its field domain a non-unit remainder lead now fails in
-            # the inversion (DivisionByNonUnit), not the divisor check
-            got, want = _outcome(poly_gcd, a, b), _outcome(_wrapped_gcd, a, b)
-            assert got == want or (got, want) == (DivisionByNonUnit, NotAUnit)
+            # gcds are only defined over a field, so poly_gcd refuses at once
+            assert _outcome(poly_gcd, a, b) is UnsupportedArgument, (a, b)
     for a in polys:
         assert _outcome(Poly.monic, a) == _outcome(_wrapped_monic, a), a
         assert _outcome(Poly.derivative, a) == _outcome(_wrapped_derivative, a), a
+
+
+@pytest.mark.parametrize("ring", [F5, F9, ArtinianLocal(F5, 2)], ids=repr)
+def test_int_scales_a_polynomial_from_either_side(ring):
+    f = Poly(ring, [1, 2])
+    want = f.scale(ring.from_int(2))
+    assert 2 * f == want and f * 2 == want
+    assert f * 0 == Poly.zero(ring) and -3 * f == f.scale(ring.from_int(-3))
+    for other in (2.0, "2", None):
+        with pytest.raises(DescriptorMismatch, match="cannot multiply"):
+            f * other
+        with pytest.raises(DescriptorMismatch, match="cannot multiply"):
+            other * f

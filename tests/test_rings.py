@@ -396,6 +396,109 @@ def test_mul_matches_schoolbook_on_seeded_pairs(p, d):
         assert field._mul(a, b) == _schoolbook_mul(field, a, b), (a, b)
 
 
+# -- log and Zech tables of small Galois fields --------------------------------
+
+def _kernel_pow(field, a, e):
+    return rings._power(a, e, field._one_raw(), field._mul_kernel)
+
+
+@pytest.mark.parametrize("field", _SMALL_GALOIS + [GaloisField(3, 8),
+                                                   GaloisField(2, 13)], ids=repr)
+def test_log_tables_are_powers_of_the_generator(field):
+    t, one, g = field._logs, field._one_raw(), field.generator().raw
+    n = field.size - 1
+    assert t.n == n == len(t.exp) == len(t.log) == len(t.zech)
+    x = one
+    for i in range(n):
+        assert t.exp[i] == x and t.log[x] == i, i
+        one_plus = field._add_kernel(one, x)
+        assert t.zech[i] == (t.log[one_plus] if any(one_plus) else None), i
+        x = field._mul_kernel(x, g)
+    assert x == one
+    # 1 + g^k = 0 exactly where g^k = -1: k = 0 in characteristic 2, else n/2
+    holes = [k for k, z in enumerate(t.zech) if z is None]
+    assert holes == [0 if field.p == 2 else n // 2]
+
+
+@pytest.mark.parametrize("field", _SMALL_GALOIS, ids=repr)
+def test_tabled_field_ops_match_the_kernels_on_every_pair(field):
+    assert field._logs is not None
+    elems = [x.raw for x in field.elements()]
+    for a in elems:
+        for b in elems:
+            assert field._mul(a, b) == field._mul_kernel(a, b), (a, b)
+            assert field._add(a, b) == field._add_kernel(a, b), (a, b)
+        for e in (0, 1, 2, field.p, field.size - 2, field.size, 3 * field.size + 1):
+            assert field._pow(a, e) == _kernel_pow(field, a, e), (a, e)
+        if any(a):
+            inv = field._inv(a)
+            assert inv == _kernel_pow(field, a, field.size - 2), a
+            assert field._mul_kernel(a, inv) == field._one_raw(), a
+    with pytest.raises(DivisionByNonUnit):
+        field._inv(field._zero_raw())
+
+
+# F_{2^13} sits at the bound; F_{2^14} and F_{3^10} are above it
+@pytest.mark.parametrize("p, d, tabled", [(3, 8, True), (2, 13, True),
+                                          (2, 14, False), (3, 10, False)])
+def test_tabled_field_ops_match_the_kernels_on_seeded_pairs(p, d, tabled):
+    field = GaloisField(p, d)
+    assert (field._logs is not None) == tabled
+    rng = random.Random(p * 1000 + d)
+    zero = field._zero_raw()
+    for k in range(300):
+        a, b = field.random(rng).raw, field.random(rng).raw
+        if k % 50 == 0:
+            a = zero
+        assert field._mul(a, b) == field._mul_kernel(a, b), (a, b)
+        assert field._add(a, b) == field._add_kernel(a, b), (a, b)
+        e = rng.randrange(3 * field.size)
+        assert field._pow(a, e) == _kernel_pow(field, a, e), (a, e)
+        if any(a):
+            assert field._mul_kernel(a, field._inv(a)) == field._one_raw(), a
+    # a + (-a) = 0 and a + a = 2a meet the Zech hole and its neighbour
+    a = field.random_unit(rng).raw
+    assert field._add(a, field._neg(a)) == zero
+    assert field._add(a, a) == field._add_kernel(a, a)
+
+
+def test_zero_and_unreduced_payloads_bypass_the_tables():
+    zero, one, g = F9._zero_raw(), F9._one_raw(), F9.generator().raw
+    odd = (4, 1)                            # 4 is not a reduced F3 payload
+    assert odd not in F9._logs.log and zero not in F9._logs.log
+    assert F9._mul(zero, g) == F9._mul(g, zero) == F9._mul(zero, zero) == zero
+    assert F9._add(zero, g) == F9._add(g, zero) == g
+    assert F9._add(zero, zero) == zero
+    assert F9._pow(zero, 0) == one and F9._pow(zero, 5) == zero
+    for x in (zero, one, g):
+        assert F9._mul(odd, x) == F9._mul(x, odd) == F9._mul_kernel(odd, x)
+        assert F9._add(odd, x) == F9._add(x, odd) == F9._add_kernel(odd, x)
+    assert F9._add(odd, zero) == (1, 1)
+    for e in range(10):
+        assert F9._pow(odd, e) == _kernel_pow(F9, odd, e), e
+    assert F9._inv(odd) == _kernel_pow(F9, odd, 7)
+
+
+def test_minpoly_candidates_build_no_log_table(monkeypatch):
+    monkeypatch.setattr(rings, "_MINPOLY_CACHE", {})
+    monkeypatch.setattr(rings, "_LOG_CACHE", {})
+    for p, d in [(2, 5), (3, 4), (3, 8), (7, 3)]:
+        rings._minpoly(p, d)
+    assert rings._LOG_CACHE == {}
+    field = GaloisField(3, 4)
+    assert rings._LOG_CACHE == {}            # nor does construction
+    field._mul(field.generator().raw, field._one_raw())
+    assert list(rings._LOG_CACHE) == [(3, 4)]
+
+
+def test_equal_descriptors_share_one_log_table(monkeypatch):
+    monkeypatch.setattr(rings, "_LOG_CACHE", {})
+    assert GaloisField(3, 2)._logs is GaloisField(3, 2)._logs
+    assert GaloisField(2, 13)._logs is GaloisField(2, 13)._logs
+    assert GaloisField(2, 14)._logs is None
+    assert set(rings._LOG_CACHE) == {(3, 2), (2, 13)}
+
+
 @pytest.mark.parametrize("ring", [F9, GaloisField(2, 5), ArtinianLocal(F5, 2),
                                   ArtinianLocal(F9, 3)], ids=repr)
 def test_constants_are_built_once_per_descriptor(ring):
@@ -457,6 +560,29 @@ def test_tabled_ops_match_the_kernel_on_every_pair(monkeypatch, A):
     assert all(None not in results for results in A._tables.results)
 
 
+def _tabled_artinian_rings():
+    fields = [F2, F3, F4, F5, F7, F8, F9, PrimeField(11), PrimeField(13),
+              GaloisField(2, 4)]
+    return [ArtinianLocal(k, m) for k in fields for m in range(2, 9)
+            if k.size ** m <= rings._TABLE_BOUND]
+
+
+@pytest.mark.parametrize("A", _tabled_artinian_rings(), ids=repr)
+def test_tabled_inverse_matches_the_neumann_series_on_every_unit(monkeypatch, A):
+    monkeypatch.setattr(rings, "_TABLE_CACHE", {})
+    A.__dict__.pop("_tables", None)
+    elems = [x.raw for x in A.elements()]
+    for _ in range(2):              # the first pass fills, the second reads
+        for a in elems:
+            if A._is_unit(a):
+                assert A._inv(a) == A._inv_kernel(a), a
+            else:
+                with pytest.raises(DivisionByNonUnit):
+                    A._inv(a)
+    assert [x is None for x in A._tables.inverses] == [
+        not A._is_unit(a) for a in A._tables.elems]
+
+
 def test_rings_above_the_table_bound_use_the_kernel():
     A = ArtinianLocal(GaloisField(3, 8), 2)
     assert A._tables is None
@@ -465,6 +591,9 @@ def test_rings_above_the_table_bound_use_the_kernel():
         a, b = A.random(rng).raw, A.random(rng).raw
         assert A._mul(a, b) == A._mul_kernel(a, b)
         assert A._add(a, b) == A._add_kernel(a, b)
+        if A._is_unit(a):
+            assert A._inv(a) == A._inv_kernel(a)
+            assert A._mul(a, A._inv(a)) == A._one_raw()
 
 
 def test_payloads_outside_the_index_use_the_kernel():
@@ -472,6 +601,7 @@ def test_payloads_outside_the_index_use_the_kernel():
     odd, e = (7, 0), A.eps().raw             # 7 is not a reduced F5 payload
     assert A._mul(odd, e) == A._mul_kernel(odd, e) == (0, 2)
     assert A._add(odd, e) == A._add_kernel(odd, e) == (2, 1)
+    assert A._inv(odd) == A._inv_kernel(odd) == A._inv((2, 0)) == (3, 0)
     assert odd not in A._tables.index
 
 
