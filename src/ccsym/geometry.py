@@ -14,6 +14,15 @@ t2 = phi(t1) with point t1 = a, or the vertical line t1 = c with point
 t2 = b.  Expansion at a flag produces an iterated series in
 k((z1))((z2)) with z2 the transverse coordinate of the curve (outer
 variable) and z1 the coordinate along the curve at the point.
+
+Expansions run on payload dicts keyed by exponent pairs: numerator and
+denominator are substituted exactly (`_substitute`: a Taylor shift at a place,
+t1 and t2 as polynomials in z1, z2 at a flag, a reindexing at infinity) and
+wrapped into series once.  At a place the quotient is the denominator's
+linear recurrence (`laurent._quotient`, at most nil_bound passes), exact in
+every stored coefficient; a flag's tower denominator goes through
+`laurent_inv`.  The default precisions of both stay heuristic, read off the
+valuations (and at a place the nilpotent tails and nil_bound).
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ from dataclasses import dataclass
 
 from .errors import (AlgebraError, NonUnitLeadingCoefficient, UnsupportedArgument,
                      ZeroFunction, ZeroOnCurve)
-from .laurent import LaurentRing, LaurentSeries, laurent_inv
+from .laurent import (LaurentRing, LaurentSeries, _quotient, _series,
+                      laurent_inv)
 from .poly import Poly, factor, poly_gcd, roots_in
 from .rings import (ArtinianLocal, GaloisField, RingValue, _power, embed,
                     residue_field, residue_value)
@@ -197,22 +207,19 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
     """
     if f.is_zero():
         raise ZeroFunction("cannot expand the zero function")
-    S = f.ring
-    B = residue_extension(S, place.degree())
+    B = residue_extension(f.ring, place.degree())
     R = LaurentRing(B, var)
-    if place.is_infinity:
-        num_s = _poly_at_inverse(f.num, R)
-        den_s = _poly_at_inverse(f.den, R)
-    else:
-        K = residue_field(B)
-        roots = roots_in(place.poly, K)
+    num, den = (_lifted(p.coeffs, B) for p in (f.num, f.den))
+    if not place.is_infinity:
+        roots = roots_in(place.poly, residue_field(B))
         if not roots:
             raise AlgebraError(f"{place.label()} has no root in the residue field"
                                " (is it irreducible over the right field?)")
-        alpha = embed(roots[0], B)
-        sub = R.constant(alpha) + R.gen()
-        num_s = _horner(f.num.coeffs, sub, lambda c: R.constant(embed(c, B)))
-        den_s = _horner(f.den.coeffs, sub, lambda c: R.constant(embed(c, B)))
+        shift = _lifted([roots[0], B.one()], B)
+        num, den = (_substitute(B, p, shift, {}) for p in (num, den))
+    sign = -1 if place.is_infinity else 1
+    num, den = ({sign * i: c for (i, _), c in p.items()} for p in (num, den))
+    num_s, den_s = _series(R, num), _series(R, den)
     if den_s.is_one():
         return num_s if prec is None else num_s.truncate(prec)
     if prec is None:
@@ -220,25 +227,35 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
         nu_n, nu_d = num_s.valuation(), den_s.valuation()
         tail = (nu_n - num_s.low) + (nu_d - den_s.low)
         prec = (abs(nu_n - nu_d) + tail) * nil + 8
-    inv_den = laurent_inv(den_s, prec - num_s.low)
-    return (num_s * inv_den).truncate(prec)
+    return _series(R, _quotient(R, num, den, prec), prec)
 
 
-def _poly_at_inverse(poly: Poly, R: LaurentRing) -> LaurentSeries:
-    """poly(1/u) as an exact Laurent series."""
-    B = R.base
-    return LaurentSeries(R, {-i: embed(c, B) for i, c in enumerate(poly.coeffs)
-                             if not c.is_zero()}, None)
+def _lifted(coeffs, B) -> dict:
+    """{(i, 0): payload} of the nonzero coefficients, embedded into B."""
+    return {(i, 0): embed(c, B).raw for i, c in enumerate(coeffs) if not c.is_zero()}
 
 
-def _horner(coeffs, sub: LaurentSeries, lift) -> LaurentSeries:
-    """sum_i lift(coeffs[i]) * sub^i by Horner's rule, skipping None."""
-    acc = sub.ring.coerce(0)
-    for c in reversed(coeffs):
-        acc = acc * sub
-        if c is not None:
-            acc = acc + lift(c)
-    return acc
+def _substitute(ring, poly: dict, s1: dict, s2: dict) -> dict:
+    """poly(s1, s2) for payload dicts over the scalar ring keyed by exponent
+    pairs: Horner in s2 over rows that are Horner in s1, zeros dropped."""
+    mul, add, nonzero = ring._mul, ring._add, ring._nonzero_test()
+
+    def horner(coeffs: dict, s: dict) -> dict:     # sum_e coeffs[e] * s^e
+        acc: dict = {}
+        for e in range(max(coeffs, default=-1), -1, -1):
+            out = dict(coeffs.get(e, {}))
+            for (a1, b1), c1 in acc.items():
+                for (a2, b2), c2 in s.items():
+                    k, p = (a1 + a2, b1 + b2), mul(c1, c2)
+                    q = out.get(k)
+                    out[k] = p if q is None else add(q, p)
+            acc = out
+        return {k: c for k, c in acc.items() if nonzero(c)}
+
+    rows: dict = {}
+    for (i, j), c in poly.items():
+        rows.setdefault(j, {})[i] = {(0, 0): c}
+    return horner({j: horner(row, s1) for j, row in rows.items()}, s2)
 
 
 def leading_unit_guard(*functions: RationalFunction):
@@ -482,30 +499,20 @@ def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
     if f.num.is_zero():
         raise ZeroOnCurve("the zero function has no expansion along a curve")
     ring = f.ring
-    N2 = flag_ring(ring)
-    N1 = N2.base
-    z1 = N2.constant(N1.gen())
-    z2 = N2.gen()
-
-    def lift(c):
-        return N2.constant(N1.constant(c))
-
+    a, b = flag.point
     if flag.kind == "graph":
-        phi = flag.data[0]
-        a = flag.point[0]
-        t1_s = N2.constant(N1.constant(a)) + z1
-        phi_s = _horner(phi.coeffs, t1_s, lift)
-        t2_s = phi_s + z2
+        t1 = _lifted([a, ring.one()], ring)                     # a + z1
+        t2 = {**_substitute(ring, _lifted(flag.data[0].coeffs, ring), t1, {}),
+              (0, 1): ring._one_raw()}                         # phi(t1) + z2
     elif flag.kind == "vertical":
-        c, b = flag.point
-        t1_s = N2.constant(N1.constant(c)) + z2
-        t2_s = N2.constant(N1.constant(b)) + z1
+        t1 = {**_lifted([a], ring), (0, 1): ring._one_raw()}    # a + z2
+        t2 = _lifted([b, ring.one()], ring)                     # b + z1
     else:  # pragma: no cover
         raise UnsupportedArgument(f"unknown flag kind {flag.kind!r}")
-    num_s = _bivar_at(f.num, t1_s, t2_s, lift)
-    den_s = _bivar_at(f.den, t1_s, t2_s, lift)
-    if den_s.is_zero() or num_s.is_zero():  # pragma: no cover
-        raise ZeroOnCurve("function degenerates along the curve")
+    N2 = flag_ring(ring)
+    num_s, den_s = (_tower(N2, _substitute(ring, {ij: c.raw for ij, c in
+                                                  p.coeffs.items()}, t1, t2))
+                    for p in (f.num, f.den))
     if den_s.is_one():
         out = num_s if prec is None else num_s.truncate(prec)
     else:
@@ -519,11 +526,9 @@ def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
     return out
 
 
-def _bivar_at(poly: BivarPoly, t1_s, t2_s, lift) -> LaurentSeries:
-    """poly(t1_s, t2_s): Horner in t2 over rows that are Horner in t1."""
-    rows: dict[int, dict[int, RingValue]] = {}
-    for (i, j), c in poly.coeffs.items():
+def _tower(N2: LaurentRing, raw: dict) -> LaurentSeries:
+    """The exact element of base((z1))((z2)) with payload c at z1^i z2^j."""
+    rows: dict = {}
+    for (i, j), c in raw.items():
         rows.setdefault(j, {})[i] = c
-    return _horner([rows.get(j) for j in range(max(rows, default=0) + 1)], t2_s,
-                   lambda row: _horner([row.get(i) for i in range(max(row) + 1)],
-                                       t1_s, lift))
+    return _series(N2, {j: _series(N2.base, row) for j, row in rows.items()})

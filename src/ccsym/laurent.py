@@ -487,6 +487,41 @@ def laurent_inv(f: LaurentSeries, prec=None) -> LaurentSeries:
     return _series(f.ring, _unit_inverse(f.ring, f._raw, nu, prec), prec)
 
 
+def _quotient(ring: LaurentRing, num: dict, den: dict, prec: int) -> dict:
+    """Payloads of num/den below t^prec for exact payload dicts over a scalar
+    base.  den = U + N: U from its first unit coefficient d_nu at t^nu up, N
+    the nilpotent terms below, so 1/den = U^-1 sum_{j<L} (-N U^-1)^j for L the
+    nilpotency bound.  Dividing by U is the causal recurrence y_n = d_nu^-1
+    (x_{n+nu} - sum_{i>=1} d_{nu+i} y_{n-i}), O(prec * len(U)).  Multiplying
+    by N lowers the first unknown exponent by nu - low(N), so pass j runs to
+    prec + (L-1-j)(nu - low(N)) and every stored coefficient is exact; over a
+    field N is empty and one pass suffices.  NotAUnit if den is no unit."""
+    mul, add, negate, nonzero, _ = ring._coeff_ops
+    nu = _series(ring, den).valuation()
+    inv, zero = ring.base._inv(den[nu]), ring.base._zero_raw()
+    tail = [(e - nu, negate(den[e])) for e in sorted(den) if e > nu]
+    minus_n = {e: negate(c) for e, c in den.items() if e < nu}
+    drop = nu - min(minus_n, default=nu)
+    out, x = {}, num
+    for passes_left in reversed(range(ring.nil_bound)):
+        bound = prec + passes_left * drop
+        start, y = min(x) - nu, []
+        for n in range(bound - start):
+            acc = x.get(start + nu + n, zero)
+            for i, c in tail:
+                if i > n:
+                    break
+                if nonzero(y[n - i]):
+                    acc = add(acc, mul(c, y[n - i]))
+            y.append(mul(acc, inv))
+        y = {start + n: c for n, c in enumerate(y) if nonzero(c)}
+        _add_into(ring, out, {e: c for e, c in y.items() if e < prec})
+        x = _product(ring, minus_n, y, bound - drop + nu)
+        if not x:
+            break
+    return out
+
+
 class UnitDecomposition:
     """f = prod_{i<0}(1 - a_i t^i) * lead * t^nu * prod_{i>0}(1 - a_i t^i).
 

@@ -8,9 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompleteFlagCover, UnsupportedArgument, ZeroFunction
-from .geometry import (BivarPoly, RationalFunction, SurfaceFlag, flag_expand,
-                       leading_unit_guard, local_expand, support_places)
-from .poly import Poly
+from .geometry import (BivarPoly, RationalFunction, SurfaceFlag, _lifted,
+                       _substitute, flag_expand, leading_unit_guard,
+                       local_expand, support_places)
+from .poly import Poly, _value_encoding, roots_in
 from .rings import (RingValue, _raw_add, _raw_mul, format_value, relative_norm,
                     residue_field)
 from .symbols import cc_symbol, higher_symbol, tame_symbol
@@ -177,12 +178,16 @@ def _check_flag_cover(functions, flags):
     function must be one of the flags (at that point).
 
     At each point the candidate curves (the flags there, the vertical line
-    and every line through it) are divided out of each numerator and
-    denominator in turn, once per pair.  The candidates are distinct monic
-    irreducibles of degree 1 in t1 or t2, so dividing out the earlier ones
-    leaves the multiplicity of the later ones unchanged: one pass gives both
-    every multiplicity and the cofactor, whose value at the point tells
-    whether some other curve through it carries a zero or pole."""
+    and the lines through it that can divide a numerator or denominator) are
+    divided out of each numerator and denominator in turn, once per pair.
+    The candidates are distinct monic irreducibles of degree 1 in t1 or t2,
+    so dividing out the earlier ones leaves the multiplicity of the later
+    ones unchanged: one pass gives both every multiplicity and the cofactor,
+    whose value at the point tells whether some other curve through it
+    carries a zero or pole.  The lines come from the tangent cone (Fulton,
+    Algebraic Curves, 3.1): in u = t1 - x0, v = t2 - y0 the line v = lam*u
+    divides a polynomial only if it divides its least-degree form P_m, that
+    is if P_m(1, lam) = 0; the slopes keep the order of `ring.elements()`."""
     if not flags:
         raise IncompleteFlagCover("no flags given")
     ring = functions[0].ring
@@ -191,8 +196,19 @@ def _check_flag_cover(functions, flags):
         points.setdefault(flag.point, set()).add(_curve_key(flag))
     for point, provided in points.items():
         x0, y0 = point
+        u, v = (_lifted([c, ring.one()], ring) for c in (x0, y0))
+        v = {(j, i): c for (i, j), c in v.items()}      # y0 + v
+        slopes = {}
+        for poly in (p for f in functions for p in (f.num, f.den)):
+            moved = _substitute(ring, {ij: c.raw for ij, c in
+                                       poly.coeffs.items()}, u, v)
+            m = min(map(sum, moved))
+            cone = Poly(ring, [RingValue(ring, moved.get((m - j, j),
+                                                         ring._zero_raw()))
+                               for j in range(m + 1)])
+            slopes.update((lam.raw, lam) for lam in roots_in(cone, ring))
         candidates = [SurfaceFlag.vertical(x0, y0)]
-        for lam in ring.elements():
+        for lam in sorted(slopes.values(), key=_value_encoding):
             # line t2 = y0 + lam (t1 - x0) through the point
             phi = Poly(ring, [y0 - lam * x0, lam])
             candidates.append(SurfaceFlag.graph(phi, x0))

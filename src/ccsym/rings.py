@@ -25,7 +25,8 @@ equal descriptor; at the bound they take about 1.8 MiB (1.2 MiB for F_{3^8}).
 Larger fields, and unreduced payloads, use the kernels: `_add_kernel` adds
 coordinates, and `_mul_kernel` is a Kronecker substitution (von zur
 Gathen-Gerhard, Modern Computer Algebra, 8.4): both payloads become integers
-with a slot of bitlen(d(p-1)^2) bits per coordinate, and one integer product
+with a slot of bitlen(d(p-1)^2) bits per coordinate, each coordinate reduced
+mod p as it is packed so that none overflows its slot, and one integer product
 holds the 2d - 1 product coefficients, reduced by the pinned minpoly's nonzero
 terms only.
 
@@ -424,8 +425,8 @@ class GaloisField(RingDescriptor):
         p, d, k = self.p, self.d, self._slot   # see the module docstring
         x = y = 0
         for i in range(d - 1, -1, -1):
-            x = x << k | a[i]
-            y = y << k | b[i]
+            x = x << k | a[i] % p
+            y = y << k | b[i] % p
         z = x * y
         mask = (1 << k) - 1
         res = []
@@ -454,7 +455,7 @@ class GaloisField(RingDescriptor):
             i = t.log.get(a)
             if i is not None:
                 return t.exp[-i]
-        if not any(a):
+        if not any(c % self.p for c in a):
             raise DivisionByNonUnit(f"0 is not invertible in {self}")
         return self._pow(a, self.size - 2)
 
@@ -1066,13 +1067,12 @@ def _field_embed(x: RingValue, target) -> RingValue:
         return dst.from_int(x.raw)
     if not isinstance(dst, GaloisField) or dst.p != src.p or dst.d % src.d:
         raise DescriptorMismatch(f"{src} does not embed into {dst}")
-    ghat = _pinned_subfield_generator(src, dst)
-    acc = dst.zero()
-    power = dst.one()
+    ghat = _pinned_subfield_generator(src, dst).raw
+    acc, power = dst._zero_raw(), dst._one_raw()
     for c in x.raw:
-        acc = acc + power * dst.from_int(c)
-        power = power * ghat
-    return acc
+        acc = dst._add(acc, dst._mul(power, dst._from_int_raw(c)))
+        power = dst._mul(power, ghat)
+    return RingValue(dst, acc)
 
 
 def embed(x: RingValue, target: RingDescriptor) -> RingValue:

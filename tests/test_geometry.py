@@ -1,5 +1,7 @@
 """Places, local expansions, plane functions and flag expansions."""
 
+import random
+
 import pytest
 
 from ccsym.errors import (NonUnitLeadingCoefficient, ZeroFunction, ZeroOnCurve)
@@ -7,11 +9,13 @@ from ccsym.geometry import (BivarPoly, BivarRational, Place, RationalFunction,
                             SurfaceFlag, flag_expand, flag_ring,
                             leading_unit_guard, local_expand, residue_extension,
                             support_places)
-from ccsym.laurent import format_series
-from ccsym.poly import Poly
+from ccsym.laurent import LaurentRing, LaurentSeries, format_series, laurent_inv
+from ccsym.poly import Poly, is_irreducible, random_poly, roots_in
 from ccsym.reciprocity import _divide_out
-from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
+from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, embed,
+                         residue_field)
 
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 F9 = GaloisField(3, 2)
 A52 = ArtinianLocal(F5, 2)
@@ -225,3 +229,162 @@ def test_flag_expand_zero_rejected():
 def test_flag_labels():
     fl = SurfaceFlag.graph(Poly(F5, [0, 1]), F5.zero())
     assert "t2" in fl.label() and "point" in fl.label()
+
+
+# -- expansions against public series arithmetic ------------------------------------
+# The reference substitutes by Horner's rule on LaurentSeries, inverts the
+# denominator with laurent_inv and multiplies, with the default precisions
+# written out; local_expand and flag_expand must agree with it byte for byte.
+
+A32 = ArtinianLocal(F3, 2)
+A33 = ArtinianLocal(F3, 3)
+EXPAND_RINGS = [F5, F9, A32, A33, A52]
+
+
+def _horner_series(coeffs, sub, lift):
+    acc = sub.ring.zero()
+    for c in reversed(coeffs):
+        acc = acc * sub + lift(c)
+    return acc
+
+
+def _reference_local_expand(f, place, prec):
+    B = residue_extension(f.ring, place.degree())
+    R = LaurentRing(B, "u")
+
+    def lift(c):
+        return R.constant(embed(c, B))
+
+    if place.is_infinity:
+        def at(p):
+            return LaurentSeries(R, {-i: embed(c, B)
+                                     for i, c in enumerate(p.coeffs)}, None)
+    else:
+        alpha = embed(roots_in(place.poly, residue_field(B))[0], B)
+        sub = R.constant(alpha) + R.gen()
+
+        def at(p):
+            return _horner_series(p.coeffs, sub, lift)
+    num_s, den_s = at(f.num), at(f.den)
+    if den_s.is_one():
+        return num_s if prec is None else num_s.truncate(prec)
+    if prec is None:
+        nu_n, nu_d = num_s.valuation(), den_s.valuation()
+        tail = (nu_n - num_s.low) + (nu_d - den_s.low)
+        prec = (abs(nu_n - nu_d) + tail) * B.nil_bound + 8
+    return (num_s * laurent_inv(den_s, prec - num_s.low)).truncate(prec)
+
+
+def _irreducible(k, degree, rng):
+    while True:
+        p = random_poly(k, rng, degree, monic=True)
+        if is_irreducible(p):
+            return p
+
+
+def _expansion_cases(ring, rng):
+    """Seeded (function, place) pairs: places of degree 1-3 and infinity,
+    some denominators with nilpotent terms below their valuation there."""
+    k = residue_field(ring)
+    cases = []
+    for _ in range(6):
+        places = [Place(_irreducible(k, d, rng)) for d in (1, 2, 3)]
+        places.append(Place(None))
+        for place in places:
+            num = random_poly(ring, rng, rng.randrange(0, 4))
+            den = random_poly(ring, rng, rng.randrange(0, 3), monic=True)
+            if not ring.is_field and not place.is_infinity and rng.random() < 0.6:
+                # residue of den vanishes at the place, den itself does not
+                pi = place.poly.map_coefficients(lambda c: embed(c, ring), ring)
+                eps = ring.eps()
+                den = pi ** rng.randrange(1, 3) + Poly(ring, [eps * ring.random(rng),
+                                                             eps])
+            if num.is_zero():
+                num = Poly.one(ring)
+            cases.append((RationalFunction(num, den), place))
+    return cases
+
+
+@pytest.mark.parametrize("ring", EXPAND_RINGS, ids=repr)
+def test_local_expand_matches_public_series_arithmetic(ring):
+    rng = random.Random(f"local expand {ring!r}")
+    nilpotent_below = 0
+    for f, place in _expansion_cases(ring, rng):
+        for prec in (None, 0, 1, 2, 5, 40):
+            got = local_expand(f, place, prec)
+            want = _reference_local_expand(f, place, prec)
+            assert (repr(got), got.prec, got.ring) == \
+                   (repr(want), want.prec, want.ring), (f, place, prec)
+            assert got == want
+        den_s = _reference_local_expand(RationalFunction(f.den), place, None)
+        if den_s.low < den_s.valuation():
+            nilpotent_below += 1
+    assert (nilpotent_below > 0) == (not ring.is_field)
+
+
+@pytest.mark.parametrize("ring", EXPAND_RINGS, ids=repr)
+def test_local_expand_times_denominator_is_numerator(ring):
+    # an oracle independent of the reference: f * den = num below prec
+    rng = random.Random(f"expand oracle {ring!r}")
+    for f, place in _expansion_cases(ring, rng):
+        num_s = local_expand(RationalFunction(f.num), place)
+        den_s = local_expand(RationalFunction(f.den), place)
+        for prec in (None, 3, 17):
+            fu = local_expand(f, place, prec)
+            assert (fu * den_s).agrees_with(num_s, fu.prec), (f, place, prec)
+
+
+def _reference_flag_expand(f, flag, prec, inner_prec):
+    N2 = flag_ring(f.ring)
+    N1 = N2.base
+
+    def lift(c):
+        return N2.constant(N1.constant(c))
+
+    z1, z2 = N2.constant(N1.gen()), N2.gen()
+    if flag.kind == "graph":
+        t1 = lift(flag.point[0]) + z1
+        t2 = _horner_series(flag.data[0].coeffs, t1, lift) + z2
+    else:
+        c, b = flag.point
+        t1, t2 = lift(c) + z2, lift(b) + z1
+
+    def at(p):
+        out = N2.zero()
+        for (i, j), c in p.coeffs.items():
+            out = out + lift(c) * t1 ** i * t2 ** j
+        return out
+    num_s, den_s = at(f.num), at(f.den)
+    if den_s.is_one():
+        out = num_s if prec is None else num_s.truncate(prec)
+    else:
+        if prec is None:
+            prec = 2 * max(1, abs(den_s.valuation()), abs(num_s.valuation())) + 6
+        out = (num_s * laurent_inv(den_s, prec - num_s.low)).truncate(prec)
+    if inner_prec is not None:
+        out = LaurentSeries(N2, {e: c.truncate(inner_prec)
+                                 for e, c in out.coeffs.items()}, out.prec)
+    return out
+
+
+@pytest.mark.parametrize("ring", [F5, F9], ids=repr)
+def test_flag_expand_matches_public_series_arithmetic(ring):
+    rng = random.Random(f"flag expand {ring!r}")
+
+    def bivar(terms):
+        return BivarPoly(ring, {(rng.randrange(3), rng.randrange(3)):
+                                ring.random(rng) for _ in range(terms)})
+
+    for _ in range(25):
+        num, den = bivar(3), bivar(2) + BivarPoly.one(ring)
+        if num.is_zero() or den.is_zero():
+            continue
+        a, b = ring.random(rng), ring.random(rng)
+        phi = Poly(ring, [ring.random(rng) for _ in range(rng.randrange(4))])
+        for f in (BivarRational(num), BivarRational(num, den)):
+            for flag in (SurfaceFlag.graph(phi, a), SurfaceFlag.vertical(a, b)):
+                for prec, inner in ((None, None), (4, None), (None, 3), (2, 2)):
+                    got = flag_expand(f, flag, prec, inner)
+                    want = _reference_flag_expand(f, flag, prec, inner)
+                    assert (repr(got), got.prec) == (repr(want), want.prec)
+                    assert got == want

@@ -1,8 +1,12 @@
 """Reciprocity laws: Weil, Contou-Carrere and Parshin product formulas."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +19,8 @@ from ccsym.geometry import (BivarPoly, BivarRational, RationalFunction,
                             SurfaceFlag)
 from ccsym.parser import parse_expression
 from ccsym.poly import Poly, is_irreducible, random_poly
-from ccsym.reciprocity import (_check_flag_cover, _curve_key, cc_check,
-                               parshin_check, weil_check)
+from ccsym.reciprocity import (_check_flag_cover, _curve_key, _divide_out,
+                               cc_check, parshin_check, weil_check)
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
 
 F5 = PrimeField(5)
@@ -434,3 +438,84 @@ def test_flag_cover_matches_the_two_pass_check(field):
             assert _cover_outcome(_check_flag_cover, functions, flags) == want
             seen.add(want if want == "covered" else want[1].split()[0])
     assert seen == {"covered", "a", "function"}   # every outcome was reached
+
+
+# -- the tangent-cone candidates against the scan of every slope ----------------
+# _two_pass_flag_cover above divides out every line through each point
+
+
+def _random_plane_function(field, point, rng, slopes=None):
+    """A quotient of products of lines and conics through `point` with
+    slopes anywhere in the field, and of random polynomials.  Given
+    `slopes`, only lines of those slopes (None: vertical) and polynomials
+    that do not vanish at the point occur."""
+    x0, y0 = point
+
+    def factor():
+        kind = rng.randrange(4)
+        u = BivarPoly(field, {(1, 0): field.one(), (0, 0): -x0})
+        v = BivarPoly(field, {(0, 1): field.one(), (0, 0): -y0})
+        if slopes is not None:
+            if kind < 2:
+                lam = rng.choice(slopes)
+                return u if lam is None else v - u * lam
+            p = BivarPoly(field, {(i, j): field.random(rng)
+                                  for i in range(3) for j in range(3 - i)})
+            return p + BivarPoly.one(field) if p.evaluate(x0, y0).is_zero() else p
+        if kind == 0:       # a line through the point, maybe vertical
+            return u if rng.random() < 0.2 else v - u * field.random(rng)
+        if kind == 1:       # a conic through the point, tangent to a line
+            return v - u * field.random(rng) - u * u * field.random_unit(rng)
+        if kind == 2:       # a node or cusp at the point
+            return v * v - u * u * u - u * v * field.random(rng)
+        return BivarPoly(field, {(i, j): field.random(rng)
+                                 for i in range(3) for j in range(3 - i)})
+
+    def product():
+        out = BivarPoly.one(field)
+        for _ in range(rng.randrange(3)):
+            out = out * factor() ** rng.randrange(1, 3)
+        return out
+
+    num, den = product(), product()
+    while num.is_zero() or den.is_zero():
+        num, den = product(), product()
+    return BivarRational(num, den)
+
+
+@pytest.mark.parametrize("field", [F5, F7, GaloisField(3, 2)], ids=repr)
+def test_tangent_cone_cover_matches_the_slope_scan(field):
+    rng = random.Random(f"tangent cone {field!r}")
+    seen = set()
+    for trial in range(40):
+        point = ((field.zero(), field.zero()) if trial % 2 == 0
+                 else (field.random(rng), field.random(rng)))
+        x0, y0 = point
+        flags = [SurfaceFlag.vertical(x0, y0)]
+        lams = rng.sample(list(field.elements()), 3)
+        for lam in lams:
+            flags.append(SurfaceFlag.graph(Poly(field, [y0 - lam * x0, lam]), x0))
+        slopes = [None] + lams if trial % 3 == 0 else None
+        functions = [_random_plane_function(field, point, rng, slopes)
+                     for _ in range(3)]
+        for family in [flags] + [flags[:k] + flags[k + 1:] for k in range(4)]:
+            want = _cover_outcome(_two_pass_flag_cover, functions, family)
+            assert _cover_outcome(_check_flag_cover, functions, family) == want
+            seen.add(want if want == "covered" else want[1].split()[0])
+    assert seen == {"covered", "a", "function"}   # every outcome was reached
+
+
+def test_flag_cover_over_a_huge_prime_is_fast():
+    # the slope scan took 10^6 steps here; the tangent cone takes a few roots
+    cmd = [sys.executable, "-m", "ccsym.cli", "verify", "parshin",
+           "--ring", "F1048583", "--flag", "t1=0@0", "--flag", "t2=0@0",
+           "--flag", "t2=-t1@0", "t1", "t2", "t1+t2"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    start = time.perf_counter()
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=10, env=env)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "parshin reciprocity holds"
+    assert elapsed < 2.0, elapsed

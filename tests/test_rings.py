@@ -479,6 +479,34 @@ def test_zero_and_unreduced_payloads_bypass_the_tables():
     assert F9._inv(odd) == _kernel_pow(F9, odd, 7)
 
 
+@pytest.mark.parametrize("field", [GaloisField(3, 2), GaloisField(3, 10)],
+                         ids=repr)
+def test_unreduced_payloads_multiply_as_their_reductions(field):
+    # F9 has log tables, F_{3^10} has none: both reach the Kronecker kernel
+    # with unreduced payloads, whose coordinates must not overflow a slot
+    rng = random.Random(f"unreduced {field!r}")
+    p = field.p
+
+    def unreduce(a):
+        return tuple(c + p * rng.randrange(1, 4) for c in a)
+
+    if field.d == 2:
+        assert field._mul_kernel((4, 1), (4, 1)) == (2, 1)
+    for _ in range(200):
+        a, b = field.random(rng).raw, field.random(rng).raw
+        ua, ub = unreduce(a), unreduce(b)
+        want = field._mul_kernel(a, b)
+        assert field._mul_kernel(ua, ub) == want
+        assert field._mul(ua, ub) == field._mul(ua, b) == field._mul(a, b) == want
+        if any(a):
+            assert field._inv(ua) == field._inv(a)
+        else:
+            with pytest.raises(DivisionByNonUnit):
+                field._inv(ua)
+    with pytest.raises(DivisionByNonUnit):
+        field._inv(unreduce(field._zero_raw()))
+
+
 def test_minpoly_candidates_build_no_log_table(monkeypatch):
     monkeypatch.setattr(rings, "_MINPOLY_CACHE", {})
     monkeypatch.setattr(rings, "_LOG_CACHE", {})
