@@ -18,11 +18,14 @@ variable) and z1 the coordinate along the curve at the point.
 Expansions run on payload dicts keyed by exponent pairs: numerator and
 denominator are substituted exactly (`_substitute`: a Taylor shift at a place,
 t1 and t2 as polynomials in z1, z2 at a flag, a reindexing at infinity) and
-wrapped into series once.  At a place the quotient is the denominator's
-linear recurrence (`laurent._quotient`, at most nil_bound passes), exact in
-every stored coefficient; a flag's tower denominator goes through
-`laurent_inv`.  The default precisions of both stay heuristic, read off the
-valuations (and at a place the nilpotent tails and nil_bound).
+wrapped into series once; a substitution by single monomials with
+coefficient one (an identity or a swap) only moves exponents.  At a place the
+quotient is the denominator's linear recurrence (`laurent._quotient`, at most
+nil_bound passes), exact in every stored coefficient; a flag's tower
+denominator goes through `laurent_inv`.  The default precisions of
+`local_expand` and `flag_expand` stay heuristic, read off the valuations (and
+at a place the nilpotent tails and nil_bound); the line reciprocity laws do
+not use them but pass the precision each local symbol needs.
 """
 
 from __future__ import annotations
@@ -215,8 +218,9 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
         if not roots:
             raise AlgebraError(f"{place.label()} has no root in the residue field"
                                " (is it irreducible over the right field?)")
-        shift = _lifted([roots[0], B.one()], B)
-        num, den = (_substitute(B, p, shift, {}) for p in (num, den))
+        shift = _lifted([roots[0], B.one()], B)              # alpha + u
+        num, den = (_substitute(B, p, shift, {(0, 1): B._one_raw()})
+                    for p in (num, den))
     sign = -1 if place.is_infinity else 1
     num, den = ({sign * i: c for (i, _), c in p.items()} for p in (num, den))
     num_s, den_s = _series(R, num), _series(R, den)
@@ -237,7 +241,25 @@ def _lifted(coeffs, B) -> dict:
 
 def _substitute(ring, poly: dict, s1: dict, s2: dict) -> dict:
     """poly(s1, s2) for payload dicts over the scalar ring keyed by exponent
-    pairs: Horner in s2 over rows that are Horner in s1, zeros dropped."""
+    pairs, zeros dropped.  Single monomials with coefficient one (the
+    identity, a swap) only move the exponents; anything else goes through
+    `_substitute_horner`."""
+    one = ring._one_raw()
+    if (len(s1) == len(s2) == 1
+            and one == next(iter(s1.values())) == next(iter(s2.values()))):
+        ((a1, b1),), ((a2, b2),) = s1, s2
+        add, nonzero = ring._add, ring._nonzero_test()
+        out: dict = {}
+        for (i, j), c in poly.items():
+            k = (a1 * i + a2 * j, b1 * i + b2 * j)
+            q = out.get(k)
+            out[k] = c if q is None else add(q, c)
+        return {k: c for k, c in out.items() if nonzero(c)}
+    return _substitute_horner(ring, poly, s1, s2)
+
+
+def _substitute_horner(ring, poly: dict, s1: dict, s2: dict) -> dict:
+    """poly(s1, s2) by Horner in s2 over rows that are Horner in s1."""
     mul, add, nonzero = ring._mul, ring._add, ring._nonzero_test()
 
     def horner(coeffs: dict, s: dict) -> dict:     # sum_e coeffs[e] * s^e
@@ -502,7 +524,8 @@ def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
     a, b = flag.point
     if flag.kind == "graph":
         t1 = _lifted([a, ring.one()], ring)                     # a + z1
-        t2 = {**_substitute(ring, _lifted(flag.data[0].coeffs, ring), t1, {}),
+        t2 = {**_substitute(ring, _lifted(flag.data[0].coeffs, ring), t1,
+                            {(0, 1): ring._one_raw()}),
               (0, 1): ring._one_raw()}                         # phi(t1) + z2
     elif flag.kind == "vertical":
         t1 = {**_lifted([a], ring), (0, 1): ring._one_raw()}    # a + z2

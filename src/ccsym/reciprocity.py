@@ -1,6 +1,12 @@
 """Executable reciprocity laws: product formulas for tame, Contou-Carrere and
 higher symbols over the projective line and the affine plane, with per-place
 reports.
+
+Unless a precision is given, the line laws expand f at each place below u^P,
+P = nu_f + (L-1)(J_f + (L-1) J_g) + 1 (nu + 1 over a field), for L the
+nilpotency bound and J = nu - low the nilpotent pole depth.  That determines
+the symbol: a change at u^P moves f by a factor in 1 + u^M B[[u]] with
+M > (L-1)^2 J_g, whose P_i factors pair to 1 with g's N_j (j <= (L-1) J_g).
 """
 
 from __future__ import annotations
@@ -75,28 +81,48 @@ def cc_check(f: RationalFunction, g: RationalFunction,
 
 
 def _line_reciprocity(law, local_symbol, f, g, precision) -> ReciprocityReport:
+    """Normed local symbols over the support of f and g, each from expansions
+    exact to the P of the module docstring, or to `precision` if given."""
     ring = f.ring
     if g.ring != ring:
         raise UnsupportedArgument("both functions must share one coefficient ring")
     if f.is_zero() or g.is_zero():
         raise ZeroFunction("reciprocity needs nonzero rational functions")
-    if precision is None:
-        # bounds every local valuation, pole depth and nilpotent interaction
-        total = (f.num.degree() + f.den.degree()
-                 + g.num.degree() + g.den.degree())
-        precision = ring.nil_bound * max(total, 1) + 8
     e = residue_field(ring).degree
     factors = []
     product = ring.one()
     for place in support_places(f, g):
-        fu = local_expand(f, place, precision)
-        gu = local_expand(g, place, precision)
+        if precision is None:
+            fu, gu = _symbol_expansions(f, g, place)
+        else:
+            fu, gu = (local_expand(h, place, precision) for h in (f, g))
         local = local_symbol(fu, gu)
         contribution = relative_norm(local, e)
         factors.append(LocalFactor(place.label(), place.degree(),
                                    local, contribution))
         product = product * contribution
     return ReciprocityReport(law, product.is_one(), product, tuple(factors))
+
+
+def _symbol_expansions(f, g, place):
+    """f and g expanded at the place below the u^P of the module docstring.
+    A first expansion to a bound on nu (deg(num) / deg(pi) at a finite place,
+    deg(den) - deg(num) at infinity: leading coefficients are units) gives
+    nu and J, and over a field it already reaches P."""
+    L = f.ring.nil_bound
+    out = []
+    for h in (f, g):
+        if place.is_infinity:
+            bound = h.den.degree() - h.num.degree()
+        else:
+            bound = h.num.degree() // place.degree()
+        out.append(local_expand(h, place, bound + 1))
+    nu_f, nu_g = out[0].valuation(), out[1].valuation()
+    j_f, j_g = nu_f - out[0].low, nu_g - out[1].low
+    needs = (nu_f + (L - 1) * (j_f + (L - 1) * j_g) + 1,
+             nu_g + (L - 1) * (j_g + (L - 1) * j_f) + 1)
+    return [s if s.prec >= need else local_expand(h, place, need)
+            for h, s, need in zip((f, g), out, needs)]
 
 
 # -- Parshin reciprocity on the plane -------------------------------------------

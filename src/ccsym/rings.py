@@ -460,10 +460,12 @@ class GaloisField(RingDescriptor):
         return self._pow(a, self.size - 2)
 
     def _is_unit(self, a):
-        return any(a)
+        # a reduced unit has its largest coordinate in (0, p), a nonzero
+        # residue; any other payload is tested mod p, as `_inv` tests it
+        return any(a) and (0 < max(a) < self.p or any(c % self.p for c in a))
 
     def _is_nilpotent(self, a):
-        return not any(a)
+        return not self._is_unit(a)
 
     def _zero_raw(self):
         return self._zero

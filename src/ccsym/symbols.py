@@ -55,16 +55,27 @@ def _sign_value(ring_base, parity: int):
     return ring_base.from_int(-1) if parity % 2 else ring_base.one()
 
 
+def _leading_symbol(f, g, nu_f, nu_g):
+    """(-1)^(nu_f nu_g) a^nu_g b^-nu_f for the leading coefficients a of f
+    and b of g: the tame symbol when the base has no nilpotents."""
+    wrap = f.ring._coeff_ops.wrap
+    a, b = wrap(f._raw[nu_f]), wrap(g._raw[nu_g])
+    return (_sign_value(f.ring.base, nu_f * nu_g) * (a ** nu_g)) * (b ** (-nu_f))
+
+
 def tame_symbol(f, g):
     """(-1)^(v(f)v(g)) * (f^v(g) / g^v(f)) evaluated at t = 0.
 
     Defined whenever the quotient is regular at 0 (always over a field base);
     NotRegular signals a nilpotent pole that only the Contou-Carrere symbol
-    can absorb.
+    can absorb.  Over a scalar base without nilpotents the value depends only
+    on the leading coefficients and is read off them.
     """
     ring = _common_ring(f, g)
     f, g = ring.coerce(f), ring.coerce(g)
     nu_f, nu_g = f.valuation(), g.valuation()
+    if ring.nil_bound == 1 and not isinstance(ring.base, LaurentRing):
+        return _leading_symbol(f, g, nu_f, nu_g)
     prod = (f ** nu_g) * (g ** (-nu_f))
     value = reduce_mod_t(prod)
     return _sign_value(ring.base, nu_f * nu_g) * value
@@ -90,9 +101,7 @@ def cc_symbol(f, g):
     nu_f, nu_g = f.valuation(), g.valuation()
     if L == 1:
         # field-like coefficients: no nilpotent tails, symbol = tame formula
-        a = f.coeffs[nu_f]
-        b = g.coeffs[nu_g]
-        return (_sign_value(base, nu_f * nu_g) * (a ** nu_g)) * (b ** (-nu_f))
+        return _leading_symbol(f, g, nu_f, nu_g)
     # decompose each argument once, then extend its positive factors to what
     # the other argument's deepest pole needs
     dec_f = unit_decompose(f, positive_cutoff=1)

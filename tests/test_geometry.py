@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ccsym import geometry
 from ccsym.errors import (NonUnitLeadingCoefficient, ZeroFunction, ZeroOnCurve)
 from ccsym.geometry import (BivarPoly, BivarRational, Place, RationalFunction,
                             SurfaceFlag, flag_expand, flag_ring,
@@ -388,3 +389,34 @@ def test_flag_expand_matches_public_series_arithmetic(ring):
                     want = _reference_flag_expand(f, flag, prec, inner)
                     assert (repr(got), got.prec) == (repr(want), want.prec)
                     assert got == want
+
+
+@pytest.mark.parametrize("ring", [F5, F9, ArtinianLocal(F3, 2)], ids=repr)
+def test_monomial_substitution_matches_horner(ring, monkeypatch):
+    # single monomials with coefficient one (the identity and the swap of the
+    # origin flags and points, and other exponent maps, some not injective)
+    # are reindexed; payloads and key sets equal the Horner path's
+    rng = random.Random(f"monomial substitution {ring!r}")
+    one = ring._one_raw()
+    maps = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((2, 0), (0, 1)),
+            ((1, 1), (0, 1)), ((1, 0), (1, 0)), ((0, 2), (1, 1))]
+    cases = []
+    for _ in range(40):
+        poly = {(rng.randrange(4), rng.randrange(4)): ring.random_unit(rng).raw
+                for _ in range(rng.randrange(1, 7))}
+        m1, m2 = rng.choice(maps)
+        cases.append((poly, {m1: one}, {m2: one}))
+    want = [geometry._substitute_horner(ring, *case) for case in cases]
+
+    def no_horner(*args):
+        raise AssertionError("monomial substitution ran Horner's rule")
+
+    monkeypatch.setattr(geometry, "_substitute_horner", no_horner)
+    for case, expected in zip(cases, want):
+        got = geometry._substitute(ring, *case)
+        assert got.keys() == expected.keys() and got == expected, case
+    # a coefficient other than one, or two terms, is no monomial substitution
+    two = ring._add(one, one)
+    for s1 in ({(1, 0): two}, {(1, 0): one, (0, 0): one}):
+        with pytest.raises(AssertionError, match="Horner"):
+            geometry._substitute(ring, {(1, 0): one}, s1, {(0, 1): one})

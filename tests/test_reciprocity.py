@@ -196,6 +196,38 @@ def test_weil_high_degree_place_is_fast(monkeypatch):
     assert 12 in [fac.degree for fac in report.factors]
 
 
+def _earlier_default(f, g):
+    """The expansion precision the line laws used before they read the
+    precision off each place: nil_bound * (total degree) + 8."""
+    total = (f.num.degree() + f.den.degree()
+             + g.num.degree() + g.den.degree())
+    return f.ring.nil_bound * max(total, 1) + 8
+
+
+LINE_RINGS = [ArtinianLocal(PrimeField(3), 2), ArtinianLocal(F5, 2),
+              ArtinianLocal(F7, 2), ArtinianLocal(PrimeField(3), 3),
+              ArtinianLocal(F5, 3), ArtinianLocal(GaloisField(3, 2), 2),
+              ArtinianLocal(PrimeField(2), 4), PrimeField(2), PrimeField(3),
+              GaloisField(3, 2), GaloisField(2, 4)]
+
+
+@pytest.mark.parametrize("ring", LINE_RINGS, ids=repr)
+def test_default_precision_reports_match_a_longer_expansion(ring):
+    # the default expands each function only as far as its local symbol
+    # needs; 16 more coefficients than the earlier default change no report
+    rng = random.Random(f"line precision {ring!r}")
+    places = set()
+    for _ in range(100):
+        f, g = (random_artinian_rational(ring, rng, 3) for _ in range(2))
+        for check in (weil_check, cc_check) if ring.is_field else (cc_check,):
+            report = check(f, g).to_json()
+            longer = check(f, g, precision=_earlier_default(f, g) + 16)
+            assert report == longer.to_json(), (check, f, g)
+            places.update("infinity" if x["place"] == "infinity" else x["degree"]
+                          for x in report["factors"])
+    assert places >= {1, 2, 3, "infinity"}
+
+
 def test_cc_guards():
     A = ArtinianLocal(F5, 2)
     bad = RationalFunction(Poly(A, [A.one(), A.eps()]))

@@ -507,6 +507,33 @@ def test_unreduced_payloads_multiply_as_their_reductions(field):
         field._inv(unreduce(field._zero_raw()))
 
 
+@pytest.mark.parametrize("field", [GaloisField(3, 2), GaloisField(2, 3),
+                                   GaloisField(5, 2), GaloisField(3, 10)],
+                         ids=repr)
+def test_unit_predicates_agree_with_inv_on_unreduced_payloads(field):
+    # every payload with coordinates in [-p, 2p): a unit exactly when `_inv`
+    # accepts it, nilpotent exactly when it does not
+    p, d = field.p, field.d
+    if field.size == 9:
+        assert not field._is_unit((3, 0)) and field._is_nilpotent((3, 0))
+        assert not RingValue(field, (3, 0)).is_unit()
+        assert RingValue(field, (4, 0)).is_unit()
+    rng = random.Random(f"unit predicates {field!r}")
+    for _ in range(300):
+        a = tuple(rng.randrange(-p, 2 * p) for _ in range(d))
+        if rng.random() < 0.3:
+            a = tuple(p * rng.randrange(-1, 2) for _ in range(d))
+        try:
+            field._inv(a)
+            invertible = True
+        except DivisionByNonUnit:
+            invertible = False
+        assert field._is_unit(a) == invertible, a
+        assert field._is_nilpotent(a) == (not invertible), a
+        reduced = tuple(c % p for c in a)
+        assert field._is_unit(reduced) == any(reduced), a
+
+
 def test_minpoly_candidates_build_no_log_table(monkeypatch):
     monkeypatch.setattr(rings, "_MINPOLY_CACHE", {})
     monkeypatch.setattr(rings, "_LOG_CACHE", {})

@@ -64,6 +64,36 @@ class TestTameSymbol:
         assert not cc_symbol(f, g).is_one()
 
 
+def _power_path_tame(f, g):
+    """The tame symbol by series powers: (-1)^(v(f)v(g)) times the constant
+    term of f^v(g) g^-v(f), the way every base computed it before fields read
+    the leading coefficients."""
+    nu_f, nu_g = f.valuation(), g.valuation()
+    value = reduce_mod_t((f ** nu_g) * (g ** (-nu_f)))
+    return f.ring.base.from_int(-1 if nu_f * nu_g % 2 else 1) * value
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), F3, F5, F7, F9, GaloisField(2, 4)],
+                         ids=repr)
+def test_tame_symbol_matches_the_power_path(F):
+    # exact and truncated pairs, units and zero-known series; the value, or
+    # the exception type and message, must agree with the power path
+    rng = random.Random(f"tame power path {F!r}")
+    R = LaurentRing(F, "t")
+    raised = 0
+    for _ in range(400):
+        pair = []
+        for _ in range(2):
+            low = rng.randrange(-4, 3)
+            prec = rng.choice([None, None, low + 1, low + 2, low + 4, low + 7])
+            pair.append(R.random(rng, low=low, high=low + rng.randrange(1, 7),
+                                 prec=prec))
+        got, want = _outcome(tame_symbol, *pair), _outcome(_power_path_tame, *pair)
+        assert got == want, pair
+        raised += isinstance(got[0], str)
+    assert 0 < raised < 400
+
+
 class TestCCSymbolFieldCase:
     @pytest.mark.parametrize("F", [PrimeField(2), F3, F5, F7, F9])
     def test_agrees_with_tame(self, F):
