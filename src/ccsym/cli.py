@@ -197,13 +197,9 @@ def _cmd_toeplitz(args):
     f, g = (parse_expression(src, ring, domain="series",
                              precision=args.precision)
             for src in args.exprs)
-    if args.window is None:
-        result = joint_torsion(f, g)
-        window = None
-    else:
-        corner, size = args.window
-        result = joint_torsion(f, g, corner=corner, size=size)
-        window = [corner, size]
+    corner, size = args.window or (None, None)
+    result = joint_torsion(f, g, corner=corner, size=size)
+    window = None if args.window is None else [corner, size]
     text = format_value(result)
     payload = _header("toeplitz", args)
     payload.update(inputs=list(args.exprs), window=window, value=text)

@@ -1,5 +1,7 @@
 """Rational functions on the projective line and on the affine plane, local
-expansions at places and at surface flags.
+expansions at places and at surface flags.  Line and plane functions share
+one fraction arithmetic (`_Fraction`); only their constructors differ: a line
+function is normalized, a plane function is kept as given.
 
 A finite place of the line over a finite field k is a monic irreducible
 polynomial pi; its residue field is the extension of k of degree deg(pi),
@@ -42,9 +44,51 @@ from .rings import (ArtinianLocal, GaloisField, RingValue, _power, embed,
                     residue_field, residue_value)
 
 
-# -- rational functions on the line ---------------------------------------------
+# -- fractions, and rational functions on the line ------------------------------
 
-class RationalFunction:
+class _Fraction:
+    """num/den with the arithmetic shared by line and plane functions; every
+    result goes through the subclass constructor, which decides how far the
+    fraction is normalized."""
+
+    __slots__ = ("ring", "num", "den")
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __repr__(self):
+        if self.den.is_one():
+            return repr(self.num)
+        return f"({self.num!r})/({self.den!r})"
+
+    def __add__(self, other):
+        return type(self)(self.num * other.den + other.num * self.den,
+                          self.den * other.den)
+
+    def __neg__(self):
+        return type(self)(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return type(self)(self.num * other.num, self.den * other.den)
+
+    def inv(self):
+        if self.is_zero():
+            raise ZeroFunction("cannot invert the zero function")
+        return type(self)(self.den, self.num)
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inv() ** (-e)
+        return type(self)(self.num ** e, self.den ** e)
+
+
+class RationalFunction(_Fraction):
     """Quotient of polynomials over a field or artinian local ring.
 
     Over a field the representation is reduced (gcd cancelled, denominator
@@ -52,7 +96,7 @@ class RationalFunction:
     its leading coefficient is a unit and the fraction is kept as given.
     """
 
-    __slots__ = ("ring", "num", "den")
+    __slots__ = ()
 
     def __init__(self, num: Poly, den: Poly = None):
         ring = num.ring
@@ -81,46 +125,12 @@ class RationalFunction:
     def constant(cls, value: RingValue):
         return cls(Poly.constant(value))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __eq__(self, other):
         return (isinstance(other, RationalFunction) and self.ring == other.ring
                 and (self.num * other.den) == (other.num * self.den))
 
     def __hash__(self):
         raise TypeError("rational functions are not hashable")
-
-    def __repr__(self):
-        if self.den.is_one():
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-    def __add__(self, other):
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def inv(self) -> "RationalFunction":
-        if self.num.is_zero():
-            raise ZeroFunction("cannot invert the zero function")
-        return RationalFunction(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        return RationalFunction(self.num ** e, self.den ** e)
 
 
 # -- places ----------------------------------------------------------------------
@@ -331,6 +341,9 @@ class BivarPoly:
     def is_constant(self) -> bool:
         return set(self.coeffs) <= {(0, 0)}
 
+    def is_one(self) -> bool:
+        return self.coeffs.keys() == {(0, 0)} and self.coeffs[(0, 0)].is_one()
+
     def __eq__(self, other):
         return (isinstance(other, BivarPoly) and self.ring == other.ring
                 and self.coeffs == other.coeffs)
@@ -409,10 +422,10 @@ class BivarPoly:
         return out
 
 
-class BivarRational:
+class BivarRational(_Fraction):
     """Quotient of bivariate polynomials (kept unreduced)."""
 
-    __slots__ = ("ring", "num", "den")
+    __slots__ = ()
 
     def __init__(self, num: BivarPoly, den: BivarPoly = None):
         ring = num.ring
@@ -435,40 +448,6 @@ class BivarRational:
     @classmethod
     def constant(cls, value):
         return cls(BivarPoly.constant(value))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __repr__(self):
-        if self.den.is_constant() and self.den.coeffs.get((0, 0), self.ring.zero()).is_one():
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-    def __add__(self, other):
-        return BivarRational(self.num * other.den + other.num * self.den,
-                             self.den * other.den)
-
-    def __neg__(self):
-        return BivarRational(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return BivarRational(self.num * other.num, self.den * other.den)
-
-    def inv(self):
-        if self.num.is_zero():
-            raise ZeroFunction("cannot invert the zero function")
-        return BivarRational(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        return BivarRational(self.num ** e, self.den ** e)
 
 
 @dataclass(frozen=True)
@@ -497,22 +476,19 @@ class SurfaceFlag:
 
     def curve_equation(self) -> BivarPoly:
         ring = self.point[0].ring
-        if self.kind == "vertical":
-            c = self.data[0]
-            return BivarPoly(ring, {(1, 0): ring.one(), (0, 0): -c})
-        phi = self.data[0]
-        eq = BivarPoly.t2(ring)
-        for i, coef in enumerate(phi.coeffs):
-            eq = eq - BivarPoly(ring, {(i, 0): coef})
-        return eq
+        if self.kind == "vertical":                                 # t1 - c
+            return BivarPoly(ring, {(1, 0): ring.one(), (0, 0): -self.data[0]})
+        phi = self.data[0]                                          # t2 - phi(t1)
+        return BivarPoly(ring, {(0, 1): ring.one(),
+                                **{(i, 0): -c for i, c in enumerate(phi.coeffs)}})
 
     def label(self) -> str:
         a, b = self.point
         return f"({self.curve_equation()!r} = 0; point ({a}, {b}))"
 
 
-def flag_ring(scalar_ring, inner: str = "z1", outer: str = "z2") -> LaurentRing:
-    return LaurentRing(LaurentRing(scalar_ring, inner), outer)
+def flag_ring(scalar_ring) -> LaurentRing:
+    return LaurentRing(LaurentRing(scalar_ring, "z1"), "z2")
 
 
 def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,

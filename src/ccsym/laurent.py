@@ -585,6 +585,24 @@ class UnitDecomposition:
                 f"neg={self.neg!r}, pos={self.pos!r}, cutoff={self.cutoff})")
 
 
+def require_units(message: str, *series):
+    """NotAUnit(message.format(f=f)) for the first exact non-unit f; a non-unit
+    truncated at any level of a tower may complete to a unit, so it raises
+    PrecisionExhausted.  (`is_unit` and `valuation` read only stored terms.)"""
+    missing = [f for f in series if not f.is_unit()]
+    for f in missing:
+        if not _truncated(f):
+            raise NotAUnit(message.format(f=f))
+    if missing:
+        raise PrecisionExhausted(
+            f"no unit among the known coefficients of {missing[0]!r}")
+
+
+def _truncated(f: LaurentSeries) -> bool:
+    return f.prec is not None or any(isinstance(c, LaurentSeries) and _truncated(c)
+                                     for c in f._raw.values())
+
+
 def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
     """Split a unit series into elementary factors (see UnitDecomposition).
 
@@ -597,8 +615,7 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
     are then read off upward; they are truncated at `positive_cutoff` (default
     from f.prec) since the positive product rarely terminates.
     """
-    if not f.is_unit():
-        raise NotAUnit(f"cannot decompose non-unit {f!r}")
+    require_units("cannot decompose non-unit {f!r}", f)
     ring = f.ring
     mul, _, negate, nonzero, wrap = ring._coeff_ops
     one = ring.base._one_raw()

@@ -89,13 +89,9 @@ def parse_ring(spec: str):
 
 
 def ring_label(ring) -> str:
-    """Canonical spec string for a coefficient-ring descriptor."""
-    if isinstance(ring, PrimeField):
-        return f"F{ring.p}"
-    if isinstance(ring, GaloisField):
-        return f"F{ring.p ** ring.d}"
-    if isinstance(ring, ArtinianLocal):
-        return f"{ring_label(ring.base)}[e]/e^{ring.m}"
+    """Canonical spec string for a coefficient-ring descriptor: its repr."""
+    if isinstance(ring, (PrimeField, GaloisField, ArtinianLocal)):
+        return repr(ring)
     raise ExpressionSyntaxError(f"no spec string for {ring!r}", 1, 1)
 
 
@@ -239,17 +235,20 @@ class _Parser:
         if self.peek().kind != "^":
             return base
         caret = self.advance()
-        negative = False
-        if self.peek().kind == "-":
-            self.advance()
-            negative = True
-        num = self.expect("int")
+        exponent, negative = self.signed_int()
         if negative and not isinstance(base, Name):
             raise ExpressionSyntaxError(
                 "negative exponents are allowed on variables only",
                 caret.line, caret.column)
-        exponent = -int(num.text) if negative else int(num.text)
         return Power(base, exponent, caret.line, caret.column)
+
+    def signed_int(self):
+        """An INT after an optional '-': (its value, whether '-' was read)."""
+        negative = self.peek().kind == "-"
+        if negative:
+            self.advance()
+        value = int(self.expect("int").text)
+        return (-value if negative else value), negative
 
     def atom(self):
         tok = self.peek()
@@ -275,12 +274,7 @@ class _Parser:
         prec = 1
         if self.peek().kind == "^":
             self.advance()
-            negative = False
-            if self.peek().kind == "-":
-                self.advance()
-                negative = True
-            num = self.expect("int")
-            prec = -int(num.text) if negative else int(num.text)
+            prec = self.signed_int()[0]
         self.expect(")")
         return Tail(var.text, prec, otok.line, otok.column)
 
@@ -341,33 +335,33 @@ def series_domain(ring, depth: int = 1, precision: int = None) -> Domain:
         for outer in tower[i + 1:]:
             value = outer.constant(value)
         names[var] = value
+    tail_vars = (variables[-1],)
     if depth == 2:
         names.setdefault("t", names["t1"])
         names.setdefault("s", names["t2"])
+        tail_vars += ("s",)
     for key, value in _scalar_names(ring).items():
         for level in tower:
             value = level.constant(value)
         names[key] = value
-    tail_vars = (variables[-1],) if depth > 1 else ("t",)
-    if depth == 2:
-        tail_vars = (variables[-1], "s")
     return Domain("series", ring, names, tower[-1].from_int, tail_vars, precision)
 
 
-def rational_domain(ring) -> Domain:
-    names = {"t": RationalFunction.variable(ring)}
+def _function_domain(kind: str, ring, cls, names: dict) -> Domain:
     for key, value in _scalar_names(ring).items():
-        names[key] = RationalFunction.constant(value)
-    return Domain("rational", ring, names,
-                  lambda n: RationalFunction.constant(ring.from_int(n)))
+        names[key] = cls.constant(value)
+    return Domain(kind, ring, names, lambda n: cls.constant(ring.from_int(n)))
+
+
+def rational_domain(ring) -> Domain:
+    return _function_domain("rational", ring, RationalFunction,
+                            {"t": RationalFunction.variable(ring)})
 
 
 def bivariate_domain(ring) -> Domain:
-    names = {"t1": BivarRational.t1(ring), "t2": BivarRational.t2(ring)}
-    for key, value in _scalar_names(ring).items():
-        names[key] = BivarRational.constant(value)
-    return Domain("bivariate", ring, names,
-                  lambda n: BivarRational.constant(ring.from_int(n)))
+    return _function_domain("bivariate", ring, BivarRational,
+                            {"t1": BivarRational.t1(ring),
+                             "t2": BivarRational.t2(ring)})
 
 
 def scalar_domain(ring) -> Domain:
@@ -396,12 +390,9 @@ def _divide(left, right, node: BinOp, dom: Domain):
             shift = left.low if left.low is not None else 0
             return left * right.inv(dom.precision - shift)
         return left / right
-    if dom.kind == "scalar":
-        if right.is_zero():
-            raise DivisionByNonUnit("division by zero")
-        return left / right
-    if right.num.is_zero():
-        raise DivisionByNonUnit("division by the zero function")
+    if right.is_zero():
+        raise DivisionByNonUnit("division by zero" if dom.kind == "scalar"
+                                else "division by the zero function")
     return left / right
 
 

@@ -19,8 +19,8 @@ import operator
 
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit,
                      UnsupportedArgument)
-from .rings import (RingDescriptor, RingValue, _field_roots, _power, _raw_add,
-                    _raw_ddf, _raw_derivative, _raw_divmod, _raw_edf,
+from .rings import (RingDescriptor, RingValue, _field_roots, _fmt_poly, _power,
+                    _raw_add, _raw_ddf, _raw_derivative, _raw_divmod, _raw_edf,
                     _raw_encoding, _raw_gcd, _raw_monic, _raw_mul, _seeded_rng,
                     embed)
 
@@ -89,24 +89,8 @@ class Poly:
         return hash((self.ring, self.coeffs))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            ctext = str(c)
-            if i == 0:
-                parts.append(ctext)
-                continue
-            power = "t" if i == 1 else f"t^{i}"
-            if c.is_one():
-                parts.append(power)
-            elif any(ch in ctext for ch in " +*/^"):
-                parts.append(f"({ctext})*{power}")
-            else:
-                parts.append(f"{ctext}*{power}")
-        return " + ".join(parts)
+        return _fmt_poly(self.coeffs, "t", str,
+                         lambda body: any(ch in body for ch in " +*/^"))
 
     # -- arithmetic: each operation runs once on raw payloads, in `rings` ------
     @classmethod

@@ -789,7 +789,9 @@ def residue_value(x: RingValue) -> RingValue:
 # formatting (the expression printer reuses this for scalar coefficients)
 
 
-def _fmt_poly(coords, sym: str, fmt_coeff, coeff_is_composite) -> str:
+def _fmt_poly(coords, sym: str, fmt_coeff, composite) -> str:
+    """sum_i coords[i]*sym^i, skipping zero terms and coefficients 1;
+    `composite(body)` says when a coefficient's text needs parentheses."""
     terms = []
     for i, c in enumerate(coords):
         if c is None:
@@ -803,7 +805,7 @@ def _fmt_poly(coords, sym: str, fmt_coeff, coeff_is_composite) -> str:
         power = sym if i == 1 else f"{sym}^{i}"
         if body == "1":
             terms.append(power)
-        elif coeff_is_composite(c):
+        elif composite(body):
             terms.append(f"({body})*{power}")
         else:
             terms.append(f"{body}*{power}")
@@ -815,17 +817,14 @@ def format_value(x: RingValue) -> str:
     if isinstance(ring, PrimeField):
         return str(x.raw)
     if isinstance(ring, GaloisField):
-        return _fmt_poly(x.raw, "g", str, lambda c: False)
+        return _fmt_poly(x.raw, "g", str, lambda body: False)
     if isinstance(ring, ArtinianLocal):
         base = ring.base
 
         def fmt_coeff(raw):
             return format_value(RingValue(base, raw))
 
-        def composite(raw):
-            return " + " in fmt_coeff(raw)
-
-        return _fmt_poly(x.raw, "e", fmt_coeff, composite)
+        return _fmt_poly(x.raw, "e", fmt_coeff, lambda body: " + " in body)
     raise AlgebraError(f"cannot format value over {ring}")  # pragma: no cover
 
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 from .errors import (DescriptorMismatch, NotAUnit, PrecisionExhausted,
                      UnsupportedArgument)
-from .laurent import LaurentRing, LaurentSeries, reduce_mod_t, unit_decompose
+from .laurent import (LaurentRing, LaurentSeries, reduce_mod_t, require_units,
+                      unit_decompose)
 from .rings import _power
 
 CONVENTION = "boundary-composite/v1"
@@ -73,7 +74,11 @@ def tame_symbol(f, g):
     """
     ring = _common_ring(f, g)
     f, g = ring.coerce(f), ring.coerce(g)
-    nu_f, nu_g = f.valuation(), g.valuation()
+    try:
+        nu_f, nu_g = f.valuation(), g.valuation()
+    except NotAUnit:        # a truncated argument may still complete to a unit
+        require_units("no unit coefficient below truncation in {f}", f, g)
+        raise
     if ring.nil_bound == 1 and not isinstance(ring.base, LaurentRing):
         return _leading_symbol(f, g, nu_f, nu_g)
     prod = (f ** nu_g) * (g ** (-nu_f))
@@ -90,12 +95,11 @@ def cc_symbol(f, g):
     factors are only needed up to (L-1)*J + 1 where L bounds nilpotency and
     J is the deepest pole on the other side, so the computation is finite.
     PrecisionExhausted signals that a truncated argument does not determine
-    the factors that the other argument's poles can see.
+    whether it is a unit, or the factors the other argument's poles can see.
     """
     ring = _common_ring(f, g)
     f, g = ring.coerce(f), ring.coerce(g)
-    if not f.is_unit() or not g.is_unit():
-        raise NotAUnit("Contou-Carrere symbol needs unit arguments")
+    require_units("Contou-Carrere symbol needs unit arguments", f, g)
     base = ring.base
     L = ring.nil_bound
     nu_f, nu_g = f.valuation(), g.valuation()
@@ -264,9 +268,7 @@ def higher_symbol(args):
         raise UnsupportedArgument(
             f"{depth}-fold iterated Laurent ring pairs {depth + 1} arguments, "
             f"got {len(args)}")
-    for a in args:
-        if not a.is_unit():
-            raise NotAUnit("higher symbol needs unit arguments")
+    require_units("higher symbol needs unit arguments", *args)
     if depth == 1:
         return cc_symbol(args[0], args[1])
     scalar_ring = ring

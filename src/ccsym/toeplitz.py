@@ -33,8 +33,8 @@ operations on the banded Toeplitz matrices instead of O(n^3).
 
 from __future__ import annotations
 
-from .errors import AlgebraError, NotAUnit, SingularCompression
-from .laurent import LaurentSeries
+from .errors import AlgebraError, SingularCompression
+from .laurent import LaurentSeries, require_units
 from .rings import RingValue, residue_field, residue_value
 
 
@@ -212,8 +212,7 @@ def toeplitz_index(f: LaurentSeries, window: int = None) -> int:
     the n x n compression of the residue of h has rank exactly n - (K + v),
     so v is recovered from one rank computation.
     """
-    if not f.is_unit():
-        raise NotAUnit("index needs a unit symbol")
+    require_units("index needs a unit symbol", f)
     shift = max(0, -(f.low if f.low is not None else 0))
     span = (f.degree() if f.coeffs else 0) + shift
     n = window if window is not None else span + 2
@@ -270,8 +269,7 @@ def joint_torsion(f: LaurentSeries, g: LaurentSeries,
     ring = f.ring
     if g.ring != ring:
         raise AlgebraError("joint torsion needs symbols over one ring")
-    if not f.is_unit() or not g.is_unit():
-        raise NotAUnit("joint torsion needs unit symbols")
+    require_units("joint torsion needs unit symbols", f, g)
     v_f = toeplitz_index(f)
     v_g = toeplitz_index(g)
     f0 = f.shift(-v_f)

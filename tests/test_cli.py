@@ -3,7 +3,9 @@ stdin batch mode."""
 
 import io
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,74 @@ def test_symbol_tame_example(capsys):
     code, out, _ = run(capsys, "symbol", "tame", "--ring", "F7", "t", "t")
     assert code == 0
     assert out == "6\n"
+
+
+def _readme_examples():
+    """(command line, expected stdout) for each `$ sym ...` line of the
+    README's Examples block; a trailing backslash continues a command."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Examples (exact expected output):", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    lines = iter(block.splitlines())
+    for line in lines:
+        if line.startswith("$ "):
+            command = line[2:]
+            while command.endswith("\\"):
+                command = command[:-1] + next(lines)
+            examples.append((command, ""))
+        else:
+            command, out = examples[-1]
+            examples[-1] = (command, out + line + "\n")
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_examples_are_found():
+    assert [shlex.split(cmd)[:3] for cmd, _ in README_EXAMPLES] == [
+        ["sym", "symbol", "cc"], ["sym", "symbol", "tame"],
+        ["sym", "verify", "weil"], ["sym", "verify", "parshin"]]
+
+
+@pytest.mark.parametrize("command,expected", README_EXAMPLES,
+                         ids=[cmd.split("--ring")[0].strip()
+                              for cmd, _ in README_EXAMPLES])
+def test_readme_example_prints_its_documented_output(capsys, command, expected):
+    # the place labels (`Poly` reprs) and flag labels (curve equations) of
+    # the reports are printed byte for byte as the README shows them
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    assert out == expected
+
+
+# -- truncated arguments without a known unit -----------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["symbol", "cc", "e+O(t^3)", "t"],
+    ["symbol", "tame", "e+O(t^3)", "t"],
+    ["toeplitz", "e+O(t^3)", "1+t"],
+    ["symbol", "higher", "e+O(t2^3)", "1+t1", "t2"],
+], ids=["symbol cc", "symbol tame", "toeplitz", "symbol higher"])
+def test_truncated_argument_without_a_known_unit_needs_more_precision(capsys, argv):
+    # e + t^3 + O(t^4) completes e + O(t^3) to a unit, so the symbol is
+    # undetermined rather than undefined
+    code, _, err = run(capsys, *argv, "--ring", "F3[e]/e^2")
+    assert code == 3
+    assert "no unit among the known coefficients of e + O(t" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["symbol", "cc", "e", "t"], "Contou-Carrere symbol needs unit arguments"),
+    (["symbol", "tame", "e", "t"], "no unit coefficient below truncation in e"),
+    (["toeplitz", "e", "1+t"], "joint torsion needs unit symbols"),
+    (["symbol", "higher", "e", "1+t1", "t2"], "higher symbol needs unit arguments"),
+], ids=["symbol cc", "symbol tame", "toeplitz", "symbol higher"])
+def test_exact_non_unit_argument_keeps_its_message(capsys, argv, message):
+    code, _, err = run(capsys, *argv, "--ring", "F3[e]/e^2")
+    assert code == 3
+    assert err == f"sym: domain error: {message}\n"
 
 
 # -- JSON output ------------------------------------------------------------------

@@ -156,6 +156,21 @@ class TestUnitDecompose:
         with pytest.raises(NotAUnit):
             unit_decompose(RA.gen(1).scale(A32.eps()))
 
+    def test_truncated_non_unit_is_undetermined(self):
+        # e + O(t^3) has no known unit coefficient, yet e + t^3 + O(t^4)
+        # completes it to a unit; the same holds inside a tower
+        RA = LaurentRing(A32, "t")
+        eps = A32.eps()
+        assert (RA.constant(eps) + RA.gen(3)).truncate(4).is_unit()
+        tower = iterated_ring(A32, ["t1", "t2"])
+        for x in (RA.constant(eps).truncate(3), nest(tower, {0: {0: eps}}, prec=2),
+                  nest(tower, {0: {0: eps}}, inner_prec=3)):
+            assert not x.is_unit()
+            with pytest.raises(PrecisionExhausted, match="no unit among the known"):
+                unit_decompose(x)
+        with pytest.raises(NotAUnit, match="cannot decompose non-unit"):
+            unit_decompose(nest(tower, {0: {0: eps}}))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_round_trip_below_guaranteed_bound(self, seed):
         rng = random.Random(seed)

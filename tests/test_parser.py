@@ -258,3 +258,62 @@ def test_nested_series_round_trip(rng):
         f = tower.random(rng, low=-2, high=3)
         back = parse_expression(format_series(f), F5, domain="series", depth=2)
         assert back == f
+
+
+# -- printed forms of parsed functions and polynomials ----------------------------
+
+# Recorded from the printers before line and plane functions shared one
+# fraction class and polynomials printed through the scalar term formatter:
+# composite coefficients over F9 and artinian rings, interior zeros,
+# negative powers and a constant denominator other than 1 on the plane.
+PINNED_REPRS = [
+    ('F5', 'rational', '(((t)-(t^-2))*(t+4))-((4/2)*(3))', '(1 + 4*t + 4*t^2 + 4*t^3 + t^4)/(t^2)'),
+    ('F5', 'rational', '(t^-2-1*(t)/(3))*(((t^-2)/(3))+(3+t^2))', '(2 + 3*t^2 + t^3 + t^4 + 4*t^5 + 3*t^7)/(t^4)'),
+    ('F5', 'rational', '(1)/(t^2)/t^-1-((t^-1)-(t))*((1)-(1))', '(1)/(t)'),
+    ('F5', 'rational', '((t)+(t^2))/(t^3)/t^-1', '(1 + t)/(t)'),
+    ('F5', 'rational', '((t^-1)+(t))+((t)/(t^3))/2', '(3 + t + t^3)/(t^2)'),
+    ('F9', 'rational', '((t^-1*t^-1)/((t^3)*(g)))*(t^2)', '(1 + g)/(t^3)'),
+    ('F9', 'rational', '(t^2)/((t^-1)*(3)+(1+g)+(t^-2))', '(g*t^4)/(g + t^2)'),
+    ('F9', 'rational', '(4/t^-2-t^-1)*((t^-2-2)*(t*t))', '(2 + 2*t^2 + t^3 + t^5)/(t)'),
+    ('F9', 'rational', '(t)-(1+t^3)/t^-2-(t^-1)+(3)', '(2 + t^2 + 2*t^3 + 2*t^6)/(t)'),
+    ('F9', 'rational', '(t^-1*2)+(4/t^-1)*(t^-1)*(1)+(1+g)/(t)', '(g + t)/(t)'),
+    ('F3[e]/e^2', 'rational', '(t^-2/1+t^3*t^2)-((4*1)*(t^-2/t^-2))', '(t^2 + 2*t^4 + t^9)/(t^4)'),
+    ('F3[e]/e^2', 'rational', 't^2/(t^-1)/(1)/(t^3)-(t)*(2*e)*(t^3)', '(t^3 + e*t^7)/(t^3)'),
+    ('F3[e]/e^2', 'rational', '((t^-1/t)-(4-t^2))-((t^-2)-(e/t))', '(e*t^4 + 2*t^5 + t^7)/(t^5)'),
+    ('F3[e]/e^2', 'rational', '(e-t^3*t^-2/e)*((t^2/t^-1)*(2*e+1))', '((2 + e)*t^6)/(e*t^2)'),
+    ('F3[e]/e^2', 'rational', '((t)*(2*e)-(t^-2)/(t^-2))-(t^3)', '(2*t^2 + (2*e)*t^3 + 2*t^5)/(t^2)'),
+    ('F9[e]/e^2', 'rational', '((g)/(t))/(g)+(1+g)*((e)-(t^-2))', '((2 + 2*g)*t + t^2 + ((1 + g)*e)*t^3)/(t^3)'),
+    ('F9[e]/e^2', 'rational', '((t^-2/e)/(t^2/t^2))*(t^-2+g)', '(t^2 + g*t^4)/(e*t^6)'),
+    ('F9[e]/e^2', 'rational', '(g)-(1)-(t^-1)*(1)-(t^-2)/(2*e*g)', '(2*t + (g*e)*t^2 + ((2 + 2*g)*e)*t^3)/((2*g*e)*t^3)'),
+    ('F9[e]/e^2', 'rational', '((t^-2*g)-(3))*((t)*(t)-(t)/(t^3))', '((2*g)*t + g*t^5)/(t^5)'),
+    ('F9[e]/e^2', 'rational', 'e*t^-1*(2*e)/(t^2)-((t^2)*(1+g))*(t/4)', '((2 + 2*g)*t^6)/(t^3)'),
+    ('F5', 'bivariate', '((t2)/(3))*(t1^-2/4)/t1^-2/(t1^3)+(t2^-2)', '(t1^2*t2^3 + 2*t1^5)/(2*t1^5*t2^2)'),
+    ('F5', 'bivariate', '((4/4)*(3/2))/((1)-(t1)-(t1)/(t2^-2))', '(2)/(3 + 2*t1 + 2*t1*t2^2)'),
+    ('F5', 'bivariate', '((4)-(t1^-1)/(2)-(4))*((4-1)-((2)*(t1^2)))', '(2 + 2*t1^2)/(2*t1)'),
+    ('F5', 'bivariate', '(((t2^3)*(t2^3))/(t2*4))/((t1^-1-4)/(1))', '(t1*t2^6)/(4*t2 + 4*t1*t2)'),
+    ('F5', 'bivariate', '((3/t2^2)-(t1/t1^3))-(4*3+4+t1^-1)', '(4*t1^2*t2^2 + 4*t1^3*t2^2 + 3*t1^4 + 4*t1^4*t2^2)/(t1^4*t2^2)'),
+    ('F7', 'bivariate', '((t2^2)/(3)+(3)+(t2))+(t1^-2/t1/(4)*(2))', '(6 + t1^3 + 5*t1^3*t2 + 4*t1^3*t2^2)/(5*t1^3)'),
+    ('F7', 'bivariate', '(1*t2-(t1)-(t2))+(((t2^-2)*(1))+(t1/1))', '(1)/(t2^2)'),
+    ('F7', 'bivariate', 't2^-2/3*t1*(4)*(2)', '(t1)/(3*t2^2)'),
+    ('F7', 'bivariate', 't2^-1/((3)/(t2))+(t1+t2^2)', '(t2 + 3*t2^3 + 3*t1*t2)/(3*t2)'),
+    ('F7', 'bivariate', '(t1/2*t2^-2-3)*(((t2)+(4))+((3)+(4)))', '(4*t2^2 + t2^3 + 4*t1 + t1*t2)/(2*t2^2)'),
+    ('F9', 'polynomial', '(1+g)*t^4 + g*t^2 + 2', '2 + g*t^2 + (1 + g)*t^4'),
+    ('F9', 'polynomial', 'g + (2+2*g)*t + t^5', 'g + (2 + 2*g)*t + t^5'),
+    ('F3[e]/e^2', 'polynomial', '(1+e)*t^3 + 2*e*t + 1 + e', '1 + e + (2*e)*t + (1 + e)*t^3'),
+    ('F9[e]/e^2', 'polynomial', '(g+e)*t^2 + g*e + t^6', 'g*e + (g + e)*t^2 + t^6'),
+    ('F9[e]/e^2', 'polynomial', '(1+g+(2+g)*e)*t + g*e*t^3', '(1 + g + (2 + g)*e)*t + (g*e)*t^3'),
+    ('F3[e]/e^3', 'polynomial', 'e^2*t^4 + (1+e+e^2)*t^2', '(1 + e + e^2)*t^2 + (e^2)*t^4'),
+    ('F5', 'bivariate', '(t1 + 3*t2)/2', '(3*t2 + t1)/(2)'),
+    ('F7', 'bivariate', '(t1^2 - t2)/(3*t2 + 4*t1)', '(6*t2 + t1^2)/(3*t2 + 4*t1)'),
+    ('F7', 'bivariate', 't2^-1/5', '(1)/(5*t2)'),
+]
+
+
+@pytest.mark.parametrize("spec,domain,src,expected", PINNED_REPRS)
+def test_printed_forms_are_pinned(spec, domain, src, expected):
+    ring = parse_ring(spec)
+    if domain == "polynomial":
+        value = parse_polynomial(src, ring)
+    else:
+        value = parse_expression(src, ring, domain=domain)
+    assert repr(value) == expected

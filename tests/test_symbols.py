@@ -67,7 +67,16 @@ class TestTameSymbol:
 def _power_path_tame(f, g):
     """The tame symbol by series powers: (-1)^(v(f)v(g)) times the constant
     term of f^v(g) g^-v(f), the way every base computed it before fields read
-    the leading coefficients."""
+    the leading coefficients.  Argument check first: an exact non-unit is
+    NotAUnit; a truncated one may complete to a unit, so its symbol is
+    undetermined."""
+    non_units = [x for x in (f, g) if not x.is_unit()]
+    for x in non_units:
+        if x.prec is None:
+            x.valuation()                           # raises NotAUnit
+    if non_units:
+        raise PrecisionExhausted(
+            f"no unit among the known coefficients of {non_units[0]!r}")
     nu_f, nu_g = f.valuation(), g.valuation()
     value = reduce_mod_t((f ** nu_g) * (g ** (-nu_f)))
     return f.ring.base.from_int(-1 if nu_f * nu_g % 2 else 1) * value
