@@ -236,6 +236,17 @@ def _run_single(args, out) -> int:
     return status
 
 
+def _batch_args(parser, line: str):
+    """Arguments of one batch line; SystemExit, as argparse raises it, for a
+    line that is no command, also one with an unclosed quote."""
+    try:
+        argv = shlex.split(line)
+    except ValueError:
+        raise SystemExit(2) from None
+    with contextlib.redirect_stderr(io.StringIO()):
+        return parser.parse_args(argv)
+
+
 def _run_batch(parser, stream, out) -> int:
     status = 0
     for raw in stream:
@@ -243,9 +254,7 @@ def _run_batch(parser, stream, out) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            argv = shlex.split(line)
-            with contextlib.redirect_stderr(io.StringIO()):
-                args = parser.parse_args(argv)
+            args = _batch_args(parser, line)
             if args.verb == "batch":
                 raise ExpressionSyntaxError("cannot nest batch mode", 1, 1)
             payload, _, code = _COMMANDS[args.verb](args)

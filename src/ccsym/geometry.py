@@ -56,6 +56,14 @@ class _Fraction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __eq__(self, other):
+        """Equality as fractions: num * den' = num' * den."""
+        return (type(other) is type(self) and self.ring == other.ring
+                and self.num * other.den == other.num * self.den)
+
+    def __hash__(self):
+        raise TypeError("rational functions are not hashable")
+
     def __repr__(self):
         if self.den.is_one():
             return repr(self.num)
@@ -100,8 +108,9 @@ class RationalFunction(_Fraction):
 
     def __init__(self, num: Poly, den: Poly = None):
         ring = num.ring
-        if den is None:
-            den = Poly.one(ring)
+        if den is None:                 # num/1 is reduced and monic already
+            self.ring, self.num, self.den = ring, num, Poly.one(ring)
+            return
         if den.ring != ring:
             raise AlgebraError("numerator and denominator rings differ")
         if den.is_zero():
@@ -124,13 +133,6 @@ class RationalFunction(_Fraction):
     @classmethod
     def constant(cls, value: RingValue):
         return cls(Poly.constant(value))
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalFunction) and self.ring == other.ring
-                and (self.num * other.den) == (other.num * self.den))
-
-    def __hash__(self):
-        raise TypeError("rational functions are not hashable")
 
 
 # -- places ----------------------------------------------------------------------
@@ -268,20 +270,26 @@ def _substitute(ring, poly: dict, s1: dict, s2: dict) -> dict:
     return _substitute_horner(ring, poly, s1, s2)
 
 
+def _pair_product(ring, x: dict, y: dict, acc: dict) -> dict:
+    """acc + x*y, into acc, for payload dicts over the scalar ring keyed by
+    exponent pairs; sums that vanish are kept."""
+    mul, add = ring._mul, ring._add
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            k, p = (a1 + a2, b1 + b2), mul(c1, c2)
+            q = acc.get(k)
+            acc[k] = p if q is None else add(q, p)
+    return acc
+
+
 def _substitute_horner(ring, poly: dict, s1: dict, s2: dict) -> dict:
     """poly(s1, s2) by Horner in s2 over rows that are Horner in s1."""
-    mul, add, nonzero = ring._mul, ring._add, ring._nonzero_test()
+    nonzero = ring._nonzero_test()
 
     def horner(coeffs: dict, s: dict) -> dict:     # sum_e coeffs[e] * s^e
         acc: dict = {}
         for e in range(max(coeffs, default=-1), -1, -1):
-            out = dict(coeffs.get(e, {}))
-            for (a1, b1), c1 in acc.items():
-                for (a2, b2), c2 in s.items():
-                    k, p = (a1 + a2, b1 + b2), mul(c1, c2)
-                    q = out.get(k)
-                    out[k] = p if q is None else add(q, p)
-            acc = out
+            acc = _pair_product(ring, acc, s, dict(coeffs.get(e, {})))
         return {k: c for k, c in acc.items() if nonzero(c)}
 
     rows: dict = {}

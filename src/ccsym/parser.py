@@ -10,6 +10,10 @@ tightest, negative exponents on names only)::
     exponent := '-'? INT
     atom     := INT | NAME | '(' expr ')' | 'O' '(' NAME ('^' '-'? INT)? ')'
 
+Parentheses may nest ``MAX_NESTING`` deep; deeper input is a syntax error.
+Chains of ``+``/``-`` and of ``*``/``/`` and runs of unary minus are read and
+evaluated in loops, so their length is not limited.
+
 Ring specifications are ``F<q>`` for a prime or Galois field of ``q``
 elements and ``F<q>[e]/e^<m>`` for the truncated polynomial extension with
 ``e^m = 0``.
@@ -21,20 +25,35 @@ variable.  Iterated series of depth two use inner variable ``t1`` (alias
 expressions use ``t1`` and ``t2``.  An ``O(var^N)`` tail truncates a series
 expression at absolute precision ``N`` and must use the outermost variable.
 
+Lowering: an exact polynomial subtree (integers, names, ``+ - *`` and
+``^n`` with n >= 0) evaluates to a payload dict over the coefficient ring,
+``{exponent: payload}`` on the line, for series and for scalars and
+``{(i, j): payload}`` on the plane, through the series kernel
+(``laurent._product``, ``laurent._add_into``; ``geometry._pair_product`` on
+the plane).  A negative power of a series name with a unit coefficient
+(``t^-2``, ``g^-1``) stays a payload dict.  The dict becomes a domain value
+(series, line or plane function, scalar) once: at the end, or when an
+operation needs the domain's own arithmetic: division, an ``O(...)`` tail,
+any other negative power, or an operand that is already a domain value.
+Both ways give the same value.
+
 ``format_series`` (the canonical printer) and ``parse_expression`` are
 mutually inverse on series: parse-print-parse equals parse.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
 
 from .errors import (DivisionByNonUnit, ExpressionSyntaxError, UnknownSymbol,
                      UnsupportedArgument)
-from .geometry import BivarRational, RationalFunction
-from .laurent import LaurentRing, LaurentSeries
-from .rings import ArtinianLocal, GaloisField, PrimeField, _is_prime, embed
+from .geometry import (BivarPoly, BivarRational, RationalFunction,
+                       _pair_product)
+from .laurent import LaurentRing, LaurentSeries, _add_into, _product, _series
+from .poly import Poly
+from .rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
+                    _is_prime, _power, embed)
 
 
 # ---------------------------------------------------------------------------
@@ -98,182 +117,187 @@ def ring_label(ring) -> str:
 # ---------------------------------------------------------------------------
 # lexer
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "int" | "name" | one of "+-*/^()" | "end"
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind      # "int" | "name" | one of "+-*/^()" | "end"
+        self.text = text
+        self.line = line
+        self.column = column
 
 
-_INT_RE = re.compile(r"\d+")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one token per match, whitespace skipped between matches: groups 1-3 are
+# the token kinds, group 4 a character no token starts with
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S)")
+_GROUP_KIND = (None, "int", "name", None)
 
 
 def tokenize(src: str) -> list:
     tokens = []
+    append = tokens.append
     for lineno, line in enumerate(src.splitlines() or [""], start=1):
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-            elif ch.isdigit():
-                text = _INT_RE.match(line, col).group()
-                tokens.append(Token("int", text, lineno, col + 1))
-                col += len(text)
-            elif ch.isalpha() or ch == "_":
-                text = _NAME_RE.match(line, col).group()
-                tokens.append(Token("name", text, lineno, col + 1))
-                col += len(text)
-            elif ch in "+-*/^()":
-                tokens.append(Token(ch, ch, lineno, col + 1))
-                col += 1
-            else:
-                raise ExpressionSyntaxError(f"unexpected character {ch!r}",
-                                            lineno, col + 1)
+        for m in _TOKEN_RE.finditer(line):
+            group, text = m.lastindex, m.group()
+            if group == 4:
+                raise ExpressionSyntaxError(f"unexpected character {text!r}",
+                                            lineno, m.start() + 1)
+            append(Token(_GROUP_KIND[group] or text, text, lineno, m.start() + 1))
     if tokens:
         last = tokens[-1]
-        tokens.append(Token("end", "", last.line, last.column + len(last.text)))
+        append(Token("end", "", last.line, last.column + len(last.text)))
     else:
-        tokens.append(Token("end", "", 1, 1))
+        append(Token("end", "", 1, 1))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # syntax tree
 
-@dataclass(frozen=True)
 class Num:
-    value: int
-    line: int
-    column: int
+    __slots__ = ("value", "line", "column")
+
+    def __init__(self, value: int, line: int, column: int):
+        self.value, self.line, self.column = value, line, column
 
 
-@dataclass(frozen=True)
 class Name:
-    name: str
-    line: int
-    column: int
+    __slots__ = ("name", "line", "column")
+
+    def __init__(self, name: str, line: int, column: int):
+        self.name, self.line, self.column = name, line, column
 
 
-@dataclass(frozen=True)
 class Neg:
-    operand: object
-    line: int
-    column: int
+    __slots__ = ("operand", "line", "column")
+
+    def __init__(self, operand, line: int, column: int):
+        self.operand, self.line, self.column = operand, line, column
 
 
-@dataclass(frozen=True)
 class BinOp:
-    op: str
-    left: object
-    right: object
-    line: int
-    column: int
+    __slots__ = ("op", "left", "right", "line", "column")
+
+    def __init__(self, op: str, left, right, line: int, column: int):
+        self.op, self.left, self.right = op, left, right
+        self.line, self.column = line, column
 
 
-@dataclass(frozen=True)
 class Power:
-    base: object
-    exponent: int
-    line: int
-    column: int
+    __slots__ = ("base", "exponent", "line", "column")
+
+    def __init__(self, base, exponent: int, line: int, column: int):
+        self.base, self.exponent = base, exponent
+        self.line, self.column = line, column
 
 
-@dataclass(frozen=True)
 class Tail:
-    var: str
-    prec: int
-    line: int
-    column: int
+    __slots__ = ("var", "prec", "line", "column")
+
+    def __init__(self, var: str, prec: int, line: int, column: int):
+        self.var, self.prec, self.line, self.column = var, prec, line, column
+
+
+#: deepest parenthesis nesting an expression may have
+MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent; only parentheses recurse (three frames a level)."""
+
+    __slots__ = ("tokens", "pos", "depth")
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.depth = 0
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             found = tok.text if tok.kind != "end" else "end of input"
             raise ExpressionSyntaxError(f"expected {kind!r}, found {found!r}",
                                         tok.line, tok.column)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expr(self):
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            node = BinOp(op.kind, node, self.term(), op.line, op.column)
+        tok = self.tokens[self.pos]
+        while tok.kind == "+" or tok.kind == "-":
+            self.pos += 1
+            node = BinOp(tok.kind, node, self.term(), tok.line, tok.column)
+            tok = self.tokens[self.pos]
         return node
 
     def term(self):
         node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            node = BinOp(op.kind, node, self.unary(), op.line, op.column)
+        tok = self.tokens[self.pos]
+        while tok.kind == "*" or tok.kind == "/":
+            self.pos += 1
+            node = BinOp(tok.kind, node, self.unary(), tok.line, tok.column)
+            tok = self.tokens[self.pos]
         return node
 
     def unary(self):
-        if self.peek().kind == "-":
-            tok = self.advance()
-            return Neg(self.unary(), tok.line, tok.column)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek().kind != "^":
-            return base
-        caret = self.advance()
-        exponent, negative = self.signed_int()
-        if negative and not isinstance(base, Name):
-            raise ExpressionSyntaxError(
-                "negative exponents are allowed on variables only",
-                caret.line, caret.column)
-        return Power(base, exponent, caret.line, caret.column)
+        """unary, power and atom in one: leading minus signs are read in a
+        loop and wrap the power innermost first."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        signs = []
+        while tok.kind == "-":
+            signs.append(tok)
+            self.pos += 1
+            tok = tokens[self.pos]
+        kind = tok.kind
+        self.pos += 1
+        if kind == "int":
+            node = Num(int(tok.text), tok.line, tok.column)
+        elif kind == "name":
+            if tok.text == "O" and tokens[self.pos].kind == "(":
+                node = self.tail(tok)
+            else:
+                node = Name(tok.text, tok.line, tok.column)
+        elif kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels",
+                    tok.line, tok.column)
+            self.depth += 1
+            node = self.expr()
+            self.expect(")")
+            self.depth -= 1
+        else:
+            found = tok.text if kind != "end" else "end of input"
+            raise ExpressionSyntaxError(f"unexpected {found!r}", tok.line,
+                                        tok.column)
+        tok = tokens[self.pos]
+        if tok.kind == "^":
+            self.pos += 1
+            exponent, negative = self.signed_int()
+            if negative and type(node) is not Name:
+                raise ExpressionSyntaxError(
+                    "negative exponents are allowed on variables only",
+                    tok.line, tok.column)
+            node = Power(node, exponent, tok.line, tok.column)
+        for sign in reversed(signs):
+            node = Neg(node, sign.line, sign.column)
+        return node
 
     def signed_int(self):
         """An INT after an optional '-': (its value, whether '-' was read)."""
-        negative = self.peek().kind == "-"
+        negative = self.tokens[self.pos].kind == "-"
         if negative:
-            self.advance()
+            self.pos += 1
         value = int(self.expect("int").text)
         return (-value if negative else value), negative
-
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return Num(int(tok.text), tok.line, tok.column)
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "O" and self.peek().kind == "(":
-                return self.tail(tok)
-            return Name(tok.text, tok.line, tok.column)
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        found = tok.text if tok.kind != "end" else "end of input"
-        raise ExpressionSyntaxError(f"unexpected {found!r}", tok.line, tok.column)
 
     def tail(self, otok: Token):
         self.expect("(")
         var = self.expect("name")
         prec = 1
-        if self.peek().kind == "^":
-            self.advance()
+        if self.tokens[self.pos].kind == "^":
+            self.pos += 1
             prec = self.signed_int()[0]
         self.expect(")")
         return Tail(var.text, prec, otok.line, otok.column)
@@ -283,7 +307,7 @@ def parse_tree(src: str):
     """Parse an expression into a syntax tree without evaluating it."""
     parser = _Parser(tokenize(src))
     node = parser.expr()
-    tok = parser.peek()
+    tok = parser.tokens[parser.pos]
     if tok.kind != "end":
         raise ExpressionSyntaxError(f"unexpected trailing {tok.text!r}",
                                     tok.line, tok.column)
@@ -293,16 +317,46 @@ def parse_tree(src: str):
 # ---------------------------------------------------------------------------
 # evaluation domains
 
-@dataclass
 class Domain:
-    """Value domain an expression tree is lowered into."""
+    """Value domain an expression tree is lowered into.
 
-    kind: str          # "series" | "rational" | "bivariate"
-    ring: object       # coefficient-ring descriptor
-    names: dict        # identifier -> domain value
-    from_int: object   # int -> domain value
-    tail_vars: tuple = ()   # names accepted inside O(...)
-    precision: int = None   # absolute working precision for series division
+    `laurent` is a LaurentRing over the domain's coefficients whose
+    coefficient operations run the payload dicts of polynomial subtrees;
+    `leaves` maps each name to its payload dict, `origin` is the key of the
+    constant term, `product` multiplies two dicts and `wrap` turns a dict
+    into the domain value.
+    """
+
+    __slots__ = ("kind", "laurent", "leaves", "origin", "product", "wrap",
+                 "tail_vars", "precision")
+
+    def __init__(self, kind, laurent, leaves, origin, product, wrap,
+                 tail_vars=(), precision=None):
+        self.kind = kind              # "series" | "rational" | "bivariate" | "scalar"
+        self.laurent = laurent
+        self.leaves = leaves
+        self.origin = origin
+        self.product = product
+        self.wrap = wrap
+        self.tail_vars = tail_vars    # names accepted inside O(...)
+        self.precision = precision    # absolute working precision for series division
+
+    def constant(self, n: int) -> dict:
+        c = self.laurent.base._from_int_raw(n)
+        return {self.origin: c} if self.laurent._coeff_ops.nonzero(c) else {}
+
+    def one(self) -> dict:
+        return {self.origin: self.laurent.base._one_raw()}
+
+    def negate(self, value):
+        if type(value) is dict:
+            neg = self.laurent._coeff_ops.neg
+            return {k: neg(c) for k, c in value.items()}
+        return -value
+
+    def value(self, value):
+        """The domain value of an evaluation result."""
+        return self.wrap(value) if type(value) is dict else value
 
 
 def _scalar_names(ring) -> dict:
@@ -329,43 +383,72 @@ def series_domain(ring, depth: int = 1, precision: int = None) -> Domain:
     for var in variables:
         structure = LaurentRing(structure, var)
         tower.append(structure)
-    names = {}
-    for i, var in enumerate(variables):
-        value = tower[i].gen()
-        for outer in tower[i + 1:]:
-            value = outer.constant(value)
-        names[var] = value
+
+    def lift(raw: dict, level: int) -> dict:
+        """A payload dict over tower[level] as one over the top: a constant
+        of each level above."""
+        for inner in tower[level:-1]:
+            raw = {0: _series(inner, raw)}
+        return raw
+
+    leaves = {var: lift({1: tower[i].base._one_raw()}, i)
+              for i, var in enumerate(variables)}
     tail_vars = (variables[-1],)
     if depth == 2:
-        names.setdefault("t", names["t1"])
-        names.setdefault("s", names["t2"])
+        leaves.setdefault("t", leaves["t1"])
+        leaves.setdefault("s", leaves["t2"])
         tail_vars += ("s",)
     for key, value in _scalar_names(ring).items():
-        for level in tower:
-            value = level.constant(value)
-        names[key] = value
-    return Domain("series", ring, names, tower[-1].from_int, tail_vars, precision)
+        leaves[key] = lift({0: value.raw}, 0)
+    top = tower[-1]
+    return Domain("series", top, leaves, 0, functools.partial(_product, top),
+                  functools.partial(_series, top), tail_vars, precision)
 
 
-def _function_domain(kind: str, ring, cls, names: dict) -> Domain:
-    for key, value in _scalar_names(ring).items():
-        names[key] = cls.constant(value)
-    return Domain(kind, ring, names, lambda n: cls.constant(ring.from_int(n)))
+def _scalar_leaves(ring, origin) -> dict:
+    return {k: {origin: v.raw} for k, v in _scalar_names(ring).items()}
 
 
-def rational_domain(ring) -> Domain:
-    return _function_domain("rational", ring, RationalFunction,
-                            {"t": RationalFunction.variable(ring)})
+def rational_domain(ring, var: str = "t") -> Domain:
+    """One-variable rational functions over ``ring`` in the variable ``var``."""
+    zero = ring._zero_raw()
+
+    def wrap(raw):
+        coeffs = [raw.get(i, zero) for i in range(max(raw, default=-1) + 1)]
+        return RationalFunction(Poly._of(ring, coeffs))
+
+    laurent = LaurentRing(ring, var)
+    leaves = _scalar_leaves(ring, 0)
+    leaves[var] = {1: ring._one_raw()}
+    return Domain("rational", laurent, leaves, 0,
+                  functools.partial(_product, laurent), wrap)
 
 
 def bivariate_domain(ring) -> Domain:
-    return _function_domain("bivariate", ring, BivarRational,
-                            {"t1": BivarRational.t1(ring),
-                             "t2": BivarRational.t2(ring)})
+    """Rational functions on the plane over ``ring``, kept unreduced."""
+    nonzero = ring._nonzero_test()
+
+    def product(x, y):
+        return {k: c for k, c in _pair_product(ring, x, y, {}).items()
+                if nonzero(c)}
+
+    def wrap(raw):
+        return BivarRational(BivarPoly(ring, {k: RingValue(ring, c)
+                                              for k, c in raw.items()}))
+
+    leaves = _scalar_leaves(ring, (0, 0))
+    leaves["t1"] = {(1, 0): ring._one_raw()}
+    leaves["t2"] = {(0, 1): ring._one_raw()}
+    return Domain("bivariate", LaurentRing(ring, "t1"), leaves, (0, 0),
+                  product, wrap)
 
 
 def scalar_domain(ring) -> Domain:
-    return Domain("scalar", ring, _scalar_names(ring), ring.from_int)
+    zero = ring._zero_raw()
+    laurent = LaurentRing(ring, "t")
+    return Domain("scalar", laurent, _scalar_leaves(ring, 0), 0,
+                  functools.partial(_product, laurent),
+                  lambda raw: RingValue(ring, raw.get(0, zero)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,49 +480,110 @@ def _divide(left, right, node: BinOp, dom: Domain):
 
 
 def _evaluate(node, dom: Domain):
-    if isinstance(node, Num):
-        return dom.from_int(node.value)
-    if isinstance(node, Name):
-        try:
-            return dom.names[node.name]
-        except KeyError:
+    """The value of a syntax tree: a payload dict while the subtree is an
+    exact polynomial, a domain value once an operation needs the domain's
+    arithmetic.  Errors come in the order of a left-to-right walk."""
+    cls = type(node)
+    if cls is BinOp:
+        return _chain(node, dom)
+    if cls is Num:
+        return dom.constant(node.value)
+    if cls is Name:
+        leaf = dom.leaves.get(node.name)
+        if leaf is None:
             raise UnknownSymbol(f"unknown symbol {node.name!r}",
-                                node.line, node.column) from None
-    if isinstance(node, Neg):
-        return -_evaluate(node.operand, dom)
-    if isinstance(node, Power):
-        return _evaluate(node.base, dom) ** node.exponent
-    if isinstance(node, Tail):
+                                node.line, node.column)
+        return leaf
+    if cls is Power:
+        return _power_of(node, dom)
+    if cls is Neg:
+        count = 0
+        while type(node) is Neg:
+            node, count = node.operand, count + 1
+        value = _evaluate(node, dom)
+        for _ in range(count):
+            value = dom.negate(value)
+        return value
+    if cls is Tail:
         # A bare O(t^N): the zero series known to precision N.
-        return _apply_tail(dom.from_int(0), node, dom)
-    if isinstance(node, BinOp):
-        if node.op == "+" and isinstance(node.right, Tail):
-            return _apply_tail(_evaluate(node.left, dom), node.right, dom)
-        if isinstance(node.right, Tail) or isinstance(node.left, Tail):
-            tail = node.right if isinstance(node.right, Tail) else node.left
-            raise ExpressionSyntaxError("O(...) may only end a sum",
-                                        tail.line, tail.column)
-        left = _evaluate(node.left, dom)
-        right = _evaluate(node.right, dom)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return _divide(left, right, node, dom)
+        return _apply_tail(dom.wrap({}), node, dom)
     raise ExpressionSyntaxError(f"cannot evaluate {node!r}", 1, 1)
 
 
+def _power_of(node: Power, dom: Domain):
+    base, e = _evaluate(node.base, dom), node.exponent
+    if type(base) is dict:
+        if len(base) == 1 and dom.origin == 0:     # a monomial c*t^k
+            ((k, c),) = base.items()
+            coeffs = dom.laurent.base
+            if e < 0 and dom.kind == "series" and coeffs._is_unit(c):
+                k, c, e = -k, coeffs._inv(c), -e   # as laurent_inv inverts it
+            if e >= 0:
+                c = _power(c, e, coeffs._one_raw(), coeffs._mul)
+                return {k * e: c} if dom.laurent._coeff_ops.nonzero(c) else {}
+        elif e >= 0:
+            return _power(base, e, dom.one(), dom.product)
+    return dom.value(base) ** e
+
+
+def _chain(node: BinOp, dom: Domain):
+    """A left-deep chain of '+'/'-' or of '*'/'/', evaluated in a loop from
+    its leftmost operand.  Like a recursive walk, it checks the O(...)
+    placement at every link, from the top, before evaluating anything."""
+    ops = ("+", "-") if node.op in ("+", "-") else ("*", "/")
+    links = []
+    while type(node) is BinOp and node.op in ops:
+        right = node.right
+        if not (node.op == "+" and type(right) is Tail):
+            tail = right if type(right) is Tail else node.left
+            if type(tail) is Tail:
+                raise ExpressionSyntaxError("O(...) may only end a sum",
+                                            tail.line, tail.column)
+        links.append(node)
+        node = node.left
+    acc = _evaluate(node, dom)
+    owned = False              # whether acc is a dict this chain may mutate
+    for link in reversed(links):
+        right, op = link.right, link.op
+        if type(right) is Tail:
+            acc = _apply_tail(dom.value(acc), right, dom)
+            continue
+        value = _evaluate(right, dom)
+        if type(acc) is dict and type(value) is dict and op != "/":
+            if op == "*":
+                acc = dom.product(acc, value)
+                continue
+            if not owned:
+                acc, owned = dict(acc), True
+            _add_into(dom.laurent, acc, value if op == "+" else dom.negate(value))
+            continue
+        left, value = dom.value(acc), dom.value(value)
+        if op == "+":
+            acc = left + value
+        elif op == "-":
+            acc = left - value
+        elif op == "*":
+            acc = left * value
+        else:
+            acc = _divide(left, value, link, dom)
+    return acc
+
+
 def _wants_series(node) -> bool:
-    if isinstance(node, Tail):
-        return True
-    if isinstance(node, Power):
-        return node.exponent < 0 or _wants_series(node.base)
-    if isinstance(node, Neg):
-        return _wants_series(node.operand)
-    if isinstance(node, BinOp):
-        return _wants_series(node.left) or _wants_series(node.right)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Tail:
+            return True
+        if cls is Power:
+            if node.exponent < 0:
+                return True
+            stack.append(node.base)
+        elif cls is Neg:
+            stack.append(node.operand)
+        elif cls is BinOp:
+            stack += (node.left, node.right)
     return False
 
 
@@ -464,7 +608,7 @@ def parse_expression(src: str, ring, domain: str = "auto", depth: int = 1,
         dom = bivariate_domain(ring)
     else:
         raise ExpressionSyntaxError(f"unknown domain {domain!r}", 1, 1)
-    value = _evaluate(tree, dom)
+    value = dom.value(_evaluate(tree, dom))
     if domain == "series" and precision is not None and isinstance(value, LaurentSeries):
         value = value.truncate(precision)
     return value
@@ -472,7 +616,8 @@ def parse_expression(src: str, ring, domain: str = "auto", depth: int = 1,
 
 def parse_scalar(src: str, ring):
     """Parse an expression with no series/curve variables into a ring value."""
-    return _evaluate(parse_tree(src), scalar_domain(ring))
+    dom = scalar_domain(ring)
+    return dom.value(_evaluate(parse_tree(src), dom))
 
 
 def parse_polynomial(src: str, ring, var: str = "t"):
@@ -481,9 +626,8 @@ def parse_polynomial(src: str, ring, var: str = "t"):
     Division is allowed as long as it cancels: the result must have trivial
     denominator.
     """
-    dom = rational_domain(ring)
-    dom.names[var] = dom.names.pop("t")
-    value = _evaluate(parse_tree(src), dom)
+    dom = rational_domain(ring, var)
+    value = dom.value(_evaluate(parse_tree(src), dom))
     if not value.den.is_one():
         raise UnsupportedArgument(
             f"{src!r} is not polynomial in {var!r} (denominator {value.den!r})")

@@ -3,7 +3,10 @@ stdin batch mode."""
 
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -308,3 +311,24 @@ def test_batch_domain_error_continues(capsys, monkeypatch):
     assert rows[0]["exit"] == 3
     assert rows[1]["value"] == "4"
     assert code == 3
+
+
+def test_batch_answers_unclosed_quotes_long_sums_and_deep_nesting():
+    lines = ["symbol tame --ring F5 '1+t t",
+             "symbol tame --ring F7 " + "+".join(["t"] * 1500) + " t",
+             "symbol tame --ring F5 " + "(" * 3000 + "t" + ")" * 3000 + " t",
+             "symbol tame --ring F5 t 1+t"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "ccsym.cli", "batch"],
+                          input="\n".join(lines) + "\n", capture_output=True,
+                          text=True, env=env, timeout=60)
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert proc.stderr == ""
+    assert [row.get("exit", 0) for row in rows] == [2, 0, 2, 0]
+    assert rows[0]["error"] == f"bad command: {lines[0]}"
+    assert rows[1]["value"] == "5"            # (2t, t) = -2 over F7
+    assert "nested deeper than" in rows[2]["error"]
+    assert rows[3]["value"] == "1"
+    assert proc.returncode == 2

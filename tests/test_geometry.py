@@ -195,6 +195,18 @@ def test_divmod_by_curve_identity(rng):
                     assert _divide_out(rest, flag)[0] == 0
 
 
+def test_plane_functions_compare_as_fractions():
+    t1, t2 = BivarRational.t1(F5), BivarRational.t2(F5)
+    assert t1 == BivarRational.t1(F5)
+    assert t1 * t2 / t2 == t1                 # kept unreduced, equal anyway
+    assert (t1 * t2 / t2).den != t1.den
+    assert t1 != t2 and t1 != BivarRational.t1(F3)
+    assert t1 != RationalFunction(Poly(F5, [0, 1]))
+    for f in (t1, RationalFunction(Poly(F5, [0, 1]))):
+        with pytest.raises(TypeError):
+            hash(f)
+
+
 def test_flag_expand_coordinates():
     N2 = flag_ring(F5)
     t1 = BivarRational.t1(F5)
