@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 
 from .errors import (DivisionByNonUnit, ExpressionSyntaxError, UnknownSymbol,
                      UnsupportedArgument)
@@ -83,13 +84,24 @@ def _prime_power(q: int):
     return (q, 1) if _is_prime(q) else None
 
 
+def _integer(text: str, line: int, column: int) -> int:
+    """The value of a decimal literal.  One with more digits than the
+    interpreter converts (sys.get_int_max_str_digits) is a syntax error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ExpressionSyntaxError(
+            f"integer literal of {len(text)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits", line, column) from None
+
+
 def parse_ring(spec: str):
     """Parse ``"F5"``, ``"F9"`` or ``"F5[e]/e^2"`` into a ring descriptor."""
     text = "".join(spec.split())
     m = _RING_RE.match(text)
     if not m:
         raise ExpressionSyntaxError(f"bad ring spec {spec!r}", 1, 1)
-    q = int(m.group(1))
+    q = _integer(m.group(1), 1, 1)
     if q < 2:
         raise ExpressionSyntaxError(f"bad ring spec {spec!r}: need q >= 2", 1, 1)
     pd = _prime_power(q)
@@ -100,7 +112,7 @@ def parse_ring(spec: str):
     field = PrimeField(p) if d == 1 else GaloisField(p, d)
     if m.group(2) is None:
         return field
-    length = int(m.group(2))
+    length = _integer(m.group(2), 1, 1)
     if length < 2:
         raise ExpressionSyntaxError(
             f"bad ring spec {spec!r}: nilpotency length must be >= 2", 1, 1)
@@ -252,7 +264,8 @@ class _Parser:
         kind = tok.kind
         self.pos += 1
         if kind == "int":
-            node = Num(int(tok.text), tok.line, tok.column)
+            node = Num(_integer(tok.text, tok.line, tok.column), tok.line,
+                       tok.column)
         elif kind == "name":
             if tok.text == "O" and tokens[self.pos].kind == "(":
                 node = self.tail(tok)
@@ -289,7 +302,8 @@ class _Parser:
         negative = self.tokens[self.pos].kind == "-"
         if negative:
             self.pos += 1
-        value = int(self.expect("int").text)
+        tok = self.expect("int")
+        value = _integer(tok.text, tok.line, tok.column)
         return (-value if negative else value), negative
 
     def tail(self, otok: Token):

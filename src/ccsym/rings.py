@@ -775,14 +775,17 @@ def residue_field(ring: RingDescriptor) -> RingDescriptor:
     return ring
 
 
-def residue_value(x: RingValue) -> RingValue:
-    """Image of a scalar in the residue field of its (artinian) ring."""
-    ring = x.ring
-    raw = x.raw
+def residue_raw(ring: RingDescriptor, raw):
+    """Payload of the image of a payload of `ring` in its residue field."""
     while isinstance(ring, ArtinianLocal):
         raw = raw[0]
         ring = ring.base
-    return RingValue(ring, raw)
+    return raw
+
+
+def residue_value(x: RingValue) -> RingValue:
+    """Image of a scalar in the residue field of its (artinian) ring."""
+    return RingValue(residue_field(x.ring), residue_raw(x.ring, x.raw))
 
 
 # ---------------------------------------------------------------------------

@@ -25,38 +25,76 @@ Only the c x c corner of D is ever built, never D itself or an inverse:
 
     D[:c, :c] = (T(f0) T(g0))[:c, :] Y,   T(g0) X = E_c,   T(f0) Y = X,
 
-with E_c the first c columns of the identity.  The two solves carry c
-right-hand sides and the product takes c rows, and all of it runs on raw
-payloads skipping zero entries, so an n x n window costs O(n^2 c) scalar
-operations on the banded Toeplitz matrices instead of O(n^3).
+with E_c the first c columns of the identity.  Everything runs on raw
+payloads.  A symbol's coefficients are read once per compression, as the
+band of payloads at t^(1-n) ... t^(n-1), and the rows are slices of that
+band.  T(f, n) has bandwidth p = deg f below the diagonal and q = pole(f)
+above it, so each solve is a forward elimination that looks for pivots and
+clears entries only within the p rows below the diagonal, then a back
+substitution.  Zero entries are skipped throughout.  An n x n window costs
+O(n (p + q) (p + c)) scalar operations instead of O(n^3).  For an index-0
+symbol the Szego ratio det T(f0, k) / det T(f0, k-1) is the k-th pivot of
+one elimination of T(f0) without row swaps.  The solve, the determinant,
+the residue rank and the Szego pivots all clear columns with
+`_eliminate_below`.
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraError, SingularCompression
 from .laurent import LaurentSeries, require_units
-from .rings import RingValue, residue_field, residue_value
+from .rings import RingValue, residue_field, residue_raw
 
 
-# -- dense matrices over a local scalar ring ---------------------------------
-#
-# The kernels below work on raw payloads through the descriptor's
-# _add/_mul/_neg/_inv/_is_unit and skip zero entries, so banded Toeplitz
-# input costs far less than a dense product.  mat_mul, mat_inv and mat_det
-# are the RingValue entry points.
+# -- compressions as payload bands --------------------------------------------
+
+def _require_band(f: LaurentSeries, n: int) -> None:
+    """Raise PrecisionExhausted, as coeff() does, for the first exponent of
+    t^(1-n) ... t^(n-1) past f's truncation."""
+    if n > 0 and f.prec is not None and f.prec < n:
+        f.coeff(max(1 - n, f.prec))
+
+
+def _band(f: LaurentSeries, n: int) -> list:
+    """Payloads of f at t^(1-n) ... t^(n-1), the band every n x n compression
+    of f is sliced from."""
+    _require_band(f, n)
+    band = [f.ring.base._zero_raw()] * max(0, 2 * n - 1)
+    for e, c in f._raw.items():
+        if -n < e < n:
+            band[n - 1 + e] = c
+    return band
+
+
+def _rows(band: list, n: int) -> list:
+    """The n x n compression sliced out of its band: row i holds the
+    payloads at t^i, t^(i-1), ..., t^(i-n+1)."""
+    return [band[i:i + n][::-1] for i in range(n)]
+
+
+def _reach(f: LaurentSeries, n: int) -> int:
+    """Bandwidth of T(f, n) below the diagonal."""
+    return max((e for e in f._raw if 0 < e < n), default=0)
+
 
 def toeplitz_matrix(f: LaurentSeries, n: int):
     """n x n compression of multiplication by f; entry (i, j) = coeff(i-j)."""
-    coeffs = [f.coeff(k) for k in range(1 - n, n)]
-    return [[coeffs[n - 1 + i - j] for j in range(n)] for i in range(n)]
+    return _wrap(_rows(_band(f, n), n), f.ring.base)
 
+
+# -- dense and banded matrices over a local scalar ring ------------------------
+#
+# The kernels below work on raw payloads through the descriptor's
+# _add/_mul/_neg/_inv/_is_unit and skip zero entries.  mat_mul, mat_inv and
+# mat_det are the RingValue entry points.
 
 def _raw(a):
     return [[x.raw for x in row] for row in a]
 
 
 def _wrap(a, ring):
-    return [[RingValue(ring, x) for x in row] for row in a]
+    wrap = ring._wrapper()
+    return [[wrap(x) for x in row] for row in a]
 
 
 def _identity_columns(n: int, c: int, ring):
@@ -80,49 +118,65 @@ def _mul_raw(a, b, ring):
     return out
 
 
-def _solve_raw(a, b, ring):
-    """X with a X = b by Gauss-Jordan elimination; the pivot of each column
-    is its first unit, and a column without one raises SingularCompression."""
+def _first_unit(a, top: int, col: int, end: int, is_unit):
+    """The first of rows top .. end-1 whose entry in column col is a unit."""
+    for r in range(top, end):
+        if is_unit(a[r][col]):
+            return r
+    return None
+
+
+def _eliminate_below(a, top: int, col: int, end: int, ring) -> None:
+    """Clear column col in rows top+1 .. end-1 with row top, whose entry
+    there is a unit.  Only the columns right of col are written: callers
+    never read col or the columns left of it again."""
+    zero = ring._zero_raw()
+    prow = a[top]
+    nz = [(j, x) for j, x in enumerate(prow[col + 1:], col + 1) if x != zero]
+    if not nz:
+        return
+    add, mul = ring._add, ring._mul
+    s = None
+    for row in a[top + 1:end]:
+        x = row[col]
+        if x != zero:
+            if s is None:
+                s = ring._neg(ring._inv(prow[col]))
+            f = mul(x, s)
+            for j, y in nz:
+                row[j] = add(row[j], mul(f, y))
+
+
+def _solve(a, b, lower: int, ring):
+    """X with a X = b for a square a with no entries more than `lower`
+    places below the diagonal.  Forward elimination takes as the pivot of
+    each column its first unit within the band, and a column without one
+    raises SingularCompression; back substitution follows."""
     n = len(a)
     zero = ring._zero_raw()
-    add, mul, neg, is_unit = ring._add, ring._mul, ring._neg, ring._is_unit
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    add, mul, neg = ring._add, ring._mul, ring._neg
+    rows = [ra + rb for ra, rb in zip(a, b)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if is_unit(rows[r][col])), None)
+        end = min(n, col + lower + 1)
+        piv = _first_unit(rows, col, col, end, ring._is_unit)
         if piv is None:
             raise SingularCompression(
                 f"column {col} has no unit pivot; the compression is singular")
         rows[col], rows[piv] = rows[piv], rows[col]
-        prow = rows[col]
-        s = ring._inv(prow[col])
-        nz = [(j, mul(s, x)) for j, x in enumerate(prow[col:], col)
-              if x != zero]
-        for j, x in nz:
-            prow[j] = x
-        for r, row in enumerate(rows):
-            f = row[col]
-            if r == col or f == zero:
-                continue
-            f = neg(f)
-            for j, x in nz:
-                row[j] = add(row[j], mul(f, x))
-    return [row[n:] for row in rows]
-
-
-def _eliminate_below(a, top: int, col: int, ring) -> None:
-    """Clear column col below row top, whose entry there is a unit.  Only
-    the columns right of col are written: callers never read col or the
-    columns left of it again."""
-    zero = ring._zero_raw()
-    add, mul, neg = ring._add, ring._mul, ring._neg
-    prow = a[top]
-    s = ring._inv(prow[col])
-    nz = [(j, x) for j, x in enumerate(prow[col + 1:], col + 1) if x != zero]
-    for row in a[top + 1:]:
-        if row[col] != zero:
-            f = neg(mul(row[col], s))
-            for j, x in nz:
-                row[j] = add(row[j], mul(f, x))
+        _eliminate_below(rows, col, col, end, ring)
+    x = [None] * n
+    for r in range(n - 1, -1, -1):
+        row = rows[r]
+        acc = row[n:]
+        for j in range(r + 1, n):
+            u = row[j]
+            if u != zero:
+                u = neg(u)
+                acc = [s if y == zero else add(s, mul(u, y))
+                       for s, y in zip(acc, x[j])]
+        s = ring._inv(row[r])
+        x[r] = [y if y == zero else mul(s, y) for y in acc]
+    return x
 
 
 def _det_cofactor(a, ring):
@@ -152,8 +206,7 @@ def _det_raw(a, ring):
     a = [list(row) for row in a]
     det = ring._one_raw()
     for col in range(n):
-        piv = next((r for r in range(col, n) if ring._is_unit(a[r][col])),
-                   None)
+        piv = _first_unit(a, col, col, n, ring._is_unit)
         if piv is None:
             return ring._mul(det, _det_cofactor(
                 [row[col:] for row in a[col:]], ring))
@@ -161,8 +214,54 @@ def _det_raw(a, ring):
             a[col], a[piv] = a[piv], a[col]
             det = ring._neg(det)
         det = ring._mul(det, a[col][col])
-        _eliminate_below(a, col, col, ring)
+        _eliminate_below(a, col, col, n, ring)
     return det
+
+
+def _rank(m, lower: int, field) -> int:
+    """Rank of a payload matrix over a field whose entries lie at most
+    `lower` places below the diagonal; columns without a pivot are
+    skipped."""
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    rank = 0
+    for col in range(n_cols):
+        end = min(n_rows, col + lower + 1)
+        piv = _first_unit(m, rank, col, end, field._is_unit)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        _eliminate_below(m, rank, col, end, field)
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _pivots(f0: LaurentSeries, n: int, m: int):
+    """Pivots of an elimination of T(f0, n) past its leading m x m block,
+    up to and including the first that is not a unit; None if that block is
+    singular.  The block is eliminated with row swaps inside it, the rest
+    without, so the pivot at position k > m is the Schur complement
+    det T(f0, k) / det T(f0, k-1), exact while the pivots before it are
+    units."""
+    base = f0.ring.base
+    a = _rows(_band(f0, n), n)
+    lower = _reach(f0, n)
+    pivots = []
+    for col in range(n):
+        end = min(n, col + lower + 1)
+        if col < m:
+            piv = _first_unit(a, col, col, min(m, end), base._is_unit)
+            if piv is None:
+                return None
+            a[col], a[piv] = a[piv], a[col]
+        else:
+            pivots.append(a[col][col])
+            if not base._is_unit(a[col][col]):
+                break
+        _eliminate_below(a, col, col, end, base)
+    return pivots
 
 
 def mat_mul(a, b):
@@ -173,7 +272,7 @@ def mat_mul(a, b):
 def mat_inv(a, ring):
     """Inverse over a local ring (pivots must be units)."""
     n = len(a)
-    return _wrap(_solve_raw(_raw(a), _identity_columns(n, n, ring), ring),
+    return _wrap(_solve(_raw(a), _identity_columns(n, n, ring), n - 1, ring),
                  ring)
 
 
@@ -184,23 +283,8 @@ def mat_det(a, ring):
 
 def residue_rank(a, ring) -> int:
     """Rank of the residue-field reduction of a matrix."""
-    field = residue_field(ring)
-    zero = field._zero_raw()
-    m = [[residue_value(x).raw for x in row] for row in a]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if m[r][col] != zero),
-                   None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        _eliminate_below(m, rank, col, field)
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return _rank([[residue_raw(ring, x.raw) for x in row] for row in a],
+                 len(a) - 1, residue_field(ring))
 
 
 # -- index, Szego ratio, joint torsion ----------------------------------------
@@ -217,7 +301,9 @@ def toeplitz_index(f: LaurentSeries, window: int = None) -> int:
     span = (f.degree() if f.coeffs else 0) + shift
     n = window if window is not None else span + 2
     h = f.shift(shift)
-    rank = residue_rank(toeplitz_matrix(h, n), f.ring.base)
+    base = f.ring.base
+    residues = [residue_raw(base, x) for x in _band(h, n)]
+    rank = _rank(_rows(residues, n), _reach(h, n), residue_field(base))
     return (n - rank) - shift
 
 
@@ -226,22 +312,41 @@ def szego_ratio(f0: LaurentSeries, start: int = None):
 
     Nilpotency makes the sequence exactly constant once k clears the reach
     of the negative tail; two consecutive equal ratios certify the limit.
+    The k-th ratio is read as the k-th pivot of one elimination of T(f0),
+    so no determinant is formed.  Ratios before `start` are not needed, so
+    the leading (start-1) x (start-1) block only has to be invertible: it is
+    eliminated with row swaps inside it, and every later row keeps its
+    place.  For an index-0 symbol no swap is ever made.  The eliminated
+    window starts at start + 1 and doubles when k passes it, up to the
+    search limit.  A non-unit pivot that a ratio divides by raises
+    SingularCompression.
     """
     ring = f0.ring
     L = ring.nil_bound
     pole = max(0, -(f0.low if f0.low is not None else 0))
     k = start if start is not None else (L - 1) * pole + 2
     limit = k + 4 * L * (pole + 1) + 8
-    prev_det = mat_det(toeplitz_matrix(f0, k - 1), ring.base)
+    _require_band(f0, k - 1)
+    m = max(0, k - 1)
+    one = ring.base._one_raw()
+    n, pivots = 0, []
     prev_ratio = None
     while k <= limit:
-        cur_det = mat_det(toeplitz_matrix(f0, k), ring.base)
-        if not prev_det.is_unit():
-            raise SingularCompression("Szego minor is singular")
-        ratio = cur_det * prev_det.inv()
-        if prev_ratio is not None and ratio == prev_ratio:
-            return ratio
-        prev_ratio, prev_det = ratio, cur_det
+        _require_band(f0, k)
+        if k <= 0:
+            ratio = one
+        else:
+            if k > n:
+                n = min(max(2 * n, k + 1), limit)
+                if f0.prec is not None:     # k <= f0.prec, as checked above
+                    n = min(n, f0.prec)
+                pivots = _pivots(f0, n, m)
+            if pivots is None or len(pivots) < k - m:
+                raise SingularCompression("Szego minor is singular")
+            ratio = pivots[k - m - 1]
+        if ratio == prev_ratio:
+            return RingValue(ring.base, ratio)
+        prev_ratio = ratio
         k += 1
     raise AlgebraError("Szego ratios failed to stabilize")  # pragma: no cover
 
@@ -251,12 +356,13 @@ def _corner_det(f0, g0, corner: int, size: int):
     corner-only solve in the module docstring."""
     base = f0.ring.base
     corner = min(corner, size)
-    tf = _raw(toeplitz_matrix(f0, size))
-    tg = _raw(toeplitz_matrix(g0, size))
-    x = _solve_raw(tg, _identity_columns(size, corner, base), base)
-    y = _solve_raw(tf, x, base)
+    tf = _rows(_band(f0, size), size)
+    tg = _rows(_band(g0, size), size)
+    x = _solve(tg, _identity_columns(size, corner, base), _reach(g0, size),
+               base)
+    y = _solve(tf, x, _reach(f0, size), base)
     block = _mul_raw(_mul_raw(tf[:corner], tg, base), y, base)
-    return mat_det(_wrap(block, base), base)
+    return RingValue(base, _det_raw(block, base))
 
 
 def joint_torsion(f: LaurentSeries, g: LaurentSeries,

@@ -313,6 +313,27 @@ def test_batch_domain_error_continues(capsys, monkeypatch):
     assert code == 3
 
 
+def test_batch_answers_an_integer_literal_over_the_digit_limit(capsys,
+                                                               monkeypatch):
+    # int() refuses a literal of more digits than sys.get_int_max_str_digits()
+    # (4,300 by default); that line is a parse error and the batch goes on
+    lines = f"symbol tame --ring F5 {'1' * 5000} t\nsymbol tame --ring F5 t 1+t\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(["batch"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 2
+    assert rows[0]["exit"] == 2
+    assert rows[0]["error"] == ("integer literal of 5000 digits exceeds the "
+                                "limit of 4300 digits (line 1, column 1)")
+    assert rows[1]["value"] == "1"
+    assert code == 2
+
+
 def test_batch_answers_unclosed_quotes_long_sums_and_deep_nesting():
     lines = ["symbol tame --ring F5 '1+t t",
              "symbol tame --ring F7 " + "+".join(["t"] * 1500) + " t",

@@ -3,6 +3,7 @@ round trips."""
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -58,6 +59,28 @@ def test_parse_ring_prime_powers():
 def test_parse_ring_rejects(bad):
     with pytest.raises(ExpressionSyntaxError):
         parse_ring(bad)
+
+
+def test_integer_literals_over_the_digit_limit_are_syntax_errors():
+    # int() refuses a literal of more digits than sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    long = "1" * 5000
+    try:
+        for call, column in [
+                (lambda: parse_ring("F" + long), 1),
+                (lambda: parse_ring("F5[e]/e^" + long), 1),
+                (lambda: parse_expression("1 + " + long, F5), 5),
+                (lambda: parse_expression("t^-" + long, F5, "series"), 4),
+                (lambda: parse_expression(f"t + O(t^{long})", F5, "series"),
+                 9)]:
+            with pytest.raises(ExpressionSyntaxError,
+                               match="integer literal of 5000 digits exceeds"
+                                     " the limit of 4300 digits") as err:
+                call()
+            assert (err.value.line, err.value.column) == (1, column)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_ring_label_round_trip():

@@ -1,14 +1,19 @@
 """Toeplitz compressions: index, Szego ratios, joint torsion."""
 
+import collections
 import itertools
 import random
+import time
 
 import pytest
 
 from ccsym import toeplitz
-from ccsym.errors import NotAUnit, PrecisionExhausted, SingularCompression
-from ccsym.laurent import LaurentRing, LaurentSeries, unit_decompose
-from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
+from ccsym.errors import (AlgebraError, NotAUnit, PrecisionExhausted,
+                          SingularCompression)
+from ccsym.laurent import (LaurentRing, LaurentSeries, require_units,
+                           unit_decompose)
+from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
+                         residue_field, residue_value)
 from ccsym.symbols import cc_symbol, tame_symbol
 from ccsym.toeplitz import (joint_torsion, mat_det, mat_inv, mat_mul,
                             residue_rank, szego_ratio, toeplitz_index,
@@ -178,6 +183,36 @@ def test_szego_ratio_trivial_tail():
     assert szego_ratio(g0) == A52.from_int(3)
 
 
+def test_szego_ratio_singular_minor():
+    # joint_torsion only asks for ratios of index-0 symbols, whose minors are
+    # units; a direct call on t divides by det T(t, 1) = 0
+    R = LaurentRing(A52, "t")
+    with pytest.raises(SingularCompression, match="Szego minor is singular"):
+        szego_ratio(R.gen())
+
+
+def test_deep_pole_grows_the_szego_window_from_start(monkeypatch):
+    # a nilpotent pole of depth 32 puts the start of the Szego search at
+    # k = 34 and its limit at k = 306; the ratio is stable by k = 35, so
+    # the eliminated windows stay near the start instead of the limit
+    R = LaurentRing(A52, "t")
+    eps = A52.eps()
+    f = series(R, {0: 1, 1: 2}) + series(R, {-32: 1}).scale(eps)
+    g = series(R, {0: 3, 2: 1}) + series(R, {-1: 1}).scale(eps)
+    windows = []
+    pivots = toeplitz._pivots
+
+    def recorded(f0, n, m):
+        windows.append(n)
+        return pivots(f0, n, m)
+
+    monkeypatch.setattr(toeplitz, "_pivots", recorded)
+    began = time.perf_counter()
+    assert joint_torsion(f, g) == cc_symbol(f, g)
+    assert time.perf_counter() - began < 5
+    assert windows and max(windows) <= 2 * 35
+
+
 # -- joint torsion -------------------------------------------------------------
 
 def test_pole_times_regular_closed_form():
@@ -310,3 +345,197 @@ def test_corner_det_singular_compression():
     with pytest.raises(SingularCompression,
                        match="column 3 has no unit pivot"):
         toeplitz._corner_det(shift, one, 2, 4)
+
+
+# -- differential check against the dense Gauss-Jordan route -------------------
+#
+# The oracles below are the route the banded kernels replaced: compressions
+# read coefficient by coefficient, a Gauss-Jordan solve that scans every row
+# of every column, a dense determinant with row swaps, and a Szego loop that
+# forms det T(f0, k) afresh for every k.
+
+def _oracle_matrix(f, n):
+    coeffs = [f.coeff(k) for k in range(1 - n, n)]
+    return [[coeffs[n - 1 + i - j].raw for j in range(n)] for i in range(n)]
+
+
+def _gauss_jordan_solve(a, b, ring):
+    n = len(a)
+    zero = ring._zero_raw()
+    add, mul, neg, is_unit = ring._add, ring._mul, ring._neg, ring._is_unit
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if is_unit(rows[r][col])), None)
+        if piv is None:
+            raise SingularCompression(
+                f"column {col} has no unit pivot; the compression is singular")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = rows[col]
+        s = ring._inv(prow[col])
+        prow[col:] = [mul(s, x) for x in prow[col:]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != col and f != zero:
+                f = neg(f)
+                row[col:] = [add(x, mul(f, y))
+                             for x, y in zip(row[col:], prow[col:])]
+    return [row[n:] for row in rows]
+
+
+def _dense_det(a, ring):
+    a = [list(row) for row in a]
+    n = len(a)
+    det = ring._one_raw()
+    for col in range(n):
+        piv = next((r for r in range(col, n) if ring._is_unit(a[r][col])),
+                   None)
+        if piv is None:
+            return ring._mul(det, toeplitz._det_cofactor(
+                [row[col:] for row in a[col:]], ring))
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = ring._neg(det)
+        det = ring._mul(det, a[col][col])
+        s = ring._neg(ring._inv(a[col][col]))
+        for row in a[col + 1:]:
+            f = ring._mul(row[col], s)
+            row[col:] = [ring._add(x, ring._mul(f, y))
+                         for x, y in zip(row[col:], a[col][col:])]
+    return det
+
+
+def _oracle_index(f, window=None):
+    require_units("index needs a unit symbol", f)
+    shift = max(0, -(f.low if f.low is not None else 0))
+    span = (f.degree() if f.coeffs else 0) + shift
+    n = window if window is not None else span + 2
+    h = f.shift(shift)
+    field = residue_field(f.ring.base)
+    m = [[residue_value(RingValue(f.ring.base, x)).raw for x in row]
+         for row in _oracle_matrix(h, n)]
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if field._is_unit(m[r][col])),
+                   None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        s = field._neg(field._inv(m[rank][col]))
+        for row in m[rank + 1:]:
+            g = field._mul(row[col], s)
+            row[col:] = [field._add(x, field._mul(g, y))
+                         for x, y in zip(row[col:], m[rank][col:])]
+        rank += 1
+    return (n - rank) - shift
+
+
+def _oracle_szego(f0, start=None):
+    ring = f0.ring
+    base = ring.base
+    L = ring.nil_bound
+    pole = max(0, -(f0.low if f0.low is not None else 0))
+    k = start if start is not None else (L - 1) * pole + 2
+    limit = k + 4 * L * (pole + 1) + 8
+    prev_det = _dense_det(_oracle_matrix(f0, k - 1), base)
+    prev_ratio = None
+    while k <= limit:
+        cur_det = _dense_det(_oracle_matrix(f0, k), base)
+        if not base._is_unit(prev_det):
+            raise SingularCompression("Szego minor is singular")
+        ratio = base._mul(cur_det, base._inv(prev_det))
+        if ratio == prev_ratio:
+            return RingValue(base, ratio)
+        prev_ratio, prev_det = ratio, cur_det
+        k += 1
+    raise AssertionError("Szego ratios failed to stabilize")
+
+
+def _oracle_corner_det(f0, g0, corner, size):
+    base = f0.ring.base
+    corner = min(corner, size)
+    tf = _oracle_matrix(f0, size)
+    tg = _oracle_matrix(g0, size)
+    identity = [[base._one_raw() if i == j else base._zero_raw()
+                 for j in range(corner)] for i in range(size)]
+    x = _gauss_jordan_solve(tg, identity, base)
+    y = _gauss_jordan_solve(tf, x, base)
+    block = toeplitz._mul_raw(toeplitz._mul_raw(tf[:corner], tg, base), y,
+                              base)
+    return RingValue(base, _dense_det(block, base))
+
+
+def _outcome(fn, *args, **kwargs):
+    """The value, or the type and message of the domain error raised."""
+    try:
+        return fn(*args, **kwargs)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+def _differential_symbol(R, rng, pole, truncate):
+    """t^shift times (a unit constant, up to 3 positive terms and a tail of
+    `pole` random coefficients below t^0, nilpotent over an artinian base),
+    optionally truncated somewhere inside or just past its terms."""
+    base = R.base
+    eps = base.one() if base.is_field else base.eps()
+    coeffs = {0: base.random_unit(rng)}
+    for e in range(1, rng.randrange(1, 4) + 1):
+        coeffs[e] = base.random(rng)
+    for e in range(-pole, 0):
+        coeffs[e] = base.random(rng) * eps
+    shift = rng.randrange(-2, 3)
+    coeffs = {e + shift: c for e, c in coeffs.items()}
+    prec = None
+    if truncate:
+        prec = rng.randrange(shift + 1, max(coeffs) + 12)
+    return LaurentSeries(R, coeffs, prec)
+
+
+DIFFERENTIAL_RINGS = (F5, F9, A32, A33, A52, A72, ArtinianLocal(F9, 2))
+
+
+@pytest.mark.parametrize("base", DIFFERENTIAL_RINGS, ids=str)
+def test_banded_kernels_match_dense_oracles(monkeypatch, base):
+    rng = random.Random(f"differential {base}")
+    R = LaurentRing(base, "t")
+    oracles = {"szego_ratio": _oracle_szego, "toeplitz_index": _oracle_index,
+               "_corner_det": _oracle_corner_det}
+    fast = {name: getattr(toeplitz, name) for name in oracles}
+    outcomes = collections.Counter()
+
+    def both(name, *args, **kwargs):
+        got = _outcome(fast[name], *args, **kwargs)
+        want = _outcome(oracles[name], *args, **kwargs)
+        assert got == want, (name, args, kwargs)
+        outcomes[got[0] if isinstance(got, tuple) else "value"] += 1
+
+    def torsion_both(*args, **kwargs):
+        got = _outcome(joint_torsion, *args, **kwargs)
+        with monkeypatch.context() as m:
+            for name, oracle in oracles.items():
+                m.setattr(toeplitz, name, oracle)
+            want = _outcome(joint_torsion, *args, **kwargs)
+        assert got == want, (args, kwargs)
+        outcomes[got[0] if isinstance(got, tuple) else "value"] += 1
+
+    for trial in range(25):
+        pole_f, pole_g = trial % 5, rng.randrange(5)
+        truncate = trial % 3 == 2
+        f = _differential_symbol(R, rng, pole_f, truncate)
+        g = _differential_symbol(R, rng, pole_g, truncate)
+        both("toeplitz_index", f)
+        both("toeplitz_index", f, window=rng.randrange(1, 10))
+        both("szego_ratio", f)
+        both("szego_ratio", f, start=rng.randrange(0, 8))
+        if f.prec is None:
+            f0 = f.shift(-f.valuation())
+            both("szego_ratio", f0)
+        corner = rng.randrange(1, 7)
+        size = corner + rng.randrange(0, 10)
+        both("_corner_det", f, g, corner, size)
+        torsion_both(f, g)
+        torsion_both(f, g, corner=corner, size=size)
+        torsion_both(f, g, corner=corner)
+    # the corpus reaches values and each kind of error
+    assert outcomes["value"] and outcomes[PrecisionExhausted]
+    assert outcomes[SingularCompression]
