@@ -40,7 +40,7 @@ from .errors import (AlgebraError, NonUnitLeadingCoefficient, UnsupportedArgumen
 from .laurent import (LaurentRing, LaurentSeries, _quotient, _series,
                       laurent_inv)
 from .poly import Poly, factor, poly_gcd, roots_in
-from .rings import (ArtinianLocal, GaloisField, RingValue, _power, embed,
+from .rings import (ArtinianLocal, RingValue, _finite_field, _power, embed,
                     residue_field, residue_value)
 
 
@@ -202,10 +202,7 @@ def support_places(*functions: RationalFunction) -> list[Place]:
 def residue_extension(scalar_ring, degree: int):
     """The coefficient ring of expansions at a place of the given degree."""
     k = residue_field(scalar_ring)
-    if degree == 1:
-        big = k
-    else:
-        big = GaloisField(k.char, k.degree * degree)
+    big = k if degree == 1 else _finite_field(k.char, k.degree * degree)
     if isinstance(scalar_ring, ArtinianLocal):
         return ArtinianLocal(big, scalar_ring.m)
     return big

@@ -40,7 +40,7 @@ from collections import namedtuple
 
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit, NotRegular,
                      PrecisionExhausted)
-from .rings import RingDescriptor, RingValue, _power, format_value
+from .rings import RingDescriptor, _composite, _fmt_poly, _power, format_value
 
 #: raw coefficient operations that the kernel loops run on
 _CoeffOps = namedtuple("_CoeffOps", "mul add neg nonzero wrap")
@@ -310,31 +310,20 @@ class LaurentSeries:
 def format_series(f: LaurentSeries) -> str:
     """Canonical text form: terms by ascending exponent, then O(var^prec).
 
-    Coefficient text is parenthesized when composite; a coefficient of 1 is
-    dropped next to a variable power; bare exponent 1 prints as plain var.
-    The result round-trips through the expression parser.
+    Coefficient text is parenthesized when composite, the constant term's
+    too; a coefficient of 1 is dropped next to a variable power; bare
+    exponent 1 prints as plain var.  The result round-trips through the
+    expression parser.
     """
     var = f.ring.var
-    parts = []
-    for e in sorted(f.coeffs):
-        c = f.coeffs[e]
-        ctext = format_value(c) if isinstance(c, RingValue) else format_series(c)
-        composite = any(ch in ctext for ch in " +*/^")
-        if e == 0:
-            parts.append(f"({ctext})" if composite else ctext)
-            continue
-        power = var if e == 1 else f"{var}^{e}"
-        if ctext == "1":
-            parts.append(power)
-        elif composite:
-            parts.append(f"({ctext})*{power}")
-        else:
-            parts.append(f"{ctext}*{power}")
-    body = " + ".join(parts)
-    if f.prec is not None:
-        tail = f"O({var}^{f.prec})"
-        body = f"{body} + {tail}" if body else tail
-    return body or "0"
+    tower = isinstance(f.ring.base, LaurentRing)
+    body = _fmt_poly(sorted(f.coeffs.items()), var,
+                     format_series if tower else format_value, _composite,
+                     bracket_constant=True)
+    if f.prec is None:
+        return body
+    tail = f"O({var}^{f.prec})"
+    return tail if body == "0" else f"{body} + {tail}"
 
 
 def _merge_prec(a, b):

@@ -54,7 +54,7 @@ from .geometry import (BivarPoly, BivarRational, RationalFunction,
 from .laurent import LaurentRing, LaurentSeries, _add_into, _product, _series
 from .poly import Poly
 from .rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
-                    _is_prime, _power, embed)
+                    _finite_field, _is_prime, _power, embed)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def parse_ring(spec: str):
         raise ExpressionSyntaxError(
             f"bad ring spec {spec!r}: {q} is not a prime power", 1, 1)
     p, d = pd
-    field = PrimeField(p) if d == 1 else GaloisField(p, d)
+    field = _finite_field(p, d)
     if m.group(2) is None:
         return field
     length = _integer(m.group(2), 1, 1)

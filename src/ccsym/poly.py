@@ -19,10 +19,10 @@ import operator
 
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit,
                      UnsupportedArgument)
-from .rings import (RingDescriptor, RingValue, _field_roots, _fmt_poly, _power,
-                    _raw_add, _raw_ddf, _raw_derivative, _raw_divmod, _raw_edf,
-                    _raw_encoding, _raw_gcd, _raw_monic, _raw_mul, _seeded_rng,
-                    embed)
+from .rings import (RingDescriptor, RingValue, _composite, _field_roots,
+                    _fmt_poly, _power, _raw_add, _raw_ddf, _raw_derivative,
+                    _raw_divmod, _raw_edf, _raw_encoding, _raw_gcd,
+                    _raw_monic, _raw_mul, _seeded_rng, embed)
 
 
 class Poly:
@@ -89,8 +89,7 @@ class Poly:
         return hash((self.ring, self.coeffs))
 
     def __repr__(self):
-        return _fmt_poly(self.coeffs, "t", str,
-                         lambda body: any(ch in body for ch in " +*/^"))
+        return _fmt_poly(enumerate(self.coeffs), "t", str, _composite)
 
     # -- arithmetic: each operation runs once on raw payloads, in `rings` ------
     @classmethod

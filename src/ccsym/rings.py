@@ -48,7 +48,8 @@ import math
 import operator
 import random
 
-from .errors import AlgebraError, DescriptorMismatch, DivisionByNonUnit
+from .errors import (AlgebraError, DescriptorMismatch, DivisionByNonUnit,
+                     SingularCompression)
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -491,6 +492,11 @@ _TABLE_BOUND = 256
 _LOG_BOUND = 1 << 13
 
 
+def _finite_field(p: int, d: int):
+    """F_{p^d}: a prime field for d = 1, else the pinned Galois field."""
+    return PrimeField(p) if d == 1 else GaloisField(p, d)
+
+
 class _LogTables:
     """Discrete logarithms to the pinned generator g of a Galois field with
     q elements (Lidl-Niederreiter, Finite Fields, 9.1): `exp[i]` is the
@@ -791,28 +797,27 @@ def residue_value(x: RingValue) -> RingValue:
 # ---------------------------------------------------------------------------
 # formatting (the expression printer reuses this for scalar coefficients)
 
+_composite = frozenset(" +*/^").intersection
 
-def _fmt_poly(coords, sym: str, fmt_coeff, composite) -> str:
-    """sum_i coords[i]*sym^i, skipping zero terms and coefficients 1;
-    `composite(body)` says when a coefficient's text needs parentheses."""
-    terms = []
-    for i, c in enumerate(coords):
-        if c is None:
-            continue
+
+def _fmt_poly(terms, sym: str, fmt_coeff, composite,
+              bracket_constant: bool = False) -> str:
+    """sum c*sym^i over the (i, c) pairs, skipping zero terms and
+    coefficients 1; `composite(body)` says when a coefficient's text needs
+    parentheses, which a constant term gets only with `bracket_constant`."""
+    out = []
+    for i, c in terms:
         body = fmt_coeff(c)
         if body == "0":
             continue
+        if (i or bracket_constant) and composite(body):
+            body = f"({body})"
         if i == 0:
-            terms.append(body)
-            continue
-        power = sym if i == 1 else f"{sym}^{i}"
-        if body == "1":
-            terms.append(power)
-        elif composite(body):
-            terms.append(f"({body})*{power}")
+            out.append(body)
         else:
-            terms.append(f"{body}*{power}")
-    return " + ".join(terms) if terms else "0"
+            power = sym if i == 1 else f"{sym}^{i}"
+            out.append(power if body == "1" else f"{body}*{power}")
+    return " + ".join(out) if out else "0"
 
 
 def format_value(x: RingValue) -> str:
@@ -820,56 +825,166 @@ def format_value(x: RingValue) -> str:
     if isinstance(ring, PrimeField):
         return str(x.raw)
     if isinstance(ring, GaloisField):
-        return _fmt_poly(x.raw, "g", str, lambda body: False)
+        return _fmt_poly(enumerate(x.raw), "g", str, lambda body: False)
     if isinstance(ring, ArtinianLocal):
         base = ring.base
 
         def fmt_coeff(raw):
             return format_value(RingValue(base, raw))
 
-        return _fmt_poly(x.raw, "e", fmt_coeff, lambda body: " + " in body)
+        return _fmt_poly(enumerate(x.raw), "e", fmt_coeff,
+                         lambda body: " + " in body)
     raise AlgebraError(f"cannot format value over {ring}")  # pragma: no cover
+
+
+# ---------------------------------------------------------------------------
+# the matrix kernel: lists of payload rows over F_q or F_q[e]/e^m
+#
+# One elimination serves every matrix in the package.  F_q[e]/e^m is a chain
+# ring, every ideal is some (e^k), so a column pivoted on an entry of least
+# e-adic valuation divides every other entry of that column, and each row
+# operation is exact (Storjohann-Mulders, "Fast algorithms for linear algebra
+# modulo N", ESA 1998).  Zero entries are skipped throughout.
+
+
+def _identity_columns(n: int, c: int, ring):
+    """The first c columns of the n x n identity, as raw payloads."""
+    one, zero = ring._one_raw(), ring._zero_raw()
+    return [[one if i == j else zero for j in range(c)] for i in range(n)]
+
+
+def _mul_raw(a, b, ring):
+    """Product of raw matrices; a's zero entries skip whole rows of b."""
+    zero = ring._zero_raw()
+    add, mul = ring._add, ring._mul
+    out = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for x, brow in zip(row, b):
+            if x != zero:
+                acc = [s if y == zero else add(s, mul(x, y))
+                       for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+def _pivot_row(a, top: int, col: int, end: int, ring):
+    """The pivot of column col among rows top .. end-1, with its e-adic
+    valuation: the first unit (valuation 0), failing that the first entry of
+    least valuation.  The row is None when every entry is zero."""
+    is_unit = ring._is_unit
+    for r in range(top, end):
+        if is_unit(a[r][col]):
+            return r, 0
+    if ring.is_field:
+        return None, None
+    unit = ring.base._is_unit
+    best, low = None, ring.m
+    for r in range(top, end):
+        for k, c in enumerate(a[r][col][:low]):
+            if unit(c):
+                best, low = r, k
+                break
+    return best, low
+
+
+def _eliminate_below(a, top: int, col: int, end: int, ring) -> None:
+    """Clear column col in rows top+1 .. end-1 with row top, whose entry
+    there is a unit.  Only the columns right of col are written: callers
+    never read col or the columns left of it again."""
+    zero = ring._zero_raw()
+    prow = a[top]
+    nz = [(j, x) for j, x in enumerate(prow[col + 1:], col + 1) if x != zero]
+    if not nz:
+        return
+    add, mul = ring._add, ring._mul
+    s = None
+    for row in a[top + 1:end]:
+        x = row[col]
+        if x != zero:
+            if s is None:
+                s = ring._neg(ring._inv(prow[col]))
+            f = mul(x, s)
+            for j, y in nz:
+                row[j] = add(row[j], mul(f, y))
+
+
+def _solve(a, b, lower: int, ring):
+    """X with a X = b for a square a with no entries more than `lower`
+    places below the diagonal.  Forward elimination takes as the pivot of
+    each column its first unit within the band, and a column without one
+    raises SingularCompression; back substitution follows."""
+    n = len(a)
+    zero = ring._zero_raw()
+    add, mul, neg = ring._add, ring._mul, ring._neg
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    for col in range(n):
+        end = min(n, col + lower + 1)
+        piv, k = _pivot_row(rows, col, col, end, ring)
+        if piv is None or k:
+            raise SingularCompression(
+                f"column {col} has no unit pivot; the compression is singular")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        _eliminate_below(rows, col, col, end, ring)
+    x = [None] * n
+    for r in range(n - 1, -1, -1):
+        row = rows[r]
+        acc = row[n:]
+        for j in range(r + 1, n):
+            u = row[j]
+            if u != zero:
+                u = neg(u)
+                acc = [s if y == zero else add(s, mul(u, y))
+                       for s, y in zip(acc, x[j])]
+        s = ring._inv(row[r])
+        x[r] = [y if y == zero else mul(s, y) for y in acc]
+    return x
+
+
+def _det_raw(a, ring):
+    """Determinant by elimination with valuation pivots, exact also when it
+    is not a unit: the column of a pivot e^k p', p' a unit, of least
+    valuation k is divided by e^k and cleared with p'; a zero column gives 0."""
+    n, det = len(a), ring._one_raw()
+    a = [list(row) for row in a]
+    for col in range(n):
+        piv, k = _pivot_row(a, col, col, n, ring)
+        if piv is None:
+            return ring._zero_raw()
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = ring._neg(det)
+        det = ring._mul(det, a[col][col])
+        if k:
+            for row in a[col:]:
+                row[col] = row[col][k:] + ring._zero_raw()[:k]
+        _eliminate_below(a, col, col, n, ring)
+    return det
+
+
+def _rank(m, lower: int, field) -> int:
+    """Rank of a payload matrix over a field whose entries lie at most
+    `lower` places below the diagonal; columns without a pivot are
+    skipped."""
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    rank = 0
+    for col in range(n_cols):
+        end = min(n_rows, col + lower + 1)
+        piv, _ = _pivot_row(m, rank, col, end, field)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        _eliminate_below(m, rank, col, end, field)
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
 
 
 # ---------------------------------------------------------------------------
 # embeddings and norms between scalar rings
 
 _EMBED_CACHE: dict[tuple, tuple] = {}
-
-
-def _fp_solve(matrix, rhs, p):
-    """Solve matrix @ x = rhs over F_p; matrix is a list of rows."""
-    rows = [list(r) + [v] for r, v in zip(matrix, rhs)]
-    n, m = len(rows), len(rows[0]) - 1
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if rows[i][m] % p:
-            raise AlgebraError("inconsistent linear system over F_p")
-    x = [0] * m
-    for i, c in enumerate(piv_cols):
-        x[c] = rows[i][m]
-    return x
-
-
-def _coords(x_raw, desc) -> list[int]:
-    """F_p coordinates of a field element."""
-    return list(x_raw) if isinstance(desc, GaloisField) else [x_raw]
 
 
 def _raw_encoding(raw, ring) -> int:
@@ -1100,30 +1215,27 @@ def embed(x: RingValue, target: RingDescriptor) -> RingValue:
 
 
 def _subfield_coords(y: RingValue, sub) -> RingValue:
-    """Express y (known to lie in the pinned copy of `sub`) as a `sub` element."""
-    big = y.ring
-    if isinstance(sub, PrimeField):
-        basis = [big.one()]
-        e = 1
-    else:
-        ghat = _pinned_subfield_generator(sub, big)
-        e = sub.d
-        basis = []
-        power = big.one()
-        for _ in range(e):
-            basis.append(power)
-            power = power * ghat
-    matrix = [[_coords(b.raw, big)[i] for b in basis] for i in range(big.d)]
-    sol = _fp_solve(matrix, _coords(y.raw, big), big.p)
-    if isinstance(sub, PrimeField):
-        return RingValue(sub, sol[0])
-    return RingValue(sub, tuple(sol))
-
-
-def subfield_descriptor(field, degree: int):
-    if degree == 1:
-        return PrimeField(field.char)
-    return GaloisField(field.char, degree)
+    """y, known to lie in the pinned copy of `sub`, as a `sub` element: its
+    coordinates x in the basis 1, g, ..., g^(s-1) solve B x = y over F_p, read
+    off s independent rows of B (inverse cached per pair), checked on all."""
+    big, p, s = y.ring, y.ring.p, sub.degree
+    key = ("basis", s, p, big.d)
+    if key not in _EMBED_CACHE:
+        g = (big.one() if isinstance(sub, PrimeField)
+             else _pinned_subfield_generator(sub, big))
+        basis = [list(r) for r in zip(*((g ** i).raw for i in range(s)))]
+        fp, rows = PrimeField(p), []
+        for i in range(big.d):
+            if _rank([basis[r][:] for r in rows + [i]], big.d, fp) > len(rows):
+                rows.append(i)
+        _EMBED_CACHE[key] = basis, rows, _solve(
+            [basis[r] for r in rows], _identity_columns(s, s, fp), s - 1, fp)
+    basis, rows, inv = _EMBED_CACHE[key]
+    x = [sum(c * y.raw[r] for c, r in zip(row, rows)) % p for row in inv]
+    if any(sum(b * c for b, c in zip(brow, x)) % p != v
+           for brow, v in zip(basis, y.raw)):
+        raise AlgebraError("inconsistent linear system over F_p")
+    return RingValue(sub, x[0] if isinstance(sub, PrimeField) else tuple(x))
 
 
 def relative_norm(x: RingValue, sub_degree: int = 1) -> RingValue:
@@ -1145,11 +1257,9 @@ def relative_norm(x: RingValue, sub_degree: int = 1) -> RingValue:
         raise DescriptorMismatch(f"no degree-{sub_degree} subfield of {ring}")
     if sub_degree == field.degree:
         return x
-    sub = subfield_descriptor(field, sub_degree)
+    sub = _finite_field(field.char, sub_degree)
     q = field.char ** sub_degree
     if ring is field:
-        if x.is_zero():
-            return sub.zero()
         return _subfield_coords(x ** ((field.size - 1) // (q - 1)), sub)
     acc = y = x.raw
     for _ in range(field.degree // sub_degree - 1):

@@ -34,25 +34,35 @@ clears entries only within the p rows below the diagonal, then a back
 substitution.  Zero entries are skipped throughout.  An n x n window costs
 O(n (p + q) (p + c)) scalar operations instead of O(n^3).  For an index-0
 symbol the Szego ratio det T(f0, k) / det T(f0, k-1) is the k-th pivot of
-one elimination of T(f0) without row swaps.  The solve, the determinant,
-the residue rank and the Szego pivots all clear columns with
-`_eliminate_below`.
+one elimination of T(f0) without row swaps.
+
+The solve, the determinant, the residue rank and the Szego pivots all run
+on the one matrix kernel in `rings`, and all clear columns with its
+`_eliminate_below`.  Its pivot search takes the first unit of a column;
+failing that, the first entry of least e-adic valuation.  Over the chain
+ring F_q[e]/e^m that entry divides the rest of its column, so a
+determinant stays exact and O(n^3) when it is not a unit.  Solves and
+Szego pivots still demand unit pivots, and wherever a unit exists the
+search picks the same row as a unit-only search would.
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraError, SingularCompression
 from .laurent import LaurentSeries, require_units
-from .rings import RingValue, residue_field, residue_raw
+from .rings import (RingValue, _det_raw, _eliminate_below, _identity_columns,
+                    _mul_raw, _pivot_row, _rank, _solve, residue_field,
+                    residue_raw)
 
 
 # -- compressions as payload bands --------------------------------------------
 
-def _require_band(f: LaurentSeries, n: int) -> None:
+def _require_band(f: LaurentSeries, n: int, shift: int = 0) -> None:
     """Raise PrecisionExhausted, as coeff() does, for the first exponent of
-    t^(1-n) ... t^(n-1) past f's truncation."""
-    if n > 0 and f.prec is not None and f.prec < n:
-        f.coeff(max(1 - n, f.prec))
+    t^(1-n) ... t^(n-1) in t^shift f past its truncation, named as an
+    exponent of f."""
+    if n > 0 and f.prec is not None and f.prec + shift < n:
+        f.coeff(max(1 - n, f.prec + shift) - shift)
 
 
 def _band(f: LaurentSeries, n: int) -> list:
@@ -82,11 +92,7 @@ def toeplitz_matrix(f: LaurentSeries, n: int):
     return _wrap(_rows(_band(f, n), n), f.ring.base)
 
 
-# -- dense and banded matrices over a local scalar ring ------------------------
-#
-# The kernels below work on raw payloads through the descriptor's
-# _add/_mul/_neg/_inv/_is_unit and skip zero entries.  mat_mul, mat_inv and
-# mat_det are the RingValue entry points.
+# -- RingValue entry points to the rings matrix kernel ------------------------
 
 def _raw(a):
     return [[x.raw for x in row] for row in a]
@@ -95,173 +101,6 @@ def _raw(a):
 def _wrap(a, ring):
     wrap = ring._wrapper()
     return [[wrap(x) for x in row] for row in a]
-
-
-def _identity_columns(n: int, c: int, ring):
-    """The first c columns of the n x n identity, as raw payloads."""
-    one, zero = ring._one_raw(), ring._zero_raw()
-    return [[one if i == j else zero for j in range(c)] for i in range(n)]
-
-
-def _mul_raw(a, b, ring):
-    """Product of raw matrices; a's zero entries skip whole rows of b."""
-    zero = ring._zero_raw()
-    add, mul = ring._add, ring._mul
-    out = []
-    for row in a:
-        acc = [zero] * len(b[0])
-        for x, brow in zip(row, b):
-            if x != zero:
-                acc = [s if y == zero else add(s, mul(x, y))
-                       for s, y in zip(acc, brow)]
-        out.append(acc)
-    return out
-
-
-def _first_unit(a, top: int, col: int, end: int, is_unit):
-    """The first of rows top .. end-1 whose entry in column col is a unit."""
-    for r in range(top, end):
-        if is_unit(a[r][col]):
-            return r
-    return None
-
-
-def _eliminate_below(a, top: int, col: int, end: int, ring) -> None:
-    """Clear column col in rows top+1 .. end-1 with row top, whose entry
-    there is a unit.  Only the columns right of col are written: callers
-    never read col or the columns left of it again."""
-    zero = ring._zero_raw()
-    prow = a[top]
-    nz = [(j, x) for j, x in enumerate(prow[col + 1:], col + 1) if x != zero]
-    if not nz:
-        return
-    add, mul = ring._add, ring._mul
-    s = None
-    for row in a[top + 1:end]:
-        x = row[col]
-        if x != zero:
-            if s is None:
-                s = ring._neg(ring._inv(prow[col]))
-            f = mul(x, s)
-            for j, y in nz:
-                row[j] = add(row[j], mul(f, y))
-
-
-def _solve(a, b, lower: int, ring):
-    """X with a X = b for a square a with no entries more than `lower`
-    places below the diagonal.  Forward elimination takes as the pivot of
-    each column its first unit within the band, and a column without one
-    raises SingularCompression; back substitution follows."""
-    n = len(a)
-    zero = ring._zero_raw()
-    add, mul, neg = ring._add, ring._mul, ring._neg
-    rows = [ra + rb for ra, rb in zip(a, b)]
-    for col in range(n):
-        end = min(n, col + lower + 1)
-        piv = _first_unit(rows, col, col, end, ring._is_unit)
-        if piv is None:
-            raise SingularCompression(
-                f"column {col} has no unit pivot; the compression is singular")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        _eliminate_below(rows, col, col, end, ring)
-    x = [None] * n
-    for r in range(n - 1, -1, -1):
-        row = rows[r]
-        acc = row[n:]
-        for j in range(r + 1, n):
-            u = row[j]
-            if u != zero:
-                u = neg(u)
-                acc = [s if y == zero else add(s, mul(u, y))
-                       for s, y in zip(acc, x[j])]
-        s = ring._inv(row[r])
-        x[r] = [y if y == zero else mul(s, y) for y in acc]
-    return x
-
-
-def _det_cofactor(a, ring):
-    """Determinant of a small raw-payload matrix by cofactor expansion along
-    the first row, skipping zero entries."""
-    n = len(a)
-    if n == 0:
-        return ring._one_raw()
-    if n == 1:
-        return a[0][0]
-    zero = ring._zero_raw()
-    total = zero
-    for j, x in enumerate(a[0]):
-        if x == zero:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        term = ring._mul(x, _det_cofactor(minor, ring))
-        total = ring._add(total, term if j % 2 == 0 else ring._neg(term))
-    return total
-
-
-def _det_raw(a, ring):
-    """Determinant by elimination with unit pivots.  If some column has no
-    unit pivot the determinant is a non-unit; it is still exact, by cofactor
-    expansion of the remaining block."""
-    n = len(a)
-    a = [list(row) for row in a]
-    det = ring._one_raw()
-    for col in range(n):
-        piv = _first_unit(a, col, col, n, ring._is_unit)
-        if piv is None:
-            return ring._mul(det, _det_cofactor(
-                [row[col:] for row in a[col:]], ring))
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = ring._neg(det)
-        det = ring._mul(det, a[col][col])
-        _eliminate_below(a, col, col, n, ring)
-    return det
-
-
-def _rank(m, lower: int, field) -> int:
-    """Rank of a payload matrix over a field whose entries lie at most
-    `lower` places below the diagonal; columns without a pivot are
-    skipped."""
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(n_cols):
-        end = min(n_rows, col + lower + 1)
-        piv = _first_unit(m, rank, col, end, field._is_unit)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        _eliminate_below(m, rank, col, end, field)
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def _pivots(f0: LaurentSeries, n: int, m: int):
-    """Pivots of an elimination of T(f0, n) past its leading m x m block,
-    up to and including the first that is not a unit; None if that block is
-    singular.  The block is eliminated with row swaps inside it, the rest
-    without, so the pivot at position k > m is the Schur complement
-    det T(f0, k) / det T(f0, k-1), exact while the pivots before it are
-    units."""
-    base = f0.ring.base
-    a = _rows(_band(f0, n), n)
-    lower = _reach(f0, n)
-    pivots = []
-    for col in range(n):
-        end = min(n, col + lower + 1)
-        if col < m:
-            piv = _first_unit(a, col, col, min(m, end), base._is_unit)
-            if piv is None:
-                return None
-            a[col], a[piv] = a[piv], a[col]
-        else:
-            pivots.append(a[col][col])
-            if not base._is_unit(a[col][col]):
-                break
-        _eliminate_below(a, col, col, end, base)
-    return pivots
 
 
 def mat_mul(a, b):
@@ -277,7 +116,8 @@ def mat_inv(a, ring):
 
 
 def mat_det(a, ring):
-    """Determinant over a local ring, exact also when it is not a unit."""
+    """Determinant over a local ring, exact also when it is not a unit: each
+    column is pivoted on an entry of least e-adic valuation."""
     return RingValue(ring, _det_raw(_raw(a), ring))
 
 
@@ -300,11 +140,38 @@ def toeplitz_index(f: LaurentSeries, window: int = None) -> int:
     shift = max(0, -(f.low if f.low is not None else 0))
     span = (f.degree() if f.coeffs else 0) + shift
     n = window if window is not None else span + 2
+    _require_band(f, n, shift)
     h = f.shift(shift)
     base = f.ring.base
     residues = [residue_raw(base, x) for x in _band(h, n)]
     rank = _rank(_rows(residues, n), _reach(h, n), residue_field(base))
     return (n - rank) - shift
+
+
+def _pivots(f0: LaurentSeries, n: int, m: int):
+    """Pivots of an elimination of T(f0, n) past its leading m x m block,
+    up to and including the first that is not a unit; None if that block is
+    singular.  The block is eliminated with row swaps inside it, the rest
+    without, so the pivot at position k > m is the Schur complement
+    det T(f0, k) / det T(f0, k-1), exact while the pivots before it are
+    units."""
+    base = f0.ring.base
+    a = _rows(_band(f0, n), n)
+    lower = _reach(f0, n)
+    pivots = []
+    for col in range(n):
+        end = min(n, col + lower + 1)
+        if col < m:
+            piv, k = _pivot_row(a, col, col, min(m, end), base)
+            if piv is None or k:
+                return None
+            a[col], a[piv] = a[piv], a[col]
+        else:
+            pivots.append(a[col][col])
+            if not base._is_unit(a[col][col]):
+                break
+        _eliminate_below(a, col, col, end, base)
+    return pivots
 
 
 def szego_ratio(f0: LaurentSeries, start: int = None):
@@ -384,8 +251,7 @@ def joint_torsion(f: LaurentSeries, g: LaurentSeries,
     b0 = szego_ratio(g0)
     base = ring.base
     L = ring.nil_bound
-    pole = max(0, -(f0.low if f0.low is not None else 0)) + \
-        max(0, -(g0.low if g0.low is not None else 0))
+    pole = -min(f0.low or 0, 0) - min(g0.low or 0, 0)
     if corner is not None:
         use_size = size if size is not None else corner + 2 * (L - 1) * pole + 4
         tau = _corner_det(f0, g0, corner, use_size)

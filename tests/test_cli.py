@@ -231,6 +231,15 @@ def test_exit_3_on_domain_error(capsys):
     assert "domain error" in err
 
 
+def test_toeplitz_names_the_truncated_exponent_of_its_argument(capsys):
+    # the index shifts the symbol by t^1 first; the error names the input's
+    # own exponent, not the shifted series'
+    code, _, err = run(capsys, "toeplitz", "--ring", "F5[e]/e^2",
+                       "1+e*t^-1+O(t^1)", "1-2*t")
+    assert code == 3
+    assert err == "sym: domain error: coefficient of t^1 beyond O(t^1)\n"
+
+
 def test_exit_3_on_weil_over_artinian(capsys):
     code, _, err = run(capsys, "verify", "weil", "--ring", "F3[e]/e^2",
                        "t", "1-t")

@@ -7,7 +7,8 @@ from ccsym.errors import AlgebraError, NotAUnit, NotRegular, PrecisionExhausted
 from ccsym.laurent import (LaurentRing, LaurentSeries, _merge_prec, _mul_prec,
                            default_precision, format_series, iterated_ring,
                            laurent_inv, nest, reduce_mod_t, unit_decompose)
-from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
+from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
+                         format_value)
 
 F3, F5 = PrimeField(3), PrimeField(5)
 A32 = ArtinianLocal(F3, 2)
@@ -245,6 +246,64 @@ class TestFormatting:
         R = LaurentRing(F5, "t")
         assert format_series(R.zero()) == "0"
         assert format_series(R.zero(prec=3)) == "O(t^3)"
+
+    def test_matches_the_standalone_printer(self):
+        # format_series prints through the term formatter that Poly and
+        # format_value share; the printer it replaced is the oracle
+        rng = random.Random(16)
+        rings = [LaurentRing(b, "t") for b in (F5, GaloisField(3, 2),
+                                               ArtinianLocal(F3, 3))]
+        towers = [iterated_ring(b, ["t1", "t2"])
+                  for b in (F5, GaloisField(3, 2), A32)]
+        cases = [R.zero() for R in rings + towers]
+        cases += [R.zero(prec=p) for R in rings + towers for p in (-2, 0, 3)]
+        for R in rings + towers:
+            for _ in range(60):
+                low = rng.randrange(-4, 2)
+                prec = rng.choice([None, None, low + rng.randrange(0, 8)])
+                cases.append(R.random(rng, low=low, high=low + 6, prec=prec))
+        for T in towers:
+            for _ in range(20):
+                table = {rng.randrange(-2, 3): {rng.randrange(-2, 3):
+                                                T.base.base.random(rng)}
+                         for _ in range(3)}
+                cases.append(nest(T, table, prec=rng.choice([None, 4]),
+                                  inner_prec=rng.choice([None, 3])))
+        seen = set()
+        for f in cases:
+            text = format_series(f)
+            assert text == _standalone_format_series(f)
+            seen.add(text)
+        assert {"0", "O(t^0)", "O(t2^-2)"} <= seen
+        assert any(text.startswith("(") for text in seen)
+        assert any("^-" in text for text in seen)
+
+
+def _standalone_format_series(f):
+    """The printer format_series replaced, with its own copy of the term
+    rules."""
+    var = f.ring.var
+    parts = []
+    for e in sorted(f.coeffs):
+        c = f.coeffs[e]
+        ctext = (format_value(c) if isinstance(c, RingValue)
+                 else _standalone_format_series(c))
+        composite = any(ch in ctext for ch in " +*/^")
+        if e == 0:
+            parts.append(f"({ctext})" if composite else ctext)
+            continue
+        power = var if e == 1 else f"{var}^{e}"
+        if ctext == "1":
+            parts.append(power)
+        elif composite:
+            parts.append(f"({ctext})*{power}")
+        else:
+            parts.append(f"{ctext}*{power}")
+    body = " + ".join(parts)
+    if f.prec is not None:
+        tail = f"O({var}^{f.prec})"
+        body = f"{body} + {tail}" if body else tail
+    return body or "0"
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -10,7 +10,6 @@ from ccsym.errors import AlgebraError, DivisionByNonUnit, DescriptorMismatch
 from ccsym.poly import Poly, is_irreducible
 from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
                          embed, format_value, relative_norm)
-from ccsym.toeplitz import _det_cofactor
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 F4, F8, F9 = GaloisField(2, 2), GaloisField(2, 3), GaloisField(3, 2)
@@ -180,6 +179,47 @@ def _field_conjugate_product(x, sub_degree):
     return acc
 
 
+def _oracle_fp_solve(matrix, rhs, p):
+    """Gauss-Jordan solve of matrix @ x = rhs over F_p, on integers."""
+    rows = [list(r) + [v] for r, v in zip(matrix, rhs)]
+    n, m = len(rows), len(rows[0]) - 1
+    piv_cols = []
+    r = 0
+    for c in range(m):
+        piv = next((i for i in range(r, n) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [(v * inv) % p for v in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == n:
+            break
+    assert all(rows[i][m] % p == 0 for i in range(r, n)), "inconsistent"
+    x = [0] * m
+    for i, c in enumerate(piv_cols):
+        x[c] = rows[i][m]
+    return x
+
+
+def _oracle_cofactor_det(a, ring):
+    """Determinant of a raw-payload matrix by cofactor expansion along the
+    first row."""
+    if not a:
+        return ring._one_raw()
+    total = ring._zero_raw()
+    for j, x in enumerate(a[0]):
+        minor = [row[:j] + row[j + 1:] for row in a[1:]]
+        term = ring._mul(x, _oracle_cofactor_det(minor, ring))
+        total = ring._add(total, term if j % 2 == 0 else ring._neg(term))
+    return total
+
+
 def _determinant_norm(x, sub_degree):
     """Oracle: the norm as a determinant, by cofactor expansion, of
     multiplication by x on F_{p^D}[e]/(e^m) as a free module over
@@ -189,7 +229,7 @@ def _determinant_norm(x, sub_degree):
     big = ring.base
     if sub_degree == big.degree:
         return x
-    sub = rings.subfield_descriptor(big, sub_degree)
+    sub = rings._finite_field(big.char, sub_degree)
     target = ArtinianLocal(sub, ring.m)
     r = big.degree // sub_degree
     basis = [big.generator() ** i for i in range(r)]
@@ -198,11 +238,11 @@ def _determinant_norm(x, sub_degree):
     else:
         ghat = rings._pinned_subfield_generator(sub, big)
         sub_basis = [ghat ** j for j in range(sub_degree)]
-    cols = [rings._coords((s * b).raw, big) for b in basis for s in sub_basis]
+    cols = [list((s * b).raw) for b in basis for s in sub_basis]
     matrix = [list(row) for row in zip(*cols)]
 
     def decompose(raw):
-        sol = rings._fp_solve(matrix, rings._coords(raw, big), big.p)
+        sol = _oracle_fp_solve(matrix, list(raw), big.p)
         chunks = [sol[i * sub_degree:(i + 1) * sub_degree] for i in range(r)]
         return [c[0] if sub_degree == 1 else tuple(c) for c in chunks]
 
@@ -212,7 +252,7 @@ def _determinant_norm(x, sub_degree):
         for k, piece in enumerate((x * embed(b, ring)).raw):
             for slot, coord in enumerate(decompose(piece)):
                 rows[slot][j][k] = coord
-    return RingValue(target, _det_cofactor(
+    return RingValue(target, _oracle_cofactor_det(
         [[tuple(c) for c in row] for row in rows], target))
 
 
@@ -231,6 +271,17 @@ def test_artinian_norm_matches_determinant_oracle(p, D, m):
         for x in samples:
             got, want = relative_norm(x, s), _determinant_norm(x, s)
             assert (got.ring, got.raw) == (want.ring, want.raw), (x, s)
+
+
+@pytest.mark.parametrize("p, d, s", [(2, 4, 1), (2, 4, 2), (2, 6, 3),
+                                     (3, 4, 2), (5, 2, 1)])
+def test_subfield_coords_inverts_the_embedding(p, d, s):
+    big, sub = GaloisField(p, d), rings._finite_field(p, s)
+    for x in sub.elements():
+        assert rings._subfield_coords(embed(x, big), sub) == x
+    # a value outside the subfield fails the check on the other rows
+    with pytest.raises(AlgebraError, match="inconsistent linear system"):
+        rings._subfield_coords(big.generator(), sub)
 
 
 def _scan_subfield_generator(sub, big):
