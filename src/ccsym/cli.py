@@ -15,8 +15,13 @@ Flag specs for ``verify parshin``: ``t2=EXPR@a`` is the graph curve
 line ``t1 = c`` with marked point ``t2 = b``.
 
 Exit codes: 0 success, 2 parse error, 3 domain error, 4 verdict false.
-JSON output follows schema ``cc-symbols/1`` and echoes ``--ring`` and
-``--precision`` exactly as given.
+JSON output follows schema ``cc-symbols/1``; it echoes ``--ring`` exactly as
+given and ``--precision`` as the integer it parses to.
+
+A batch line is split by the rules of ``shlex.split``.  A command of the
+plain form VERB [KIND] OPTION... EXPR... is read straight off the command
+table; argparse parses, or refuses, every other command, so both give the
+same arguments and the same errors.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import argparse
 import contextlib
 import io
 import json
-import shlex
+import re
 import sys
 
 from .errors import AlgebraError, ExpressionSyntaxError
@@ -54,47 +59,107 @@ def _window(text: str):
     return corner, size
 
 
+# The command table, read both by build_parser() and by _table_args().  Each
+# option maps to its add_argument keywords; every option names its dest and,
+# unless required, its default, so that _table_args() need not know
+# argparse's rules for them.
+_OPTIONS = {
+    "--ring": {"dest": "ring", "required": True,
+               "help": 'coefficient ring, e.g. "F5", "F9", "F5[e]/e^2"'},
+    "--precision": {"dest": "precision", "type": int, "default": None,
+                    "help": "absolute working precision for series division"},
+    "--json": {"dest": "json", "action": "store_true", "default": False,
+               "help": "emit a JSON object instead of plain text"},
+    "--flag": {"dest": "flags", "action": "append", "default": [],
+               "metavar": "SPEC",
+               "help": "parshin flag: 't2=EXPR@a' (graph) or "
+                       "'t1=EXPR@b' (vertical line)"},
+    "--window": {"dest": "window", "type": _window, "default": None,
+                 "metavar": "M,N", "help": "corner size M and matrix size N"},
+}
+_COMMON = ("--ring", "--precision", "--json")
+# verb: (help, choices of the kind argument or None, option names); every verb
+# but batch ends in one or more expressions, and batch takes no arguments
+_VERBS = {
+    "symbol": ("evaluate a symbol pairing", ("tame", "cc", "higher"), _COMMON),
+    "verify": ("check a reciprocity law", ("weil", "cc", "parshin"),
+               ("--flag",) + _COMMON),
+    "toeplitz": ("joint torsion of truncated Toeplitz operators", None,
+                 ("--window",) + _COMMON),
+    "expand": ("normalize a series expression", None, _COMMON),
+    "batch": ("read command lines from stdin, one JSON result per line",
+              None, None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sym",
         description="Exact tame/Contou-Carrere/higher symbols and "
                     "reciprocity laws over truncated Laurent series.")
     sub = top.add_subparsers(dest="verb", required=True)
-
-    def common(p, nexpr=None):
-        p.add_argument("--ring", required=True,
-                       help='coefficient ring, e.g. "F5", "F9", "F5[e]/e^2"')
-        p.add_argument("--precision", type=int, default=None,
-                       help="absolute working precision for series division")
-        p.add_argument("--json", action="store_true",
-                       help="emit a JSON object instead of plain text")
-        p.add_argument("exprs", nargs="+" if nexpr is None else nexpr,
-                       metavar="EXPR", help="expression(s) in the CLI grammar")
-
-    p_symbol = sub.add_parser("symbol", help="evaluate a symbol pairing")
-    p_symbol.add_argument("kind", choices=("tame", "cc", "higher"))
-    common(p_symbol)
-
-    p_verify = sub.add_parser("verify", help="check a reciprocity law")
-    p_verify.add_argument("kind", choices=("weil", "cc", "parshin"))
-    p_verify.add_argument("--flag", action="append", default=[],
-                          metavar="SPEC", dest="flags",
-                          help="parshin flag: 't2=EXPR@a' (graph) or "
-                               "'t1=EXPR@b' (vertical line)")
-    common(p_verify)
-
-    p_toep = sub.add_parser("toeplitz",
-                            help="joint torsion of truncated Toeplitz operators")
-    p_toep.add_argument("--window", type=_window, default=None,
-                        metavar="M,N", help="corner size M and matrix size N")
-    common(p_toep, nexpr=None)
-
-    p_expand = sub.add_parser("expand", help="normalize a series expression")
-    common(p_expand, nexpr=None)
-
-    sub.add_parser("batch",
-                   help="read command lines from stdin, one JSON result per line")
+    for verb, (help_text, kinds, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        if options is None:
+            continue
+        if kinds:
+            p.add_argument("kind", choices=kinds)
+        for name in options:
+            p.add_argument(name, **_OPTIONS[name])
+        p.add_argument("exprs", nargs="+", metavar="EXPR",
+                       help="expression(s) in the CLI grammar")
     return top
+
+
+def _table_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, for a
+    command of the form VERB [KIND] OPTION... EXPR...: exact option names,
+    option values and expressions that do not start with '-', and a valid
+    value for every option.  None for any other argv, which argparse then
+    parses, or refuses, itself."""
+    spec = _VERBS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    _, kinds, options = spec
+    if options is None:
+        return argparse.Namespace(verb=argv[0]) if len(argv) == 1 else None
+    args = {"verb": argv[0]}
+    i = 1
+    if kinds:
+        if len(argv) < 2 or argv[1] not in kinds:
+            return None
+        args["kind"] = argv[1]
+        i = 2
+    for name in options:
+        opt = _OPTIONS[name]
+        if "default" in opt:
+            args[opt["dest"]] = opt["default"]
+    while i < len(argv) and argv[i][:1] == "-":
+        if argv[i] not in options:
+            return None
+        opt = _OPTIONS[argv[i]]
+        if opt.get("action") == "store_true":
+            args[opt["dest"]] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1][:1] == "-":
+            return None
+        value = argv[i + 1]
+        if "type" in opt:
+            try:
+                value = opt["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if opt.get("action") == "append":
+            value = args[opt["dest"]] + [value]
+        args[opt["dest"]] = value
+        i += 2
+    exprs = argv[i:]
+    if not exprs or any(word[:1] == "-" for word in exprs) or \
+            any(_OPTIONS[name]["dest"] not in args for name in options):
+        return None
+    args["exprs"] = exprs
+    return argparse.Namespace(**args)
 
 
 def _header(verb: str, args) -> dict:
@@ -236,25 +301,60 @@ def _run_single(args, out) -> int:
     return status
 
 
-def _batch_args(parser, line: str):
-    """Arguments of one batch line; SystemExit, as argparse raises it, for a
-    line that is no command, also one with an unclosed quote."""
-    try:
-        argv = shlex.split(line)
-    except ValueError:
-        raise SystemExit(2) from None
-    with contextlib.redirect_stderr(io.StringIO()):
-        return parser.parse_args(argv)
+# A batch line is split by the POSIX rules of shlex.split: words are
+# separated by blanks, a backslash outside quotes takes the next character
+# literally, single quotes take everything up to the next single quote, and
+# inside double quotes a backslash escapes only '"' and itself.  A quote left
+# open or a backslash at the end is a ValueError, as in shlex.
+_PIECES = re.compile(r"""([ \t\r\n]+)|([^ \t\r\n'"\\]+)|'([^']*)'"""
+                     r'''|"([^"\\]*(?:\\.[^"\\]*)*)"|\\(.)|(.)''', re.S)
+_DOUBLE_QUOTED_BODY = re.compile(r'[^"\\]*(?:\\.[^"\\]*)*', re.S)
+_DOUBLE_QUOTED_ESCAPE = re.compile(r'\\(["\\])')
 
 
-def _run_batch(parser, stream, out) -> int:
-    status = 0
+def _split_words(line: str) -> list:
+    """``shlex.split(line)``, without its character-at-a-time state machine."""
+    words, word = [], None
+    for piece in _PIECES.finditer(line):
+        kind = piece.lastindex
+        text = piece.group(kind)
+        if kind == 1:
+            if word is not None:
+                words.append(word)
+                word = None
+            continue
+        if kind == 6:             # an open quote or a backslash at the end
+            body = _DOUBLE_QUOTED_BODY.match(line, piece.end())
+            if text == "\\" or text == '"' and body.end() < len(line):
+                raise ValueError("No escaped character")
+            raise ValueError("No closing quotation")
+        if kind == 4:
+            text = _DOUBLE_QUOTED_ESCAPE.sub(r"\1", text)
+        word = text if word is None else word + text
+    if word is not None:
+        words.append(word)
+    return words
+
+
+def _run_batch(stream, out) -> int:
+    status, parser = 0, None
     for raw in stream:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            args = _batch_args(parser, line)
+            try:
+                argv = _split_words(line)
+            except ValueError:
+                raise SystemExit(2) from None
+            args = _table_args(argv)
+            if args is None:
+                # argparse writes its errors to stderr and -h to stdout; the
+                # reply is the error object either way
+                parser = parser or build_parser()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    args = parser.parse_args(argv)
             if args.verb == "batch":
                 raise ExpressionSyntaxError("cannot nest batch mode", 1, 1)
             payload, _, code = _COMMANDS[args.verb](args)
@@ -263,7 +363,7 @@ def _run_batch(parser, stream, out) -> int:
                              "exit": 2}, 2
         except ExpressionSyntaxError as exc:
             payload, code = {"schema": SCHEMA, "error": str(exc), "exit": 2}, 2
-        except AlgebraError as exc:
+        except (AlgebraError, OverflowError) as exc:
             payload, code = {"schema": SCHEMA, "error": str(exc), "exit": 3}, 3
         else:
             if code:
@@ -275,17 +375,17 @@ def _run_batch(parser, stream, out) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _table_args(argv) or build_parser().parse_args(argv)
     out = sys.stdout
     try:
         if args.verb == "batch":
-            return _run_batch(parser, sys.stdin, out)
+            return _run_batch(sys.stdin, out)
         return _run_single(args, out)
     except ExpressionSyntaxError as exc:
         print(f"sym: parse error: {exc}", file=sys.stderr)
         return 2
-    except AlgebraError as exc:
+    except (AlgebraError, OverflowError) as exc:
         print(f"sym: domain error: {exc}", file=sys.stderr)
         return 3
 

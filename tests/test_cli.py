@@ -343,18 +343,24 @@ def test_batch_answers_an_integer_literal_over_the_digit_limit(capsys,
     assert code == 2
 
 
-def test_batch_answers_unclosed_quotes_long_sums_and_deep_nesting():
-    lines = ["symbol tame --ring F5 '1+t t",
-             "symbol tame --ring F7 " + "+".join(["t"] * 1500) + " t",
-             "symbol tame --ring F5 " + "(" * 3000 + "t" + ")" * 3000 + " t",
-             "symbol tame --ring F5 t 1+t"]
+def _batch_process(lines):
+    """Run ``sym batch`` on ``lines`` in a child process; every line it
+    writes to stdout must be one JSON object."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-m", "ccsym.cli", "batch"],
                           input="\n".join(lines) + "\n", capture_output=True,
                           text=True, env=env, timeout=60)
-    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    return proc, [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_batch_answers_unclosed_quotes_long_sums_and_deep_nesting():
+    lines = ["symbol tame --ring F5 '1+t t",
+             "symbol tame --ring F7 " + "+".join(["t"] * 1500) + " t",
+             "symbol tame --ring F5 " + "(" * 3000 + "t" + ")" * 3000 + " t",
+             "symbol tame --ring F5 t 1+t"]
+    proc, rows = _batch_process(lines)
     assert proc.stderr == ""
     assert [row.get("exit", 0) for row in rows] == [2, 0, 2, 0]
     assert rows[0]["error"] == f"bad command: {lines[0]}"
@@ -362,3 +368,37 @@ def test_batch_answers_unclosed_quotes_long_sums_and_deep_nesting():
     assert "nested deeper than" in rows[2]["error"]
     assert rows[3]["value"] == "1"
     assert proc.returncode == 2
+
+
+def test_batch_answers_help_lines_with_error_objects():
+    # argparse prints help to stdout, which would break one JSON object per
+    # line
+    lines = ["symbol --help", "-h", "--help", "verify weil -h",
+             "symbol tame --ring F5 t 1+t"]
+    proc, rows = _batch_process(lines)
+    assert proc.stderr == ""
+    assert [row.get("exit", 0) for row in rows] == [2, 2, 2, 2, 0]
+    assert [row.get("error") for row in rows[:4]] == \
+        [f"bad command: {line}" for line in lines[:4]]
+    assert rows[4]["value"] == "1"
+    assert proc.returncode == 2
+
+
+# sizes past the index range of a list, refused by Python before anything is
+# allocated
+@pytest.mark.parametrize("line", [
+    "toeplitz --ring F5 --window 1,99999999999999999999 t 1+t",
+    "symbol cc --ring 'F5[e]/e^99999999999999999999' t 1+t",
+])
+def test_a_size_past_the_index_range_is_a_domain_error(capsys, monkeypatch,
+                                                       line):
+    code, _, err = run(capsys, *shlex.split(line))
+    assert code == 3
+    assert err.startswith("sym: domain error: ")
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO(f"{line}\nsymbol tame --ring F5 t 1+t\n"))
+    code = main(["batch"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row.get("exit", 0) for row in rows] == [3, 0]
+    assert rows[1]["value"] == "1"
+    assert code == 3
