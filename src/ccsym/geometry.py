@@ -496,12 +496,8 @@ def flag_ring(scalar_ring) -> LaurentRing:
     return LaurentRing(LaurentRing(scalar_ring, "z1"), "z2")
 
 
-def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
-                inner_prec: int = None) -> LaurentSeries:
-    """Iterated expansion of f at the flag, in k((z1))((z2)) (z2 outer)."""
-    if f.num.is_zero():
-        raise ZeroOnCurve("the zero function has no expansion along a curve")
-    ring = f.ring
+def _flag_coordinates(ring, flag: SurfaceFlag):
+    """t1 and t2 at the flag as payload dicts keyed by (z1, z2) exponents."""
     a, b = flag.point
     if flag.kind == "graph":
         t1 = _lifted([a, ring.one()], ring)                     # a + z1
@@ -513,6 +509,32 @@ def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
         t2 = _lifted([b, ring.one()], ring)                     # b + z1
     else:  # pragma: no cover
         raise UnsupportedArgument(f"unknown flag kind {flag.kind!r}")
+    return t1, t2
+
+
+def flag_leading_terms(functions, flag: SurfaceFlag):
+    """Per function, its (z1, z2) valuations and leading coefficient at the
+    flag, read off the least z2, then least z1 exponent of the substituted
+    numerator and denominator: the leading term of every `flag_expand`."""
+    ring = functions[0].ring
+    t1, t2 = _flag_coordinates(ring, flag)
+    rows, leads = [], []
+    for f in functions:
+        num, den = (_substitute(ring, {ij: c.raw for ij, c in p.coeffs.items()},
+                                t1, t2) for p in (f.num, f.den))
+        (i, j), (k, l) = (min(p, key=lambda e: e[::-1]) for p in (num, den))
+        rows.append((i - k, j - l))
+        leads.append(RingValue(ring, ring._mul(num[i, j], ring._inv(den[k, l]))))
+    return tuple(rows), leads
+
+
+def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
+                inner_prec: int = None) -> LaurentSeries:
+    """Iterated expansion of f at the flag, in k((z1))((z2)) (z2 outer)."""
+    if f.num.is_zero():
+        raise ZeroOnCurve("the zero function has no expansion along a curve")
+    ring = f.ring
+    t1, t2 = _flag_coordinates(ring, flag)
     N2 = flag_ring(ring)
     num_s, den_s = (_tower(N2, _substitute(ring, {ij: c.raw for ij, c in
                                                   p.coeffs.items()}, t1, t2))

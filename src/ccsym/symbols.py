@@ -23,10 +23,24 @@ with one sign flip per adjacent transposition, move the surviving uniformizer
 last, and recurse on the reduced tuple one level down.  The base case of the
 recursion is the Contou-Carrere symbol.  No global sign is applied on top of
 the transposition bookkeeping.
+
+Over a field the symbol depends only on the valuation matrix V (row i: the
+iterated valuations of f_i, column j for t_j, t1 innermost) and the iterated
+leading coefficients a_i (Parshin, "Local class field theory", Trudy MIAN
+165, 1984; Fesenko-Vostokov, Local Fields and Their Extensions, ch. IX).
+Field bases evaluate, in this orientation,
+
+    (f_0, ..., f_n) = (-1)^K(V) prod_i a_i^((-1)^i det V_i),
+    K(V) = sum_{i<k} sum_j v_ij v_kj det V_ik^(j),
+
+with V_i the matrix V without row i and V_ik^(j) without rows i, k and
+column j (n = 1 is the tame symbol); it is pinned against the recursion on
+every monomial tuple of small exponents at depths 1-3.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,12 +70,62 @@ def _sign_value(ring_base, parity: int):
     return ring_base.from_int(-1) if parity % 2 else ring_base.one()
 
 
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination, whose
+    divisions are exact."""
+    m, sign, prev = [list(r) for r in rows], 1, 1
+    for k in range(len(m)):
+        p = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        for r in range(k + 1, len(m)):
+            m[r] = [(x * m[k][k] - m[r][k] * y) // prev
+                    for x, y in zip(m[r], m[k])]
+        prev = m[k][k]
+    return sign * prev
+
+
+@functools.lru_cache(maxsize=1024)
+def _tame_exponents(rows: tuple) -> tuple:
+    """K(V) mod 2 and the exponents (-1)^i det V_i of the module docstring,
+    for V as a tuple of row tuples; valuation matrices recur, so they are
+    cached."""
+    n = len(rows)
+    parity = sum(_det([r[:j] + r[j + 1:]
+                       for m, r in enumerate(rows) if m not in (i, k)])
+                 for i in range(n) for k in range(i + 1, n)
+                 for j in range(n - 1) if rows[i][j] * rows[k][j] % 2)
+    return parity % 2, tuple((-1) ** i * _det(rows[:i] + rows[i + 1:])
+                             for i in range(n))
+
+
+def _tame_value(rows: tuple, leads, base):
+    """(-1)^K(V) prod_i a_i^((-1)^i det V_i) in `base`, for V as a tuple of
+    row tuples and the a_i in `leads`."""
+    parity, exponents = _tame_exponents(rows)
+    out = _sign_value(base, parity)
+    for a, e in zip(leads, exponents):
+        out = out * a ** e
+    return out
+
+
+def _leading_terms(f):
+    """(row of V, a) of a unit over a field tower, t1 first."""
+    row = ()
+    while isinstance(f, LaurentSeries):
+        nu = f.valuation()
+        row, f = (nu,) + row, f.coeffs[nu]
+    return row, f
+
+
 def _leading_symbol(f, g, nu_f, nu_g):
-    """(-1)^(nu_f nu_g) a^nu_g b^-nu_f for the leading coefficients a of f
-    and b of g: the tame symbol when the base has no nilpotents."""
+    """The n = 1 closed form on the leading coefficients of f and g: the tame
+    symbol when the base has no nilpotents."""
     wrap = f.ring._coeff_ops.wrap
-    a, b = wrap(f._raw[nu_f]), wrap(g._raw[nu_g])
-    return (_sign_value(f.ring.base, nu_f * nu_g) * (a ** nu_g)) * (b ** (-nu_f))
+    return _tame_value(((nu_f,), (nu_g,)),
+                       (wrap(f._raw[nu_f]), wrap(g._raw[nu_g])), f.ring.base)
 
 
 def tame_symbol(f, g):
@@ -240,14 +304,9 @@ def _evaluate_term(term: SymbolTerm, ring: LaurentRing):
     i = positions[0]
     swaps += (len(atoms) - 1) - i
     atoms.append(atoms.pop(i))
-    reduced = []
-    for kind, payload in atoms[:-1]:
-        if kind == "constant":
-            reduced.append(payload)
-        elif kind == "positive":
-            reduced.append(lower.one())
-        else:  # pragma: no cover
-            raise UnsupportedArgument(f"cannot reduce factor {kind}")
+    # the terms carry no positive factors, and every uniformizer but the
+    # last one merged into a constant
+    reduced = [payload for _, payload in atoms[:-1]]
     sign = -1 if swaps % 2 else 1
     value = higher_symbol(reduced)
     return value ** (sign * term.exponent)
@@ -274,6 +333,8 @@ def higher_symbol(args):
     scalar_ring = ring
     while isinstance(scalar_ring, LaurentRing):
         scalar_ring = scalar_ring.base
+    if ring.nil_bound == 1:
+        return _tame_value(*zip(*map(_leading_terms, args)), scalar_ring)
     out = scalar_ring.one()
     for term in steinberg_expand(args):
         out = out * _evaluate_term(term, ring)

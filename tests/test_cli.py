@@ -205,6 +205,17 @@ def test_verify_parshin_missing_flag_is_domain_error(capsys):
     assert "domain error" in err
 
 
+def test_verify_parshin_repeated_flag_is_domain_error(capsys):
+    # it used to count t1 = 0 twice and print "parshin reciprocity FAILS"
+    code, out, err = run(capsys, "verify", "parshin", "--ring", "F5",
+                         "--flag", "t1=0@0", "--flag", "t2=0@0",
+                         "--flag", "t1=0@0", "3", "t1", "t2")
+    assert code == 3
+    assert out == ""
+    assert err == ("sym: domain error: the flag (t1 = 0; point (0, 0))"
+                   " is given twice\n")
+
+
 # -- exit codes --------------------------------------------------------------------
 
 def test_exit_2_on_syntax_error(capsys):

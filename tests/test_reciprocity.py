@@ -16,10 +16,11 @@ from ccsym.errors import (AlgebraError, IncompleteFlagCover,
                           NonUnitLeadingCoefficient, UnsupportedArgument,
                           ZeroFunction)
 from ccsym.geometry import (BivarPoly, BivarRational, RationalFunction,
-                            SurfaceFlag)
+                            SurfaceFlag, flag_expand)
 from ccsym.parser import parse_expression
 from ccsym.poly import Poly, is_irreducible, random_poly
-from ccsym.reciprocity import (_check_flag_cover, _curve_key, _divide_out,
+from ccsym.reciprocity import (LocalFactor, ReciprocityReport,
+                               _check_flag_cover, _curve_key, _divide_out,
                                cc_check, parshin_check, weil_check)
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
 
@@ -315,6 +316,22 @@ def test_parshin_arity_and_zero_guards():
         parshin_check((pool["t1"], pool["t2"], pool["t1+t2"]), [])
 
 
+def test_parshin_refuses_a_repeated_flag():
+    # counted twice, the factor 2 of t1 = 0 made the product 2: a false
+    # refutation of the law
+    pool = line_pool(F5)
+    three = BivarRational.constant(F5.from_int(3))
+    vertical, horizontal = origin_flags(F5)[:2]
+    with pytest.raises(UnsupportedArgument,
+                       match=r"^the flag \(t1 = 0; point \(0, 0\)\) is given twice$"):
+        parshin_check((three, pool["t1"], pool["t2"]),
+                      [vertical, horizontal, vertical])
+    # the same curve at another point is another flag
+    elsewhere = SurfaceFlag.vertical(F5.zero(), F5.one())
+    assert parshin_check((three, pool["t1"], pool["t2"]),
+                         [vertical, horizontal, elsewhere]).ok
+
+
 # -- the two-pass flag cover check on wrapped polynomials, kept as an oracle ---
 
 def _wrapped_divmod_by_curve(poly, flag):
@@ -551,3 +568,94 @@ def test_flag_cover_over_a_huge_prime_is_fast():
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "parshin reciprocity holds"
     assert elapsed < 2.0, elapsed
+
+
+# -- the default Parshin route against flag_expand and the Steinberg route ------
+
+def _expanded_parshin(functions, flags, symbol, precision=None):
+    """The Parshin report as computed before leading terms: the shared cover
+    check, then every function expanded by flag_expand at `precision` (its
+    default if None) and evaluated by `symbol`."""
+    _check_flag_cover(functions, flags)
+    factors, product = [], functions[0].ring.one()
+    for flag in flags:
+        local = symbol([flag_expand(f, flag, precision) for f in functions])
+        factors.append(LocalFactor(flag.label(), 1, local, local))
+        product = product * local
+    return ReciprocityReport("parshin", product.is_one(), product, tuple(factors))
+
+
+def _parshin_case(field, rng):
+    """Three quotients of curves through a point (lines, a vertical line and
+    a parabola, whose graph flags are nonlinear) and of polynomials that do
+    not vanish there, with the family of those flags.  Sometimes a flag is
+    dropped or repeated, and sometimes a vertical flag at a second point
+    joins."""
+    x0, y0 = ((field.zero(), field.zero()) if rng.random() < 0.3
+              else (field.random(rng), field.random(rng)))
+    flags = [SurfaceFlag.vertical(x0, y0)]
+    lams = rng.sample(list(field.elements()), 2)
+    for lam in lams:
+        flags.append(SurfaceFlag.graph(Poly(field, [y0 - lam * x0, lam]), x0))
+    c = field.random_unit(rng)       # t2 = y0 + lam (t1 - x0) + c (t1 - x0)^2
+    flags.append(SurfaceFlag.graph(
+        Poly(field, [y0 - lams[0] * x0 + c * x0 * x0, lams[0] - 2 * c * x0, c]), x0))
+    curves = [fl.curve_equation() for fl in flags]
+
+    def side():
+        out = BivarPoly.one(field)
+        for curve in rng.sample(curves, rng.randrange(3)):
+            out = out * curve ** rng.randrange(1, 3)
+        p = BivarPoly(field, {(i, j): field.random(rng)
+                              for i in range(3) for j in range(3 - i)})
+        return out * p if not p.evaluate(x0, y0).is_zero() else out
+
+    functions = tuple(BivarRational(side(), side()) for _ in range(3))
+    roll = rng.random()
+    if roll < 0.1:
+        flags.pop(rng.randrange(len(flags)))
+    elif roll < 0.15:
+        flags.append(rng.choice(flags))
+    elif roll < 0.35:
+        flags.append(SurfaceFlag.vertical(x0 + field.one(), y0))
+    return functions, flags
+
+
+def _report_outcome(check, *args):
+    try:
+        return check(*args).to_json()
+    except AlgebraError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), GaloisField(2, 2),
+                                   F5, F7, GaloisField(3, 2)], ids=repr)
+def test_parshin_leading_terms_match_the_expanded_route(field, steinberg_symbol):
+    rng = random.Random(f"parshin leading terms {field!r}")
+    seen = set()
+    for _ in range(25):
+        functions, flags = _parshin_case(field, rng)
+        want = _report_outcome(_expanded_parshin, functions, flags,
+                               steinberg_symbol)
+        assert _report_outcome(parshin_check, functions, flags) == want
+        seen.add(want[0] if isinstance(want, tuple) else want["verdict"])
+    assert True in seen and "IncompleteFlagCover" in seen
+    assert False not in seen
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), GaloisField(2, 2), F5,
+                                   GaloisField(3, 2)], ids=repr)
+def test_parshin_precision_matches_the_truncated_expansions(field, steinberg_symbol):
+    """An explicit precision gives the report, or the PrecisionExhausted, of
+    expansions truncated at that z2 precision."""
+    rng = random.Random(f"parshin precision {field!r}")
+    seen = set()
+    for _ in range(12):
+        functions, flags = _parshin_case(field, rng)
+        for precision in range(-2, 5):
+            want = _report_outcome(_expanded_parshin, functions, flags,
+                                   steinberg_symbol, precision)
+            assert _report_outcome(parshin_check, functions, flags,
+                                   precision) == want
+            seen.add(want[0] if isinstance(want, tuple) else want["verdict"])
+    assert {True, "PrecisionExhausted", "IncompleteFlagCover"} <= seen

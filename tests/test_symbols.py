@@ -1,13 +1,15 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ccsym.errors import (NotAUnit, NotRegular, PrecisionExhausted,
                           UnsupportedArgument)
-from ccsym.laurent import (LaurentRing, iterated_ring, nest, reduce_mod_t,
-                           unit_decompose)
+from ccsym.laurent import (LaurentRing, LaurentSeries, iterated_ring, nest,
+                           reduce_mod_t, unit_decompose)
 from ccsym.parser import parse_expression
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
 from ccsym.symbols import (CONVENTION, cc_symbol, higher_symbol,
@@ -498,3 +500,154 @@ def test_cc_symbol_keeps_the_precision_of_a_skipped_tower_pair():
     value = cc_symbol(f, g)
     assert value.prec == 15
     assert _outcome(cc_symbol, f, g) == _outcome(_o_cc_symbol, f, g)
+
+
+# -- the closed form of field higher symbols against the Steinberg route --------
+# Over a field, higher_symbol reads the valuation matrix V and the leading
+# coefficients a_i.  The `steinberg_symbol` fixture is the route it replaced;
+# at depth 1 the value is pinned against the power path of the tame symbol.
+
+PIN_FIELDS = [PrimeField(2), GaloisField(2, 2), F5, F7, F9]
+
+
+def _generator(F):
+    """A generator of the multiplicative group of F."""
+    units = [x for x in F.elements() if not x.is_zero()]
+    return next(x for x in units
+                if len({(x ** k).raw for k in range(len(units))}) == len(units))
+
+
+def _monomial(tower, a, alpha):
+    """a * t1^alpha[0] * ... * tn^alpha[n-1] in the tower over a's field."""
+    levels = []
+    while isinstance(tower, LaurentRing):
+        levels.append(tower)
+        tower = tower.base
+    x = a
+    for level, e in zip(reversed(levels), alpha):
+        x = level._monomial(e, x.raw)
+    return x
+
+
+def _towers(depth):
+    return {F: (iterated_ring(F, [f"t{k + 1}" for k in range(depth)]),
+                _generator(F)) for F in PIN_FIELDS}
+
+
+@pytest.mark.parametrize("F", PIN_FIELDS, ids=repr)
+def test_closed_form_at_depth_one_is_the_power_path(F):
+    R = LaurentRing(F, "t")
+    g = _generator(F)
+    powers = [g ** k for k in range(F.size - 1)]
+    for (u, v), (a, b) in itertools.product(
+            itertools.product(range(-3, 4), repeat=2),
+            itertools.product(powers, repeat=2)):
+        f, h = _monomial(R, a, (u,)), _monomial(R, b, (v,))
+        sign = F.from_int(-1) if u * v % 2 else F.one()
+        want = sign * reduce_mod_t(f ** v * h ** -u)
+        assert higher_symbol([f, h]) == tame_symbol(f, h) == want, (u, v, a, b)
+
+
+def test_closed_form_at_depth_two_on_every_small_valuation_matrix(steinberg_symbol):
+    # entries -1, 0, 1, 2 give every V mod 2 with both signs of each entry;
+    # the field cycles, and every V mod 2 meets an odd characteristic
+    towers = _towers(2)
+    rng = random.Random("closed form depth 2")
+    odd = set()
+    grid = itertools.product(itertools.product((-1, 0, 1, 2), repeat=2), repeat=3)
+    for n, V in enumerate(grid):
+        F = PIN_FIELDS[n % len(PIN_FIELDS)]
+        T, g = towers[F]
+        args = [_monomial(T, g ** rng.randrange(F.size - 1), row) for row in V]
+        assert higher_symbol(args) == steinberg_symbol(args), (F, V)
+        if F.char != 2:
+            odd.add(tuple(x % 2 for row in V for x in row))
+    assert len(odd) == 2 ** 6
+
+
+def test_closed_form_at_depth_three_on_small_valuation_matrices(steinberg_symbol):
+    towers = _towers(3)
+    rng = random.Random("closed form depth 3")
+    grid = list(itertools.product(itertools.product((0, 1), repeat=3), repeat=4))
+    grid += [tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(4))
+             for _ in range(500)]
+    for n, V in enumerate(grid):
+        F = PIN_FIELDS[n % len(PIN_FIELDS)]
+        T, g = towers[F]
+        args = [_monomial(T, g ** rng.randrange(F.size - 1), row) for row in V]
+        assert higher_symbol(args) == steinberg_symbol(args), (F, V)
+
+
+def _random_tower_element(R, rng, truncate):
+    """A sparse element of the tower R; with chance `truncate` each level is
+    truncated just past a random exponent of its window."""
+    if not isinstance(R, LaurentRing):
+        return R.random(rng)
+    low = rng.randrange(-2, 3)
+    coeffs = {e: _random_tower_element(R.base, rng, truncate)
+              for e in range(low, low + 3) if rng.random() < 0.7}
+    prec = low + rng.randrange(4) if rng.random() < truncate else None
+    return LaurentSeries(R, coeffs, prec)
+
+
+@pytest.mark.parametrize("F", [F3] + PIN_FIELDS, ids=repr)
+def test_field_higher_symbol_matches_the_steinberg_route_on_truncated_towers(
+        F, steinberg_symbol):
+    # truncated inner (O(t1^k)) and outer (O(t2^k), O(t3^k)) coefficients:
+    # the same value, or the same exception and message
+    rng = random.Random(f"closed form towers {F!r}")
+    seen = set()
+    for depth in (2, 3):
+        T = iterated_ring(F, [f"t{k + 1}" for k in range(depth)])
+        for _ in range(60 if depth == 2 else 25):
+            args = [_random_tower_element(T, rng, 0.3) for _ in range(depth + 1)]
+            for k, f in enumerate(args):
+                if not f.is_unit() and rng.random() < 0.8:
+                    args[k] = f + T.gen(rng.randrange(-2, 3))
+            want = _outcome(steinberg_symbol, args)
+            assert _outcome(higher_symbol, args) == want, args
+            seen.add(want[0] if isinstance(want[0], str) else "value")
+    assert seen == {"value", "NotAUnit", "PrecisionExhausted"}
+
+
+def _random_exact_unit(T, rng):
+    while True:
+        f = _random_tower_element(T, rng, 0)
+        if f.is_unit():
+            return f
+
+
+@pytest.mark.parametrize("F", [F5, F9], ids=repr)
+def test_depth_three_multilinearity_and_steinberg_relation(F, steinberg_symbol):
+    T = iterated_ring(F, ["t1", "t2", "t3"])
+    rng = random.Random(f"depth 3 relations {F!r}")
+    for _ in range(25):
+        args = [_random_exact_unit(T, rng) for _ in range(4)]
+        k, b = rng.randrange(4), _random_exact_unit(T, rng)
+        with_b = args[:k] + [b] + args[k + 1:]
+        product = args[:k] + [args[k] * b] + args[k + 1:]
+        assert higher_symbol(product) == higher_symbol(args) * higher_symbol(with_b)
+        f = _random_exact_unit(T, rng)
+        if (T.one() - f).is_unit():
+            i, j = rng.sample(range(4), 2)
+            pair = [_random_exact_unit(T, rng) for _ in range(4)]
+            pair[i], pair[j] = f, T.one() - f
+            assert higher_symbol(pair).is_one()
+            assert steinberg_symbol(pair).is_one()
+
+
+def test_closed_form_at_depth_eight_is_antisymmetric_and_fast():
+    # dense valuation matrices: the determinants are eliminated, not
+    # expanded over permutations
+    T = iterated_ring(F7, [f"t{k + 1}" for k in range(8)])
+    rng = random.Random("closed form depth 8")
+    start = time.perf_counter()
+    for _ in range(5):
+        args = [_monomial(T, F7.from_int(rng.randint(1, 6)),
+                          [rng.randint(-3, 3) for _ in range(8)])
+                for _ in range(9)]
+        i, j = rng.sample(range(9), 2)
+        swapped = list(args)
+        swapped[i], swapped[j] = args[j], args[i]
+        assert (higher_symbol(args) * higher_symbol(swapped)).is_one()
+    assert time.perf_counter() - start < 2.0
