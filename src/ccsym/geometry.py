@@ -21,10 +21,14 @@ Expansions run on payload dicts keyed by exponent pairs: numerator and
 denominator are substituted exactly (`_substitute`: a Taylor shift at a place,
 t1 and t2 as polynomials in z1, z2 at a flag, a reindexing at infinity) and
 wrapped into series once; a substitution by single monomials with
-coefficient one (an identity or a swap) only moves exponents.  At a place the
-quotient is the denominator's linear recurrence (`laurent._quotient`, at most
-nil_bound passes), exact in every stored coefficient; a flag's tower
-denominator goes through `laurent_inv`.  The default precisions of
+coefficient one (an identity or a swap) only moves exponents.  At a flag the
+coordinates take the curve to z2 = 0, so the least z2 exponent of a
+substituted polynomial (`flag_payloads`) is the curve's multiplicity in it;
+the Parshin check reads multiplicities and leading terms (`flag_leading_term`)
+there without expanding.  At a place the quotient is the denominator's
+linear recurrence (`laurent._quotient`, at most nil_bound passes), exact in
+every stored coefficient; a flag's tower denominator goes through
+`laurent_inv`.  The default precisions of
 `local_expand` and `flag_expand` stay heuristic, read off the valuations (and
 at a place the nilpotent tails and nil_bound); the line reciprocity laws do
 not use them but pass the precision each local symbol needs.
@@ -40,8 +44,8 @@ from .errors import (AlgebraError, NonUnitLeadingCoefficient, UnsupportedArgumen
 from .laurent import (LaurentRing, LaurentSeries, _quotient, _series,
                       laurent_inv)
 from .poly import Poly, factor, poly_gcd, roots_in
-from .rings import (ArtinianLocal, RingValue, _finite_field, _power, embed,
-                    residue_field, residue_value)
+from .rings import (ArtinianLocal, RingValue, _finite_field, _fmt_poly, _power,
+                    embed, residue_field, residue_value)
 
 
 # -- fractions, and rational functions on the line ------------------------------
@@ -309,6 +313,12 @@ def leading_unit_guard(*functions: RationalFunction):
 
 # -- the affine plane: bivariate functions and flags ------------------------------
 
+def _monomial(ij) -> str:
+    """t1^i*t2^j as text, "" for the constant monomial."""
+    return "*".join(v if e == 1 else f"{v}^{e}"
+                    for v, e in zip(("t1", "t2"), ij) if e)
+
+
 class BivarPoly:
     """Polynomial in two variables t1, t2; sparse {(i, j): coefficient}."""
 
@@ -358,19 +368,8 @@ class BivarPoly:
                                              for ij, c in self.coeffs.items()))))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.coeffs.items()):
-            factors = []
-            if not c.is_one() or (i, j) == (0, 0):
-                factors.append(str(c))
-            if i:
-                factors.append("t1" if i == 1 else f"t1^{i}")
-            if j:
-                factors.append("t2" if j == 1 else f"t2^{j}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return _fmt_poly(sorted(self.coeffs.items()), _monomial, str,
+                         lambda body: " + " in body)
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -512,20 +511,22 @@ def _flag_coordinates(ring, flag: SurfaceFlag):
     return t1, t2
 
 
-def flag_leading_terms(functions, flag: SurfaceFlag):
-    """Per function, its (z1, z2) valuations and leading coefficient at the
-    flag, read off the least z2, then least z1 exponent of the substituted
-    numerator and denominator: the leading term of every `flag_expand`."""
-    ring = functions[0].ring
+def flag_payloads(polys, flag: SurfaceFlag) -> list:
+    """Each polynomial's payloads in the flag's coordinates, keyed by (z1, z2)
+    exponents.  The coordinates are a polynomial automorphism of k[t1, t2]
+    taking the flag's curve to z2 = 0, so the least z2 exponent is the
+    curve's multiplicity in the polynomial."""
+    ring = flag.point[0].ring
     t1, t2 = _flag_coordinates(ring, flag)
-    rows, leads = [], []
-    for f in functions:
-        num, den = (_substitute(ring, {ij: c.raw for ij, c in p.coeffs.items()},
-                                t1, t2) for p in (f.num, f.den))
-        (i, j), (k, l) = (min(p, key=lambda e: e[::-1]) for p in (num, den))
-        rows.append((i - k, j - l))
-        leads.append(RingValue(ring, ring._mul(num[i, j], ring._inv(den[k, l]))))
-    return tuple(rows), leads
+    return [_substitute(ring, {ij: c.raw for ij, c in p.coeffs.items()}, t1, t2)
+            for p in polys]
+
+
+def flag_leading_term(payloads: dict) -> tuple:
+    """The (z1, z2) exponents and payload of the least z2, then least z1
+    term: the leading term of the polynomial's expansion at the flag."""
+    ij = min(payloads, key=lambda e: e[::-1])
+    return ij, payloads[ij]
 
 
 def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
@@ -533,12 +534,8 @@ def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
     """Iterated expansion of f at the flag, in k((z1))((z2)) (z2 outer)."""
     if f.num.is_zero():
         raise ZeroOnCurve("the zero function has no expansion along a curve")
-    ring = f.ring
-    t1, t2 = _flag_coordinates(ring, flag)
-    N2 = flag_ring(ring)
-    num_s, den_s = (_tower(N2, _substitute(ring, {ij: c.raw for ij, c in
-                                                  p.coeffs.items()}, t1, t2))
-                    for p in (f.num, f.den))
+    N2 = flag_ring(f.ring)
+    num_s, den_s = (_tower(N2, p) for p in flag_payloads((f.num, f.den), flag))
     if den_s.is_one():
         out = num_s if prec is None else num_s.truncate(prec)
     else:

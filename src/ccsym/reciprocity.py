@@ -8,12 +8,15 @@ nilpotency bound and J = nu - low the nilpotent pole depth.  That determines
 the symbol: a change at u^P moves f by a factor in 1 + u^M B[[u]] with
 M > (L-1)^2 J_g, whose P_i factors pair to 1 with g's N_j (j <= (L-1) J_g).
 
-The Parshin law reads only the leading term of each function at each flag
-(`flag_leading_terms`) and evaluates the closed form of the `symbols`
-docstring on them, with no series arithmetic.  An explicit `precision` is
-the z2 precision an expansion would be truncated at: a flag where some
-function's z2 valuation reaches it raises PrecisionExhausted, as the
-truncated expansions would hold no unit there.
+The Parshin law substitutes each numerator and denominator into the flag
+coordinates of each candidate curve at each marked point once
+(`flag_payloads`).  The flag-cover check reads every curve multiplicity off
+those payloads, and each function's leading term at each flag is read off
+the same payloads (`flag_leading_term`); the closed form of the `symbols`
+docstring evaluates them, with no series arithmetic.  An explicit
+`precision` is the z2 precision an expansion would be truncated at: a flag
+where some function's z2 valuation reaches it raises PrecisionExhausted, as
+the truncated expansions would hold no unit there.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from dataclasses import dataclass
 from . import geometry
 from .errors import (IncompleteFlagCover, PrecisionExhausted, UnsupportedArgument,
                      ZeroFunction)
-from .geometry import (BivarPoly, RationalFunction, SurfaceFlag, _lifted,
-                       _substitute, flag_leading_terms, leading_unit_guard,
-                       local_expand, support_places)
+from .geometry import (RationalFunction, SurfaceFlag, flag_leading_term,
+                       flag_payloads, leading_unit_guard, local_expand,
+                       support_places)
 from .poly import Poly, _value_encoding, roots_in
-from .rings import (RingValue, _raw_add, _raw_mul, format_value, relative_norm,
-                    residue_field)
+from .rings import RingValue, format_value, relative_norm, residue_field
 from .symbols import _tame_value, cc_symbol, tame_symbol
 
 # Not called here, since the Parshin law reads leading terms; bench/tracing.py
@@ -149,25 +151,29 @@ def parshin_check(functions, flags, precision: int = None) -> ReciprocityReport:
     whole boundary and IncompleteFlagCover is raised.  A flag named twice
     would count its local factor twice and is refused.
     """
-    functions = tuple(functions)
+    functions, flags = tuple(functions), tuple(flags)
     if len(functions) != 3:
         raise UnsupportedArgument("the plane reciprocity law pairs 3 functions")
     ring = functions[0].ring
+    if any(f.ring != ring for f in functions) or any(
+            c.ring != ring for flag in flags for c in flag.point):
+        raise UnsupportedArgument("the functions and flags must share one"
+                                  " coefficient ring")
     if not ring.is_field:
         raise UnsupportedArgument("plane reciprocity is implemented over fields")
-    for f in functions:
-        if f.is_zero():
-            raise ZeroFunction("reciprocity needs nonzero functions")
-    flags = tuple(flags)
-    _check_flag_cover(functions, flags)
+    if any(f.is_zero() for f in functions):
+        raise ZeroFunction("reciprocity needs nonzero functions")
     factors = []
     product = ring.one()
-    for flag in flags:
-        rows, leads = flag_leading_terms(functions, flag)
+    for flag, terms in zip(flags, _check_flag_cover(functions, flags)):
+        rows, leads = [], []
+        for ((i, j), a), ((k, l), b) in zip(terms[::2], terms[1::2]):
+            rows.append((i - k, j - l))
+            leads.append(RingValue(ring, ring._mul(a, ring._inv(b))))
         if precision is not None and max(v2 for _, v2 in rows) >= precision:
             raise PrecisionExhausted("no unit among the known coefficients "
                                      f"of O(z2^{precision})")
-        local = _tame_value(rows, leads, ring)
+        local = _tame_value(tuple(rows), leads, ring)
         factors.append(LocalFactor(flag.label(), 1, local, local))
         product = product * local
     return ReciprocityReport("parshin", product.is_one(), product, tuple(factors))
@@ -179,100 +185,65 @@ def _curve_key(flag: SurfaceFlag):
     return ("graph", flag.data[0].coeffs)
 
 
-def _divide_out(poly: BivarPoly, flag: SurfaceFlag):
-    """(multiplicity, cofactor) of the flag's curve equation in the polynomial.
-
-    The curve is y - h(x): t2 - phi(t1) for a graph, t1 - c for a vertical
-    line.  The polynomial is held as raw rows in x by powers of y, and
-    synthetic division by y - h repeats until a remainder is nonzero."""
-    ring = poly.ring
-    if flag.kind == "vertical":
-        y, h = 0, Poly.constant(flag.data[0])._raw()
-    else:
-        y, h = 1, flag.data[0]._raw()
-    zero = ring._zero_raw()
-    rows = [[] for _ in range(1 + max((ij[y] for ij in poly.coeffs),
-                                      default=-1))]
-    for ij, c in poly.coeffs.items():
-        row, i = rows[ij[y]], ij[1 - y]
-        row.extend([zero] * (i + 1 - len(row)))
-        row[i] = c.raw
-    mult = 0
-    while rows:
-        carry, quot = [], []
-        for row in reversed(rows[1:]):
-            carry = _raw_add(carry, row, ring)
-            quot.append(carry)
-            carry = _raw_mul(carry, h, ring)
-        if _raw_add(carry, rows[0], ring):
-            break
-        rows, mult = quot[::-1], mult + 1
-    if mult:
-        poly = BivarPoly(ring, {(i, j) if y else (j, i): RingValue(ring, c)
-                                for j, row in enumerate(rows)
-                                for i, c in enumerate(row)})
-    return mult, poly
-
-
-def _check_flag_cover(functions, flags):
+def _check_flag_cover(functions, flags) -> list:
     """Every curve through a marked point carrying a zero or pole of some
-    function must be one of the flags (at that point).
+    function must be one of the flags (at that point).  Returns, per flag,
+    the leading terms (`flag_leading_term`) of the numerators and
+    denominators in turn.
 
-    At each point the candidate curves (the flags there, the vertical line
-    and the lines through it that can divide a numerator or denominator) are
-    divided out of each numerator and denominator in turn, once per pair.
-    The candidates are distinct monic irreducibles of degree 1 in t1 or t2,
-    so dividing out the earlier ones leaves the multiplicity of the later
-    ones unchanged: one pass gives both every multiplicity and the cofactor,
-    whose value at the point tells whether some other curve through it
-    carries a zero or pole.  The lines come from the tangent cone (Fulton,
-    Algebraic Curves, 3.1): in u = t1 - x0, v = t2 - y0 the line v = lam*u
-    divides a polynomial only if it divides its least-degree form P_m, that
-    is if P_m(1, lam) = 0; the slopes keep the order of `ring.elements()`."""
+    At each point each candidate curve C (the vertical line, the lines
+    through the point that can divide a polynomial, the flags there) gets
+    every polynomial P substituted into its flag coordinates once; the least
+    z2 exponent is the multiplicity m_C of C in P.  Distinct smooth curves
+    through the point give P = prod C^(m_C) * R with mult(P) = sum m_C +
+    mult(R) (Fulton, Algebraic Curves, 3.1), so another curve through the
+    point carries a zero or pole exactly when mult(P) > sum m_C.  The
+    vertical line's coordinates (t1 = x0 + z2, t2 = y0 + z1) are the shift
+    to the point with the variables swapped: they give mult(P) = m, the
+    least total degree, and the tangent cone P_m.  The line
+    t2 - y0 = lam (t1 - x0) divides P only if P_m(1, lam) = 0; the slopes
+    keep the order of `ring.elements()`."""
     if not flags:
         raise IncompleteFlagCover("no flags given")
     ring = functions[0].ring
     points = {}
     for flag in flags:
-        provided = points.setdefault(flag.point, set())
+        provided = points.setdefault(flag.point, {})
         if _curve_key(flag) in provided:
             raise UnsupportedArgument(f"the flag {flag.label()} is given twice")
-        provided.add(_curve_key(flag))
+        provided[_curve_key(flag)] = flag
+    polys = [p for f in functions for p in (f.num, f.den)]
+    found = {}
     for point, provided in points.items():
         x0, y0 = point
-        u, v = (_lifted([c, ring.one()], ring) for c in (x0, y0))
-        v = {(j, i): c for (i, j), c in v.items()}      # y0 + v
+        vertical = SurfaceFlag.vertical(x0, y0)
+        shifted = flag_payloads(polys, vertical)
+        degrees = [min(map(sum, p)) for p in shifted]
         slopes = {}
-        for poly in (p for f in functions for p in (f.num, f.den)):
-            moved = _substitute(ring, {ij: c.raw for ij, c in
-                                       poly.coeffs.items()}, u, v)
-            m = min(map(sum, moved))
-            cone = Poly(ring, [RingValue(ring, moved.get((m - j, j),
-                                                         ring._zero_raw()))
+        for p, m in zip(shifted, degrees):
+            cone = Poly(ring, [RingValue(ring, p.get((j, m - j), ring._zero_raw()))
                                for j in range(m + 1)])
             slopes.update((lam.raw, lam) for lam in roots_in(cone, ring))
-        candidates = [SurfaceFlag.vertical(x0, y0)]
-        for lam in sorted(slopes.values(), key=_value_encoding):
-            # line t2 = y0 + lam (t1 - x0) through the point
-            phi = Poly(ring, [y0 - lam * x0, lam])
-            candidates.append(SurfaceFlag.graph(phi, x0))
-        candidates.extend(fl for fl in flags if fl.point == point)
-        unique = {}   # by curve, first seen first
-        for fl in candidates:
-            unique.setdefault(_curve_key(fl), fl)
-        for f in functions:
-            order = dict.fromkeys(unique, 0)   # of f along each curve
-            for poly, sign in ((f.num, 1), (f.den, -1)):
-                rest = poly
-                for key, fl in unique.items():
-                    mult, rest = _divide_out(rest, fl)
-                    order[key] += sign * mult
-                if rest.evaluate(x0, y0).is_zero():
-                    raise IncompleteFlagCover(
-                        f"a curve through ({x0}, {y0}) outside the flag family"
-                        f" carries a zero or pole of {f!r}")
-            for key, fl in unique.items():
-                if order[key] and key not in provided:
+        # line t2 = y0 + lam (t1 - x0) through the point, then the flags there
+        candidates = [SurfaceFlag.graph(Poly(ring, [y0 - lam * x0, lam]), x0)
+                      for lam in sorted(slopes.values(), key=_value_encoding)]
+        unique = {_curve_key(vertical): (vertical, shifted)}  # first seen first
+        for fl in candidates + list(provided.values()):
+            if _curve_key(fl) not in unique:
+                unique[_curve_key(fl)] = (fl, flag_payloads(polys, fl))
+        mults = {key: [min(j for _, j in p) for p in payloads]
+                 for key, (_, payloads) in unique.items()}
+        for n, f in enumerate(functions):
+            if any(degrees[s] > sum(m[s] for m in mults.values())
+                   for s in (2 * n, 2 * n + 1)):
+                raise IncompleteFlagCover(
+                    f"a curve through ({x0}, {y0}) outside the flag family"
+                    f" carries a zero or pole of {f!r}")
+            for key, (fl, _) in unique.items():
+                if mults[key][2 * n] != mults[key][2 * n + 1] and key not in provided:
                     raise IncompleteFlagCover(
                         f"function {f!r} has a zero or pole along"
                         f" {fl.label()} which is missing from the flags")
+        found[point] = unique
+    return [[flag_leading_term(p) for p in found[fl.point][_curve_key(fl)][1]]
+            for fl in flags]

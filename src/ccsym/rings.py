@@ -800,9 +800,10 @@ def residue_value(x: RingValue) -> RingValue:
 _composite = frozenset(" +*/^").intersection
 
 
-def _fmt_poly(terms, sym: str, fmt_coeff, composite,
+def _fmt_poly(terms, sym, fmt_coeff, composite,
               bracket_constant: bool = False) -> str:
-    """sum c*sym^i over the (i, c) pairs, skipping zero terms and
+    """sum c*m over the (i, c) pairs, m = sym^i, or m = sym(i) for a function
+    `sym` ("" for the constant monomial), skipping zero terms and
     coefficients 1; `composite(body)` says when a coefficient's text needs
     parentheses, which a constant term gets only with `bracket_constant`."""
     out = []
@@ -810,12 +811,13 @@ def _fmt_poly(terms, sym: str, fmt_coeff, composite,
         body = fmt_coeff(c)
         if body == "0":
             continue
-        if (i or bracket_constant) and composite(body):
+        power = (sym(i) if callable(sym)
+                 else "" if i == 0 else sym if i == 1 else f"{sym}^{i}")
+        if (power or bracket_constant) and composite(body):
             body = f"({body})"
-        if i == 0:
+        if not power:
             out.append(body)
         else:
-            power = sym if i == 1 else f"{sym}^{i}"
             out.append(power if body == "1" else f"{body}*{power}")
     return " + ".join(out) if out else "0"
 

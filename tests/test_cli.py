@@ -205,6 +205,32 @@ def test_verify_parshin_missing_flag_is_domain_error(capsys):
     assert "domain error" in err
 
 
+def test_verify_parshin_cover_errors_name_the_curve(capsys):
+    code, out, err = run(capsys, "verify", "parshin", "--ring", "F5",
+                         "--flag", "t1=0@0", "--flag", "t2=0@0",
+                         "t1", "t2-t1^2", "t2")
+    assert (code, out) == (3, "")
+    assert err == ("sym: domain error: a curve through (0, 0) outside the flag"
+                   " family carries a zero or pole of t2 + 4*t1^2\n")
+    code, out, err = run(capsys, "verify", "parshin", "--ring", "F5",
+                         "--flag", "t1=0@0", "--flag", "t2=0@0",
+                         "t1", "t2", "t1+t2")
+    assert (code, out) == (3, "")
+    assert err == ("sym: domain error: function t2 + t1 has a zero or pole"
+                   " along (t2 + t1 = 0; point (0, 0)) which is missing from"
+                   " the flags\n")
+
+
+def test_verify_parshin_label_brackets_a_sum_coefficient(capsys):
+    # it printed t2 + 2 + 2*g*t1, which reads as another curve
+    code, out, _ = run(capsys, "verify", "parshin", "--ring", "F9",
+                       "--flag", "t1=0@0", "--flag", "t2=(1+g)*t1@0",
+                       "--flag", "t2=0@0", "t1", "t2", "t2-(1+g)*t1")
+    assert code == 0
+    assert out.splitlines()[1].startswith(
+        "(t2 + (2 + 2*g)*t1 = 0; point (0, 0))  degree 1")
+
+
 def test_verify_parshin_repeated_flag_is_domain_error(capsys):
     # it used to count t1 = 0 twice and print "parshin reciprocity FAILS"
     code, out, err = run(capsys, "verify", "parshin", "--ring", "F5",

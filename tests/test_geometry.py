@@ -7,12 +7,12 @@ import pytest
 from ccsym import geometry
 from ccsym.errors import (NonUnitLeadingCoefficient, ZeroFunction, ZeroOnCurve)
 from ccsym.geometry import (BivarPoly, BivarRational, Place, RationalFunction,
-                            SurfaceFlag, flag_expand, flag_ring,
-                            leading_unit_guard, local_expand, residue_extension,
-                            support_places)
+                            SurfaceFlag, flag_expand, flag_leading_term,
+                            flag_payloads, flag_ring, leading_unit_guard,
+                            local_expand, residue_extension, support_places)
 from ccsym.laurent import LaurentRing, LaurentSeries, format_series, laurent_inv
+from ccsym.parser import parse_expression
 from ccsym.poly import Poly, is_irreducible, random_poly, roots_in
-from ccsym.reciprocity import _divide_out
 from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, embed,
                          residue_field)
 
@@ -168,6 +168,22 @@ def test_bivar_poly_arithmetic():
     assert (p ** 2).coeffs[(1, 1)] == F5.from_int(2)
 
 
+@pytest.mark.parametrize("ring", [F9, ArtinianLocal(F3, 2)], ids=repr)
+def test_bivar_poly_prints_what_parses_back(ring):
+    # a coefficient whose text is a sum is parenthesized next to a monomial
+    rng = random.Random(f"bivar print {ring!r}")
+    for _ in range(40):
+        poly = BivarPoly(ring, {(rng.randrange(3), rng.randrange(3)):
+                                ring.random(rng) for _ in range(4)})
+        back = parse_expression(repr(poly), ring, domain="bivariate")
+        assert back.den.is_one() and back.num == poly, repr(poly)
+    g = F9.generator() if ring is F9 else ring.eps()
+    one = ring.one()
+    poly = BivarPoly(ring, {(1, 1): one + g, (0, 0): g, (2, 0): g + g})
+    name = "g" if ring is F9 else "e"
+    assert repr(poly) == f"{name} + (1 + {name})*t1*t2 + 2*{name}*t1^2"
+
+
 def test_bivar_substitutions():
     p = BivarPoly(F5, {(1, 1): 1, (0, 0): 3})      # t1 t2 + 3
     phi = Poly(F5, [0, 2])                          # t2 = 2 t1
@@ -175,9 +191,11 @@ def test_bivar_substitutions():
     assert p.substitute_t1(F5.from_int(2)) == Poly(F5, [3, 2])
 
 
-def test_divmod_by_curve_identity(rng):
-    # through the cofactor identity of _divide_out, which divides by the
-    # curve equation until a remainder is nonzero
+def test_flag_valuation_is_the_curve_multiplicity(rng):
+    # the least z2 exponent of poly * eq^k in the flag's coordinates is the
+    # curve's multiplicity in poly plus k; the oracle divides by the curve
+    # equation until a remainder is nonzero
+    from test_reciprocity import _wrapped_divide_out
     for _ in range(25):
         poly = BivarPoly(F5, {(rng.randrange(3), rng.randrange(3)):
                               rng.randrange(5) for _ in range(4)})
@@ -186,13 +204,15 @@ def test_divmod_by_curve_identity(rng):
                      SurfaceFlag.graph(Poly(F5, [1, 3]), F5.zero()),
                      SurfaceFlag.graph(Poly(F5, [0, 0, 1]), F5.one())):
             eq = flag.curve_equation()
+            mult = _wrapped_divide_out(poly, flag)[0]
             for k in range(3):
-                target = poly * eq ** k
-                mult, rest = _divide_out(target, flag)
-                assert rest * eq ** mult == target
-                if not poly.is_zero():
-                    assert mult >= k
-                    assert _divide_out(rest, flag)[0] == 0
+                (payloads,) = flag_payloads([poly * eq ** k], flag)
+                if poly.is_zero():
+                    assert payloads == {}
+                    continue
+                assert min(j for _, j in payloads) == mult + k
+                assert flag_leading_term(payloads)[0][1] == mult + k
+                assert _wrapped_divide_out(poly * eq ** k, flag)[0] == mult + k
 
 
 def test_plane_functions_compare_as_fractions():

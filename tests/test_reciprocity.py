@@ -20,8 +20,8 @@ from ccsym.geometry import (BivarPoly, BivarRational, RationalFunction,
 from ccsym.parser import parse_expression
 from ccsym.poly import Poly, is_irreducible, random_poly
 from ccsym.reciprocity import (LocalFactor, ReciprocityReport,
-                               _check_flag_cover, _curve_key, _divide_out,
-                               cc_check, parshin_check, weil_check)
+                               _check_flag_cover, _curve_key, cc_check,
+                               parshin_check, weil_check)
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
 
 F5 = PrimeField(5)
@@ -316,6 +316,21 @@ def test_parshin_arity_and_zero_guards():
         parshin_check((pool["t1"], pool["t2"], pool["t1+t2"]), [])
 
 
+def test_parshin_refuses_mixed_coefficient_rings():
+    # functions over F5 and F25 used to crash with a TypeError, and flags
+    # over F7 raised a stray DescriptorMismatch
+    F25 = GaloisField(5, 2)
+    pool = line_pool(F5)
+    mixed = (pool["t1"], BivarRational.t2(F25), pool["t1"])
+    for functions, flags in ((mixed, origin_flags(F5)),
+                             ((pool["t1"], pool["t2"], pool["t1+t2"]),
+                              origin_flags(F7))):
+        with pytest.raises(UnsupportedArgument,
+                           match="^the functions and flags must share one"
+                                 " coefficient ring$"):
+            parshin_check(functions, flags)
+
+
 def test_parshin_refuses_a_repeated_flag():
     # counted twice, the factor 2 of t1 = 0 made the product 2: a false
     # refutation of the law
@@ -474,7 +489,7 @@ def _random_bivar_function(field, rng):
     return BivarRational(num, den)
 
 
-@pytest.mark.parametrize("field", [F5, F7], ids=repr)
+@pytest.mark.parametrize("field", [F5, F7, GaloisField(3, 2)], ids=repr)
 def test_flag_cover_matches_the_two_pass_check(field):
     rng = random.Random(f"flag cover {field!r}")
     full = origin_flags(field)
@@ -548,6 +563,55 @@ def test_tangent_cone_cover_matches_the_slope_scan(field):
         functions = [_random_plane_function(field, point, rng, slopes)
                      for _ in range(3)]
         for family in [flags] + [flags[:k] + flags[k + 1:] for k in range(4)]:
+            want = _cover_outcome(_two_pass_flag_cover, functions, family)
+            assert _cover_outcome(_check_flag_cover, functions, family) == want
+            seen.add(want if want == "covered" else want[1].split()[0])
+    assert seen == {"covered", "a", "function"}   # every outcome was reached
+
+
+def _curved_cover_case(field, rng):
+    """Flags at one or two marked points: at each, the vertical line, a line
+    that also lies in the tangent cone of the functions whenever they carry
+    it, and a parabola tangent to that line.  The functions are quotients of
+    those curves, of other lines and conics through the points, and of
+    random polynomials."""
+    points = [(field.zero(), field.zero())]
+    if rng.random() < 0.5:
+        points.append((field.one(), field.random(rng)))
+    flags, curves = [], []
+    for x0, y0 in points:
+        lam, c = field.random(rng), field.random_unit(rng)
+        u = BivarPoly(field, {(1, 0): field.one(), (0, 0): -x0})
+        v = BivarPoly(field, {(0, 1): field.one(), (0, 0): -y0})
+        flags += [SurfaceFlag.vertical(x0, y0),
+                  SurfaceFlag.graph(Poly(field, [y0 - lam * x0, lam]), x0),
+                  SurfaceFlag.graph(Poly(field, [y0 - lam * x0 + c * x0 * x0,
+                                                 lam - 2 * c * x0, c]), x0)]
+        curves += [fl.curve_equation() for fl in flags[-3:]]
+        curves += [v - u * field.random(rng),                       # a line
+                   v - u * lam - u * u * field.random_unit(rng)]    # a conic
+
+    def side():
+        out = BivarPoly.one(field)
+        for _ in range(rng.randrange(3)):
+            out = out * rng.choice(curves) ** rng.randrange(1, 3)
+        if rng.random() < 0.3:
+            out = out * BivarPoly(field, {(i, j): field.random(rng)
+                                          for i in range(3) for j in range(3 - i)})
+        return out if not out.is_zero() else BivarPoly.one(field)
+
+    return [BivarRational(side(), side()) for _ in range(3)], flags
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), GaloisField(2, 2), PrimeField(3),
+                                   F5, GaloisField(3, 2)], ids=repr)
+def test_flag_cover_matches_the_slope_scan_on_curved_families(field):
+    rng = random.Random(f"curved cover {field!r}")
+    seen = set()
+    for _ in range(30):
+        functions, flags = _curved_cover_case(field, rng)
+        for family in [flags] + [flags[:k] + flags[k + 1:]
+                                 for k in range(len(flags))]:
             want = _cover_outcome(_two_pass_flag_cover, functions, family)
             assert _cover_outcome(_check_flag_cover, functions, family) == want
             seen.add(want if want == "covered" else want[1].split()[0])
