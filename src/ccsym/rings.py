@@ -252,6 +252,10 @@ class RingDescriptor:
                                  and self._key() == other._key())
 
     def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self):
         return hash((type(self).__name__, self._key()))
 
     def _key(self):

@@ -36,6 +36,11 @@ O(n (p + q) (p + c)) scalar operations instead of O(n^3).  For an index-0
 symbol the Szego ratio det T(f0, k) / det T(f0, k-1) is the k-th pivot of
 one elimination of T(f0) without row swaps.
 
+Two bands with zeros below t^0 and a unit at t^0 (every index-0 pair over
+a field) give lower triangular compressions with a unit diagonal.  These
+are polynomials in the nilpotent shift, so they commute (A[t]/t^n) and
+D = I: the corner determinant is 1 with no solve.
+
 The solve, the determinant, the residue rank and the Szego pivots all run
 on the one matrix kernel in `rings`, and all clear columns with its
 `_eliminate_below`.  Its pivot search takes the first unit of a column;
@@ -48,7 +53,7 @@ search picks the same row as a unit-only search would.
 
 from __future__ import annotations
 
-from .errors import AlgebraError, SingularCompression
+from .errors import AlgebraError, SingularCompression, UnsupportedArgument
 from .laurent import LaurentSeries, require_units
 from .rings import (RingValue, _det_raw, _eliminate_below, _identity_columns,
                     _mul_raw, _pivot_row, _rank, _solve, residue_field,
@@ -220,11 +225,17 @@ def szego_ratio(f0: LaurentSeries, start: int = None):
 
 def _corner_det(f0, g0, corner: int, size: int):
     """det of the corner of D = T(f0) T(g0) T(f0)^-1 T(g0)^-1, built by the
-    corner-only solve in the module docstring."""
+    corner-only solve in the module docstring, or 1 when both compressions
+    are lower triangular with a unit diagonal.  Both bands are read first,
+    so a truncated symbol runs out as it would on the solving path."""
     base = f0.ring.base
     corner = min(corner, size)
-    tf = _rows(_band(f0, size), size)
-    tg = _rows(_band(g0, size), size)
+    bands = _band(f0, size), _band(g0, size)
+    zeros = [base._zero_raw()] * (size - 1)
+    if size >= 1 and all(b[:size - 1] == zeros and base._is_unit(b[size - 1])
+                         for b in bands):
+        return base.one()
+    tf, tg = (_rows(b, size) for b in bands)
     x = _solve(tg, _identity_columns(size, corner, base), _reach(g0, size),
                base)
     y = _solve(tf, x, _reach(f0, size), base)
@@ -237,8 +248,13 @@ def joint_torsion(f: LaurentSeries, g: LaurentSeries,
     """Joint torsion of the Toeplitz compressions of two unit symbols.
 
     With explicit `corner` and `size` a single window is used; otherwise the
-    corner determinant is grown until two consecutive windows agree.
+    corner determinant is grown until two consecutive windows agree.  A
+    window needs 1 <= corner <= size; a corner alone gets a size.
     """
+    if (corner is not None and corner < 1
+            or size is not None and (corner is None or size < corner)):
+        raise UnsupportedArgument("joint torsion needs 1 <= corner <= size, "
+                                  f"not corner={corner}, size={size}")
     ring = f.ring
     if g.ring != ring:
         raise AlgebraError("joint torsion needs symbols over one ring")

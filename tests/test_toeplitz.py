@@ -9,7 +9,7 @@ import pytest
 
 from ccsym import rings, toeplitz
 from ccsym.errors import (AlgebraError, NotAUnit, PrecisionExhausted,
-                          SingularCompression)
+                          SingularCompression, UnsupportedArgument)
 from ccsym.laurent import (LaurentRing, LaurentSeries, require_units,
                            unit_decompose)
 from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
@@ -27,6 +27,7 @@ A32 = ArtinianLocal(F3, 2)
 A53 = ArtinianLocal(F5, 3)
 A33 = ArtinianLocal(F3, 3)
 A72 = ArtinianLocal(PrimeField(7), 2)
+A92 = ArtinianLocal(F9, 2)
 
 
 def exact(series):
@@ -374,17 +375,17 @@ def _dense_corner_det(f0, g0, corner, size):
     return mat_det([row[:corner] for row in d[:corner]], base)
 
 
-@pytest.mark.parametrize("base", (F5, F9, A32, A33, A72), ids=str)
+@pytest.mark.parametrize("base", (F5, F9, A32, A33, A72, A92), ids=str)
 def test_corner_det_matches_dense_product(monkeypatch, base):
     rng = random.Random(f"corner {base}")
     windows = []
     corner_det = toeplitz._corner_det
 
     def checked(f0, g0, corner, size):
-        value = corner_det(f0, g0, corner, size)
-        assert value == _dense_corner_det(f0, g0, corner, size)
-        windows.append((corner, size))
-        return value
+        got = _outcome(corner_det, f0, g0, corner, size)
+        assert got == _outcome(_dense_corner_det, f0, g0, corner, size)
+        windows.append((corner, size, got))
+        return corner_det(f0, g0, corner, size)
 
     monkeypatch.setattr(toeplitz, "_corner_det", checked)
     R = LaurentRing(base, "t")
@@ -395,6 +396,76 @@ def test_corner_det_matches_dense_product(monkeypatch, base):
         joint_torsion(f, g, corner=8, size=20)
         joint_torsion(f, g, corner=3)
     assert len(windows) >= 6 * 4
+    # regular index-0 pairs, whose compressions commute, exact and truncated,
+    # at the default window, at explicit ones, at size == corner and size 1
+    del windows[:]
+    for trial in range(8):
+        f, g = (_regular_symbol(R, rng, trial % 2) for _ in range(2))
+        for window in ({}, {"corner": 8, "size": 20}, {"corner": 3},
+                       {"corner": 4, "size": 4}, {"corner": 1, "size": 1}):
+            _outcome(joint_torsion, f, g, **window)
+    kinds = {got[0] if isinstance(got, tuple) else "value"
+             for *_, got in windows}
+    assert {"value", PrecisionExhausted} <= kinds
+
+
+def test_regular_pairs_need_no_solve(monkeypatch):
+    # index-0 compressions with nothing below t^0 are lower triangular with a
+    # unit diagonal; they commute, so D = I in every window
+    def refuse(*args):
+        raise AssertionError("a commuting pair reached the corner solve")
+
+    for name in ("_solve", "_mul_raw", "_det_raw"):
+        monkeypatch.setattr(toeplitz, name, refuse)
+    rng = random.Random("regular pairs")
+    for base in (F5, F9, A32, A33, A92):
+        R = LaurentRing(base, "t")
+        for _ in range(4):
+            f, g = (_regular_symbol(R, rng, False).shift(rng.randrange(-2, 3))
+                    for _ in range(2))
+            want = cc_symbol(f, g)
+            assert joint_torsion(f, g) == want
+            assert joint_torsion(f, g, corner=3, size=7) == want
+            assert joint_torsion(f, g, corner=1, size=1) == want
+
+
+def test_non_unit_diagonal_still_solves(monkeypatch):
+    # a symbol whose t^0 coefficient is not a unit has a singular
+    # compression; the solve finds that, with the message of the old route
+    R = LaurentRing(A52, "t")
+    one = series(R, {0: 1})
+    t = series(R, {1: 1})
+    e_plus_t = series(R, {0: A52.eps(), 1: 1})
+    solves = []
+    solve = toeplitz._solve
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(toeplitz, "_solve", counted)
+    for f0, g0 in ((one, t), (t, one), (one, e_plus_t), (e_plus_t, one),
+                   (t, e_plus_t)):
+        for corner, size in ((2, 4), (3, 3), (1, 1)):
+            want = _outcome(_oracle_corner_det, f0, g0, corner, size)
+            assert want[0] is SingularCompression
+            del solves[:]
+            assert _outcome(toeplitz._corner_det, f0, g0, corner, size) == want
+            assert solves
+
+
+def test_joint_torsion_refuses_a_window_outside_one_to_size():
+    # the CLI's rule for --window M,N is 1 <= M <= N; a size needs a corner
+    R = LaurentRing(A52, "t")
+    f = series(R, {0: 1, -1: -A52.eps()})
+    g = series(R, {0: 1, 1: -2})
+    assert joint_torsion(f, g) == A52.one() + A52.from_int(2) * A52.eps()
+    assert joint_torsion(f, g, corner=1, size=6) == joint_torsion(f, g)
+    for window in ({"size": 20}, {"corner": 0}, {"corner": -1},
+                   {"corner": 2, "size": -3}, {"corner": -1, "size": 5},
+                   {"corner": 0, "size": 0}, {"corner": 5, "size": 4}):
+        with pytest.raises(UnsupportedArgument, match="joint torsion needs"):
+            joint_torsion(f, g, **window)
 
 
 def test_corner_det_singular_compression():
@@ -556,7 +627,17 @@ def _differential_symbol(R, rng, pole, truncate):
     return LaurentSeries(R, coeffs, prec)
 
 
-DIFFERENTIAL_RINGS = (F5, F9, A32, A33, A52, A72, ArtinianLocal(F9, 2))
+def _regular_symbol(R, rng, truncate):
+    """An index-0 symbol with nothing below t^0: a unit constant and up to 3
+    positive terms, optionally truncated somewhere inside or past them."""
+    coeffs = {0: R.base.random_unit(rng)}
+    for e in range(1, rng.randrange(1, 4) + 1):
+        coeffs[e] = R.base.random(rng)
+    prec = rng.randrange(1, max(coeffs) + 12) if truncate else None
+    return LaurentSeries(R, coeffs, prec)
+
+
+DIFFERENTIAL_RINGS = (F5, F9, A32, A33, A52, A72, A92)
 
 
 @pytest.mark.parametrize("base", DIFFERENTIAL_RINGS, ids=str)
@@ -604,3 +685,18 @@ def test_banded_kernels_match_dense_oracles(monkeypatch, base):
     # the corpus reaches values and each kind of error
     assert outcomes["value"] and outcomes[PrecisionExhausted]
     assert outcomes[SingularCompression]
+    # regular index-0 pairs, whose compressions commute: exact and truncated,
+    # at the default window and at explicit ones, size == corner and size 1
+    before = outcomes.copy()
+    for trial in range(12):
+        f, g = (_regular_symbol(R, rng, trial % 2) for _ in range(2))
+        corner = rng.randrange(1, 7)
+        for c, n in ((corner, corner + rng.randrange(0, 10)),
+                     (corner, corner), (1, 1)):
+            both("_corner_det", f, g, c, n)
+            torsion_both(f, g, corner=c, size=n)
+        torsion_both(f, g)
+        torsion_both(f, g, corner=corner)
+        torsion_both(f.shift(rng.randrange(-2, 3)), g)
+    reached = outcomes - before
+    assert reached["value"] and reached[PrecisionExhausted]
