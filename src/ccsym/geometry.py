@@ -17,21 +17,21 @@ t2 = b.  Expansion at a flag produces an iterated series in
 k((z1))((z2)) with z2 the transverse coordinate of the curve (outer
 variable) and z1 the coordinate along the curve at the point.
 
-Expansions run on payload dicts keyed by exponent pairs: numerator and
-denominator are substituted exactly (`_substitute`: a Taylor shift at a place,
-t1 and t2 as polynomials in z1, z2 at a flag, a reindexing at infinity) and
-wrapped into series once; a substitution by single monomials with
-coefficient one (an identity or a swap) only moves exponents.  At a flag the
-coordinates take the curve to z2 = 0, so the least z2 exponent of a
+Numerator and denominator are substituted exactly and wrapped into series
+once: at a place by a 1-D Taylor shift on payload lists, cut below the order a
+caller needs (`_place_payloads`; a reindexing at infinity), at a flag on
+payload dicts keyed by exponent pairs (`_substitute`), where single monomials
+with coefficient one (an identity or a swap) only move exponents.  At a flag
+the coordinates take the curve to z2 = 0, so the least z2 exponent of a
 substituted polynomial (`flag_payloads`) is the curve's multiplicity in it;
 the Parshin check reads multiplicities and leading terms (`flag_leading_term`)
-there without expanding.  At a place the quotient is the denominator's
-linear recurrence (`laurent._quotient`, at most nil_bound passes), exact in
-every stored coefficient; a flag's tower denominator goes through
-`laurent_inv`.  The default precisions of
-`local_expand` and `flag_expand` stay heuristic, read off the valuations (and
-at a place the nilpotent tails and nil_bound); the line reciprocity laws do
-not use them but pass the precision each local symbol needs.
+there without expanding.  At a place the quotient is the denominator's linear
+recurrence (`laurent._quotient`, at most nil_bound passes), exact in every
+stored coefficient; a flag's tower denominator goes through `laurent_inv`.  The
+default precisions of `local_expand` and `flag_expand` stay heuristic, read
+off the valuations (and at a place the nilpotent tails and nil_bound); the
+line reciprocity laws do not use them but cut each shift where its local
+symbol is determined.
 """
 
 from __future__ import annotations
@@ -223,27 +223,51 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
     """
     if f.is_zero():
         raise ZeroFunction("cannot expand the zero function")
-    B = residue_extension(f.ring, place.degree())
-    R = LaurentRing(B, var)
-    num, den = (_lifted(p.coeffs, B) for p in (f.num, f.den))
-    if not place.is_infinity:
-        roots = roots_in(place.poly, residue_field(B))
-        if not roots:
-            raise AlgebraError(f"{place.label()} has no root in the residue field"
-                               " (is it irreducible over the right field?)")
-        shift = _lifted([roots[0], B.one()], B)              # alpha + u
-        num, den = (_substitute(B, p, shift, {(0, 1): B._one_raw()})
-                    for p in (num, den))
-    sign = -1 if place.is_infinity else 1
-    num, den = ({sign * i: c for (i, _), c in p.items()} for p in (num, den))
-    num_s, den_s = _series(R, num), _series(R, den)
-    if den_s.is_one():
-        return num_s if prec is None else num_s.truncate(prec)
+    R, num, den = _place_payloads(f, place, var=var)
     if prec is None:
-        nil = B.nil_bound
+        num_s, den_s = _series(R, num), _series(R, den)
+        if den_s.is_one():
+            return num_s
         nu_n, nu_d = num_s.valuation(), den_s.valuation()
         tail = (nu_n - num_s.low) + (nu_d - den_s.low)
-        prec = (abs(nu_n - nu_d) + tail) * nil + 8
+        prec = (abs(nu_n - nu_d) + tail) * R.base.nil_bound + 8
+    return _place_quotient(R, num, den, prec)
+
+
+def _place_payloads(f: RationalFunction, place: Place, order: int = None,
+                    var: str = "u"):
+    """The Laurent ring at the place, and f's numerator and denominator there
+    as {exponent: payload}, zeros dropped: the Taylor shift to the pinned
+    root, below u^order if given, or at infinity the reindex t^i -> u^-i."""
+    B = residue_extension(f.ring, place.degree())
+    R = LaurentRing(B, var)
+    zero = B._zero_raw()
+    num, den = ([zero if c.is_zero() else embed(c, B).raw for c in p.coeffs]
+                for p in (f.num, f.den))
+    if place.is_infinity:
+        return R, *({-i: c for i, c in enumerate(p) if c != zero} for p in (num, den))
+    roots = roots_in(place.poly, residue_field(B))
+    if not roots:
+        raise AlgebraError(f"{place.label()} has no root in the residue field"
+                           " (is it irreducible over the right field?)")
+    alpha = embed(roots[0], B).raw
+    return R, *(_taylor_shift(B, p, alpha, order) for p in (num, den))
+
+
+def _taylor_shift(ring, coeffs: list, alpha, order) -> dict:
+    """sum_i coeffs[i] (alpha + u)^i below u^order as {exponent: payload},
+    zeros dropped: Horner's rule with each step cut below u^order, as alpha +
+    u never lowers an exponent (von zur Gathen-Gerhard, ISSAC 1997)."""
+    mul, add, zero = ring._mul, ring._add, ring._zero_raw()
+    top = len(coeffs) if order is None else max(0, min(len(coeffs), order))
+    acc = []
+    for c in reversed(coeffs):                  # acc * (alpha + u) + c
+        acc = [add(x, mul(alpha, y)) for x, y in zip([c] + acc, acc + [zero])][:top]
+    return {i: c for i, c in enumerate(acc) if c != zero}
+
+
+def _place_quotient(R: LaurentRing, num: dict, den: dict, prec: int) -> LaurentSeries:
+    """num/den below u^prec from a place's payloads (`_place_payloads`)."""
     return _series(R, _quotient(R, num, den, prec), prec)
 
 

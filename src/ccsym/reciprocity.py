@@ -2,11 +2,13 @@
 higher symbols over the projective line and the affine plane, with per-place
 reports.
 
-Unless a precision is given, the line laws expand f at each place below u^P,
-P = nu_f + (L-1)(J_f + (L-1) J_g) + 1 (nu + 1 over a field), for L the
-nilpotency bound and J = nu - low the nilpotent pole depth.  That determines
-the symbol: a change at u^P moves f by a factor in 1 + u^M B[[u]] with
-M > (L-1)^2 J_g, whose P_i factors pair to 1 with g's N_j (j <= (L-1) J_g).
+Unless a precision is given, the line laws shift each function once per place
+(`geometry._place_payloads`).  Over a field the `symbols` closed form reads nu
+and the leading coefficient off that shift; over an artinian ring it is
+divided below u^P, P = nu_f + (L-1)(J_f + (L-1) J_g) + 1, for L the nilpotency
+bound and J = nu - low the nilpotent pole depth.  That determines the symbol:
+a change at u^P moves f by a factor in 1 + u^M B[[u]] with M > (L-1)^2 J_g,
+whose P_i factors pair to 1 with g's N_j (j <= (L-1) J_g).
 
 The Parshin law substitutes each numerator and denominator into the flag
 coordinates of each candidate curve at each marked point once
@@ -33,8 +35,8 @@ from .poly import Poly, _value_encoding, roots_in
 from .rings import RingValue, format_value, relative_norm, residue_field
 from .symbols import _tame_value, cc_symbol, tame_symbol
 
-# Not called here, since the Parshin law reads leading terms; bench/tracing.py
-# still wraps this module attribute, so it stays bound.
+# local_expand and tame_symbol serve only an explicit precision, cc_symbol also
+# artinian rings, flag_expand nothing; bench/tracing.py wraps them all here.
 flag_expand = geometry.flag_expand
 
 
@@ -96,8 +98,8 @@ def cc_check(f: RationalFunction, g: RationalFunction,
 
 
 def _line_reciprocity(law, local_symbol, f, g, precision) -> ReciprocityReport:
-    """Normed local symbols over the support of f and g, each from expansions
-    exact to the P of the module docstring, or to `precision` if given."""
+    """Normed local symbols over the support of f and g: by the module
+    docstring's route, or from expansions to `precision` if given."""
     ring = f.ring
     if g.ring != ring:
         raise UnsupportedArgument("both functions must share one coefficient ring")
@@ -107,11 +109,12 @@ def _line_reciprocity(law, local_symbol, f, g, precision) -> ReciprocityReport:
     factors = []
     product = ring.one()
     for place in support_places(f, g):
-        if precision is None:
-            fu, gu = _symbol_expansions(f, g, place)
+        if precision is not None:
+            local = local_symbol(*(local_expand(h, place, precision) for h in (f, g)))
+        elif ring.is_field:
+            local = _field_symbol(f, g, place)
         else:
-            fu, gu = (local_expand(h, place, precision) for h in (f, g))
-        local = local_symbol(fu, gu)
+            local = local_symbol(*_symbol_expansions(f, g, place))
         contribution = relative_norm(local, e)
         factors.append(LocalFactor(place.label(), place.degree(),
                                    local, contribution))
@@ -119,25 +122,38 @@ def _line_reciprocity(law, local_symbol, f, g, precision) -> ReciprocityReport:
     return ReciprocityReport(law, product.is_one(), product, tuple(factors))
 
 
-def _symbol_expansions(f, g, place):
-    """f and g expanded at the place below the u^P of the module docstring.
-    A first expansion to a bound on nu (deg(num) / deg(pi) at a finite place,
-    deg(den) - deg(num) at infinity: leading coefficients are units) gives
-    nu and J, and over a field it already reaches P."""
-    L = f.ring.nil_bound
-    out = []
+def _field_symbol(f, g, place):
+    """The closed form on the orders and leading coefficients of f and g over a
+    field, shifted below max(deg num, deg den) // deg(pi) + 1, past both orders
+    as pi^m | p needs m <= deg(p) / deg(pi)."""
+    rows, leads = [], []
     for h in (f, g):
-        if place.is_infinity:
-            bound = h.den.degree() - h.num.degree()
-        else:
-            bound = h.num.degree() // place.degree()
-        out.append(local_expand(h, place, bound + 1))
+        order = max(h.num.degree(), h.den.degree()) // place.degree() + 1
+        R, num, den = geometry._place_payloads(h, place, order)
+        B, o_n, o_d = R.base, min(num), min(den)
+        rows.append((o_n - o_d,))
+        leads.append(RingValue(B, B._mul(num[o_n], B._inv(den[o_d]))))
+    return _tame_value(tuple(rows), leads, B)
+
+
+def _symbol_expansions(f, g, place):
+    """f and g over an artinian ring expanded below the u^P of the module
+    docstring from one shift each: a first quotient to a bound on nu (deg(num)
+    / deg(pi), or deg(den) - deg(num) at infinity, as leading coefficients are
+    units) gives nu and J, and a larger P reruns it on the same payloads."""
+    L = f.ring.nil_bound
+    payloads, out = [], []
+    for h in (f, g):
+        bound = (h.den.degree() - h.num.degree() if place.is_infinity
+                 else h.num.degree() // place.degree())
+        payloads.append(geometry._place_payloads(h, place))
+        out.append(geometry._place_quotient(*payloads[-1], bound + 1))
     nu_f, nu_g = out[0].valuation(), out[1].valuation()
     j_f, j_g = nu_f - out[0].low, nu_g - out[1].low
     needs = (nu_f + (L - 1) * (j_f + (L - 1) * j_g) + 1,
              nu_g + (L - 1) * (j_g + (L - 1) * j_f) + 1)
-    return [s if s.prec >= need else local_expand(h, place, need)
-            for h, s, need in zip((f, g), out, needs)]
+    return [s if s.prec >= need else geometry._place_quotient(*p, need)
+            for p, s, need in zip(payloads, out, needs)]
 
 
 # -- Parshin reciprocity on the plane -------------------------------------------
@@ -182,7 +198,7 @@ def parshin_check(functions, flags, precision: int = None) -> ReciprocityReport:
 def _curve_key(flag: SurfaceFlag):
     if flag.kind == "vertical":
         return ("vertical", flag.data[0].raw)
-    return ("graph", flag.data[0].coeffs)
+    return ("graph", tuple(c.raw for c in flag.data[0].coeffs))
 
 
 def _check_flag_cover(functions, flags) -> list:

@@ -367,6 +367,49 @@ def test_local_expand_times_denominator_is_numerator(ring):
             assert (fu * den_s).agrees_with(num_s, fu.prec), (f, place, prec)
 
 
+# -- the truncated Taylor shift against the bivariate substitution ---------------
+# A place expansion shifts payload lists (`_taylor_shift`); the bivariate
+# `_substitute` the flags use, fed t = alpha + u as a payload dict, is the
+# oracle.
+
+SHIFT_RINGS = [PrimeField(2), F5, F9, GaloisField(3, 8), A32,
+               ArtinianLocal(F9, 2)]
+
+
+def _substituted_shift(ring, coeffs, alpha, order):
+    """sum_i coeffs[i] (alpha + u)^i below u^order by the bivariate route."""
+    one, nonzero = ring._one_raw(), ring._nonzero_test()
+    poly = {(i, 0): c for i, c in enumerate(coeffs) if nonzero(c)}
+    shift = {k: c for k, c in (((0, 0), alpha), ((1, 0), one)) if nonzero(c)}
+    out = geometry._substitute(ring, poly, shift, {(0, 1): one})
+    return {i: c for (i, _), c in out.items() if order is None or i < order}
+
+
+@pytest.mark.parametrize("ring", SHIFT_RINGS, ids=repr)
+def test_taylor_shift_matches_the_bivariate_substitution(ring):
+    rng = random.Random(f"taylor shift {ring!r}")
+    zero = ring._zero_raw()
+    # the zero polynomial, a constant, then seeded polynomials; unreduced
+    # payload lists carry zero entries inside and trailing zeros
+    cases = [[], [ring.random_unit(rng).raw]]
+    for _ in range(30):
+        cases.append([ring.random(rng).raw for _ in range(rng.randrange(1, 9))]
+                     + [zero] * rng.randrange(3))
+    cut = 0
+    for coeffs in cases:
+        deg = max((i for i, c in enumerate(coeffs) if c != zero), default=-1)
+        for alpha in (zero, ring.random_unit(rng).raw, ring.random(rng).raw):
+            for order in (None, 0, 1, deg + 1):
+                got = geometry._taylor_shift(ring, coeffs, alpha, order)
+                want = _substituted_shift(ring, coeffs, alpha, order)
+                assert got.keys() == want.keys() and got == want, \
+                    (coeffs, alpha, order)
+                cut += order is not None and order - 1 in want
+    # some case holds a term just below its order, so a shift cut one
+    # short fails
+    assert cut
+
+
 def _reference_flag_expand(f, flag, prec, inner_prec):
     N2 = flag_ring(f.ring)
     N1 = N2.base

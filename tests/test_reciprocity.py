@@ -10,19 +10,23 @@ from pathlib import Path
 
 import pytest
 
-from ccsym import poly, rings
+from collections import Counter
+
+from ccsym import geometry, laurent, poly, rings
 from ccsym.cli import main
 from ccsym.errors import (AlgebraError, IncompleteFlagCover,
                           NonUnitLeadingCoefficient, UnsupportedArgument,
                           ZeroFunction)
-from ccsym.geometry import (BivarPoly, BivarRational, RationalFunction,
-                            SurfaceFlag, flag_expand)
+from ccsym.geometry import (BivarPoly, BivarRational, Place, RationalFunction,
+                            SurfaceFlag, flag_expand, local_expand,
+                            support_places)
 from ccsym.parser import parse_expression
 from ccsym.poly import Poly, is_irreducible, random_poly
 from ccsym.reciprocity import (LocalFactor, ReciprocityReport,
-                               _check_flag_cover, _curve_key, cc_check,
-                               parshin_check, weil_check)
+                               _check_flag_cover, _curve_key, _field_symbol,
+                               cc_check, parshin_check, weil_check)
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
+from ccsym.symbols import tame_symbol
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -229,6 +233,106 @@ def test_default_precision_reports_match_a_longer_expansion(ring):
     assert places >= {1, 2, 3, "infinity"}
 
 
+def _outcome(call):
+    try:
+        return call()
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+def _expanded_local(f, g, place):
+    """tame_symbol on the expansions to nu + 1 that the field laws divided
+    out before they read leading terms: the oracle of `_field_symbol`."""
+    return tame_symbol(*(local_expand(h, place,
+                                      local_expand(h, place).valuation() + 1)
+                         for h in (f, g)))
+
+
+def _irreducible(k, degree, rng):
+    while True:
+        p = random_poly(k, rng, degree, monic=True)
+        if is_irreducible(p):
+            return p
+
+
+def _field_cases(k, rng):
+    """Seeded pairs over the field k with a zero or pole at a place of each
+    degree 1-6, of multiplicity p or p + 1 at degree 1 and often at 2."""
+    cases = []
+    for d in range(1, 7):
+        powers = {1: [k.char, k.char + 1], 2: [1, 2, k.char]}.get(d, [1, 2])
+        pi = _irreducible(k, d, rng) ** rng.choice(powers)
+        other = random_poly(k, rng, rng.randrange(0, 3))
+        if other.is_zero():
+            other = Poly.one(k)
+        unit = k.random_unit(rng)
+        f = (RationalFunction(pi.scale(unit), other) if rng.random() < 0.5
+             else RationalFunction(other, pi))
+        g = random_rational(k, rng, max_factor_degree=2)
+        cases.append((f, g))
+    return cases
+
+
+FIELD_LINE_RINGS = [PrimeField(2), PrimeField(3), GaloisField(2, 2),
+                    GaloisField(3, 2), GaloisField(2, 4), GaloisField(5, 2)]
+
+
+@pytest.mark.parametrize("k", FIELD_LINE_RINGS, ids=repr)
+def test_field_symbol_matches_the_expanded_tame_symbol(k):
+    # leading terms off one truncated shift against tame_symbol on
+    # expansions to nu + 1, at every support place and at infinity
+    rng = random.Random(f"field symbol {k!r}")
+    cases = _field_cases(k, rng)
+    if k.char == 3 and k.degree == 1:                   # (t^2+1)^3 over F3
+        cases.append((rf(k, [1, 0, 1]) ** 3, rf(k, [1, 1], [0, 0, 1])))
+    degrees, deep = set(), 0
+    for f, g in cases:
+        places = support_places(f, g)
+        if not places[-1].is_infinity:
+            places.append(Place(None))
+        for place in places:
+            got = _outcome(lambda: _field_symbol(f, g, place))
+            want = _outcome(lambda: _expanded_local(f, g, place))
+            assert got == want, (f, g, place)
+            degrees.add(place.degree())
+            deep += abs(local_expand(f, place).valuation()) >= k.char
+    assert degrees == set(range(1, 7)) and deep
+
+
+@pytest.mark.parametrize("ring", LINE_RINGS, ids=repr)
+def test_line_laws_substitute_each_function_once_per_place(ring, monkeypatch):
+    # at the default precision each function is shifted once per place; a
+    # field check divides nothing, an artinian one at most twice per shift
+    shifts, quotients = [], []
+    place_payloads, quotient = geometry._place_payloads, geometry._quotient
+
+    def counted_payloads(h, place, *args):
+        shifts.append((id(h), place.label()))
+        return place_payloads(h, place, *args)
+
+    def counted_quotient(*args):
+        quotients.append(args)
+        return quotient(*args)
+
+    monkeypatch.setattr(geometry, "_place_payloads", counted_payloads)
+    monkeypatch.setattr(geometry, "_quotient", counted_quotient)
+    monkeypatch.setattr(laurent, "_quotient", counted_quotient)
+    rng = random.Random(f"one shift per place {ring!r}")
+    for _ in range(20):
+        f, g = (random_artinian_rational(ring, rng, 3) for _ in range(2))
+        for check in (weil_check, cc_check) if ring.is_field else (cc_check,):
+            shifts.clear()
+            quotients.clear()
+            check(f, g)
+            assert Counter(shifts) == Counter(
+                (id(h), place.label())
+                for place in support_places(f, g) for h in (f, g))
+            if ring.is_field:
+                assert not quotients
+            else:
+                assert len(quotients) <= 2 * len(shifts)
+
+
 def test_cc_guards():
     A = ArtinianLocal(F5, 2)
     bad = RationalFunction(Poly(A, [A.one(), A.eps()]))
@@ -341,6 +445,12 @@ def test_parshin_refuses_a_repeated_flag():
                        match=r"^the flag \(t1 = 0; point \(0, 0\)\) is given twice$"):
         parshin_check((three, pool["t1"], pool["t2"]),
                       [vertical, horizontal, vertical])
+    # a graph curve built twice from equal coefficients is one flag
+    diagonal = [SurfaceFlag.graph(Poly(F5, [0, 1]), F5.zero()) for _ in range(2)]
+    with pytest.raises(UnsupportedArgument,
+                       match=r"^the flag \(t2 \+ 4\*t1 = 0; point \(0, 0\)\) is given twice$"):
+        parshin_check((three, pool["t1"], pool["t2"]),
+                      [vertical, horizontal] + diagonal)
     # the same curve at another point is another flag
     elsewhere = SurfaceFlag.vertical(F5.zero(), F5.one())
     assert parshin_check((three, pool["t1"], pool["t2"]),
