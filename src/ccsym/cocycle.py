@@ -17,8 +17,10 @@ matching the sign conventions of symbols built from graded determinant lines.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import AlgebraError, InvalidCocycle, NonCommutingPair
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _words
 from .rings import _is_prime
 
 
@@ -166,24 +168,11 @@ def homs_to_cyclic(group: FiniteGroup, r: int):
             basis.append(x)
             span = quot.subgroup_closure(basis)
     # coordinates of each quotient element in the basis
-    coords = {quot.e: (0,) * len(basis)}
-    frontier = [quot.e]
-    while frontier:
-        x = frontier.pop(0)
-        for k, b in enumerate(basis):
-            y = quot.mul(x, b)
-            if y not in coords:
-                c = list(coords[x])
-                c[k] += 1
-                coords[y] = tuple(c)
-                frontier.append(y)
-    homs = []
-    from itertools import product as iproduct
-    for images in iproduct(range(r), repeat=len(basis)):
-        hom = tuple(sum(c * w for c, w in zip(coords[proj[i]], images)) % r
-                    for i in range(g.n))
-        homs.append(hom)
-    return homs
+    coords = {x: tuple(map(word.count, range(len(basis))))
+              for x, word in _words(quot, basis).items()}
+    return [tuple(sum(c * w for c, w in zip(coords[proj[i]], images)) % r
+                  for i in range(g.n))
+            for images in product(range(r), repeat=len(basis))]
 
 
 def random_cocycle(group: FiniteGroup, ring, rng, grading=None) -> Cocycle2:
@@ -213,9 +202,5 @@ def random_cocycle(group: FiniteGroup, ring, rng, grading=None) -> Cocycle2:
 
 
 def _units_of_order(ring, r: int):
-    out = []
-    for u in ring.units():
-        if (u ** r).is_one() and not u.is_one() \
-                and all(not (u ** k).is_one() for k in range(2, r)):
-            out.append(u)
-    return out
+    """The units of prime order r."""
+    return [u for u in ring.units() if not u.is_one() and (u ** r).is_one()]

@@ -223,7 +223,8 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
     """
     if f.is_zero():
         raise ZeroFunction("cannot expand the zero function")
-    R, num, den = _place_payloads(f, place, var=var)
+    B, num, den = _place_payloads(f, place)
+    R = LaurentRing(B, var)
     if prec is None:
         num_s, den_s = _series(R, num), _series(R, den)
         if den_s.is_one():
@@ -234,24 +235,23 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
     return _place_quotient(R, num, den, prec)
 
 
-def _place_payloads(f: RationalFunction, place: Place, order: int = None,
-                    var: str = "u"):
-    """The Laurent ring at the place, and f's numerator and denominator there
-    as {exponent: payload}, zeros dropped: the Taylor shift to the pinned
-    root, below u^order if given, or at infinity the reindex t^i -> u^-i."""
+def _place_payloads(f: RationalFunction, place: Place, order: int = None):
+    """The coefficient ring at the place, and f's numerator and denominator
+    there as {exponent: payload}, zeros dropped: the Taylor shift to the
+    pinned root, below u^order if given, or at infinity the reindex
+    t^i -> u^-i."""
     B = residue_extension(f.ring, place.degree())
-    R = LaurentRing(B, var)
     zero = B._zero_raw()
     num, den = ([zero if c.is_zero() else embed(c, B).raw for c in p.coeffs]
                 for p in (f.num, f.den))
     if place.is_infinity:
-        return R, *({-i: c for i, c in enumerate(p) if c != zero} for p in (num, den))
+        return B, *({-i: c for i, c in enumerate(p) if c != zero} for p in (num, den))
     roots = roots_in(place.poly, residue_field(B))
     if not roots:
         raise AlgebraError(f"{place.label()} has no root in the residue field"
                            " (is it irreducible over the right field?)")
     alpha = embed(roots[0], B).raw
-    return R, *(_taylor_shift(B, p, alpha, order) for p in (num, den))
+    return B, *(_taylor_shift(B, p, alpha, order) for p in (num, den))
 
 
 def _taylor_shift(ring, coeffs: list, alpha, order) -> dict:

@@ -3,14 +3,19 @@
 Groups are given by an n x n table of element indices with the identity at
 index 0.  The catalog lists one representative of every isomorphism type of
 order at most 16 (42 types); `are_isomorphic` is a brute-force checker used
-to keep the catalog honest.
+to keep the catalog honest.  Every non-cyclic catalog group is built by
+`extension` from an action and a 2-cocycle (direct products, dihedral,
+dicyclic and the semidirect groups of order 16), with two exceptions: A4, the
+even permutations of 4 points, and D4oC4, a quotient of D4 x C4.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from collections import deque
+from itertools import combinations, permutations
 
 from .errors import AlgebraError
+from .rings import _power
 
 
 class FiniteGroup:
@@ -76,11 +81,7 @@ class FiniteGroup:
         return self._orders
 
     def power(self, i, k: int):
-        k %= self.order_of(i)
-        x = self.e
-        for _ in range(k):
-            x = self.mul(x, i)
-        return x
+        return _power(i, k % self.order_of(i), self.e, self.mul)
 
     def commutator(self, i, j):
         return self.mul(self.mul(i, j), self.mul(self.inv(i), self.inv(j)))
@@ -107,26 +108,21 @@ class FiniteGroup:
                    for g in range(self.n) for h in subgroup)
 
     def quotient(self, normal_subgroup):
-        """Quotient group plus the projection index map."""
+        """Quotient group plus the projection index map; cosets are numbered
+        in increasing order of their least element."""
         sub = frozenset(normal_subgroup)
+        if self.subgroup_closure(sub) != sub:
+            raise AlgebraError(f"{sorted(sub)} is not a subgroup")
         if not self.is_normal(sub):
             raise AlgebraError("subgroup is not normal")
         coset_of = [None] * self.n
         cosets = []
         for g in range(self.n):
-            if coset_of[g] is not None:
-                continue
-            members = sorted(self.mul(g, h) for h in sub)
-            idx = len(cosets)
-            cosets.append(members)
-            for m in members:
-                coset_of[m] = idx
-        # reindex so the identity's coset is 0
-        order = sorted(range(len(cosets)), key=lambda c: cosets[c][0])
-        relabel = {old: new for new, old in enumerate(order)}
-        coset_of = [relabel[c] for c in coset_of]
-        cosets = [cosets[old] for old in order]
-        table = [[coset_of[self.mul(cs[0], ct[0])] for ct in cosets] for cs in cosets]
+            if coset_of[g] is None:
+                for h in sub:
+                    coset_of[self.mul(g, h)] = len(cosets)
+                cosets.append(g)
+        table = [[coset_of[self.mul(s, t)] for t in cosets] for s in cosets]
         return FiniteGroup(table, name=f"{self.name}/N"), coset_of
 
     def derived_subgroup(self) -> frozenset:
@@ -156,80 +152,61 @@ def cyclic(n: int) -> FiniteGroup:
                        name=f"C{n}")
 
 
+def extension(n: FiniteGroup, h: FiniteGroup, act=None, cocycle=None,
+              name=None) -> FiniteGroup:
+    """Pairs (x, y), x in n varying fastest, under (x1, y1)(x2, y2) =
+    (x1 act(y1, x2) cocycle(y1, y2), y1 y2); no action and no cocycle give
+    the direct product h x n."""
+    pairs = [(x, y) for y in range(h.n) for x in range(n.n)]
+    table = [[h.mul(y1, y2) * n.n
+              + n.mul(n.mul(x1, act(y1, x2) if act else x2),
+                      cocycle(y1, y2) if cocycle else n.e)
+              for x2, y2 in pairs] for x1, y1 in pairs]
+    return FiniteGroup(table, name=name or f"{n.name}:{h.name}")
+
+
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    n = g.n * h.n
-    def enc(i, j):
-        return i * h.n + j
-    table = [[0] * n for _ in range(n)]
-    for i1, j1 in product(range(g.n), range(h.n)):
-        for i2, j2 in product(range(g.n), range(h.n)):
-            table[enc(i1, j1)][enc(i2, j2)] = enc(g.mul(i1, i2), h.mul(j1, j2))
-    return FiniteGroup(table, name=f"{g.name}x{h.name}")
+    return extension(h, g, name=f"{g.name}x{h.name}")
 
 
-def _from_pairs(pairs, law, name):
-    index = {p: k for k, p in enumerate(pairs)}
-    table = [[index[law(a, b)] for b in pairs] for a in pairs]
-    return FiniteGroup(table, name=name)
+def _inversion(n: FiniteGroup):
+    """The action of y on n by x -> x^-1 for odd y."""
+    return lambda y, x: n.inv(x) if y % 2 else x
 
 
 def dihedral(n: int) -> FiniteGroup:
     """Order 2n: rotations r^i and reflections r^i s, with s r s = r^-1."""
-    pairs = [(i, s) for s in (0, 1) for i in range(n)]
-    def law(a, b):
-        (i, s), (j, u) = a, b
-        return ((i + (j if s == 0 else -j)) % n, s ^ u)
-    return _from_pairs(pairs, law, f"D{n}")
+    rotations = cyclic(n)
+    return extension(rotations, cyclic(2), _inversion(rotations), name=f"D{n}")
 
 
 def dicyclic(n: int) -> FiniteGroup:
     """Order 4n: a^(2n) = e, b^2 = a^n, b a b^-1 = a^-1.  dicyclic(2) = Q8."""
-    pairs = [(i, s) for s in (0, 1) for i in range(2 * n)]
-    def law(a, b):
-        (i, s), (j, u) = a, b
-        if s == 0:
-            return ((i + j) % (2 * n), u)
-        if u == 0:
-            return ((i - j) % (2 * n), 1)
-        return ((i - j + n) % (2 * n), 0)
-    return _from_pairs(pairs, law, f"Dic{n}")
-
-
-def _metacyclic16(k: int, name: str) -> FiniteGroup:
-    """Order 16 with C8 normal: (i,s)(j,u) = (i + j*k^s mod 8, s xor u)."""
-    pairs = [(i, s) for s in (0, 1) for i in range(8)]
-    def law(a, b):
-        (i, s), (j, u) = a, b
-        return ((i + j * (k ** s)) % 8, s ^ u)
-    return _from_pairs(pairs, law, name)
+    a = cyclic(2 * n)
+    return extension(a, cyclic(2), _inversion(a), lambda s, u: n * s * u,
+                     name=f"Dic{n}")
 
 
 def semidihedral16() -> FiniteGroup:
-    return _metacyclic16(3, "SD16")
+    """C8 with an involution acting by x -> 3x."""
+    return extension(cyclic(8), cyclic(2), lambda s, x: x * 3 ** s % 8, name="SD16")
 
 
 def modular16() -> FiniteGroup:
-    return _metacyclic16(5, "M16")
+    """C8 with an involution acting by x -> 5x."""
+    return extension(cyclic(8), cyclic(2), lambda s, x: x * 5 ** s % 8, name="M16")
 
 
 def c4_semi_c4() -> FiniteGroup:
     """C4 acting on C4 by inversion."""
-    pairs = [(i, j) for j in range(4) for i in range(4)]
-    def law(a, b):
-        (i, j), (k, l) = a, b
-        return ((i + (k if j % 2 == 0 else -k)) % 4, (j + l) % 4)
-    return _from_pairs(pairs, law, "C4:C4")
+    return extension(cyclic(4), cyclic(4), _inversion(cyclic(4)))
 
 
 def c2c2_semi_c4() -> FiniteGroup:
     """C4 acting on C2 x C2 by swapping the factors."""
-    pairs = [((x, y), j) for j in range(4) for y in (0, 1) for x in (0, 1)]
-    def law(a, b):
-        ((x, y), j), ((z, w), l) = a, b
-        if j % 2 == 1:
-            z, w = w, z
-        return (((x ^ z), (y ^ w)), (j + l) % 4)
-    return _from_pairs(pairs, law, "(C2xC2):C4")
+    return extension(direct_product(cyclic(2), cyclic(2)), cyclic(4),
+                     lambda j, x: 2 * (x % 2) + x // 2 if j % 2 else x,
+                     name="(C2xC2):C4")
 
 
 def central_product_d4_c4() -> FiniteGroup:
@@ -244,25 +221,11 @@ def central_product_d4_c4() -> FiniteGroup:
 
 
 def alternating4() -> FiniteGroup:
-    """Even permutations of 4 points, generated as a permutation closure."""
-    ident = (0, 1, 2, 3)
-    gens = [(1, 0, 3, 2), (1, 2, 0, 3)]
-    perms = [ident]
-    seen = {ident}
-    frontier = [ident]
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(4))
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            r = compose(g, p)
-            if r not in seen:
-                seen.add(r)
-                perms.append(r)
-                frontier.append(r)
-    perms = [ident] + sorted(p for p in perms if p != ident)
+    """Even permutations of 4 points in lexicographic order."""
+    perms = [p for p in permutations(range(4))
+             if sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
     index = {p: k for k, p in enumerate(perms)}
-    table = [[index[compose(a, b)] for b in perms] for a in perms]
+    table = [[index[tuple(a[i] for i in b)] for b in perms] for a in perms]
     return FiniteGroup(table, name="A4")
 
 
@@ -317,20 +280,25 @@ def _generating_set(g: FiniteGroup):
     return gens
 
 
+def _words(g: FiniteGroup, gens) -> dict:
+    """{element: word} over the indices of gens, breadth first from e."""
+    words = {g.e: ()}
+    frontier = deque([g.e])
+    while frontier:
+        x = frontier.popleft()
+        for k, gen in enumerate(gens):
+            y = g.mul(x, gen)
+            if y not in words:
+                words[y] = words[x] + (k,)
+                frontier.append(y)
+    return words
+
+
 def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
     if _invariants(g) != _invariants(h):
         return False
     gens = _generating_set(g)
-    # words expressing every element of g in terms of the generators
-    expr = {g.e: ()}
-    frontier = [g.e]
-    while frontier:
-        x = frontier.pop(0)
-        for k, gen in enumerate(gens):
-            y = g.mul(x, gen)
-            if y not in expr:
-                expr[y] = expr[x] + (k,)
-                frontier.append(y)
+    expr = _words(g, gens)
     by_order = {}
     for i in range(h.n):
         by_order.setdefault(h.order_of(i), []).append(i)

@@ -31,6 +31,7 @@ from .errors import (IncompleteFlagCover, PrecisionExhausted, UnsupportedArgumen
 from .geometry import (RationalFunction, SurfaceFlag, flag_leading_term,
                        flag_payloads, leading_unit_guard, local_expand,
                        support_places)
+from .laurent import LaurentRing
 from .poly import Poly, _value_encoding, roots_in
 from .rings import RingValue, format_value, relative_norm, residue_field
 from .symbols import _tame_value, cc_symbol, tame_symbol
@@ -129,8 +130,8 @@ def _field_symbol(f, g, place):
     rows, leads = [], []
     for h in (f, g):
         order = max(h.num.degree(), h.den.degree()) // place.degree() + 1
-        R, num, den = geometry._place_payloads(h, place, order)
-        B, o_n, o_d = R.base, min(num), min(den)
+        B, num, den = geometry._place_payloads(h, place, order)
+        o_n, o_d = min(num), min(den)
         rows.append((o_n - o_d,))
         leads.append(RingValue(B, B._mul(num[o_n], B._inv(den[o_d]))))
     return _tame_value(tuple(rows), leads, B)
@@ -146,7 +147,8 @@ def _symbol_expansions(f, g, place):
     for h in (f, g):
         bound = (h.den.degree() - h.num.degree() if place.is_infinity
                  else h.num.degree() // place.degree())
-        payloads.append(geometry._place_payloads(h, place))
+        B, num, den = geometry._place_payloads(h, place)
+        payloads.append((LaurentRing(B, "u"), num, den))
         out.append(geometry._place_quotient(*payloads[-1], bound + 1))
     nu_f, nu_g = out[0].valuation(), out[1].valuation()
     j_f, j_g = nu_f - out[0].low, nu_g - out[1].low
@@ -195,10 +197,14 @@ def parshin_check(functions, flags, precision: int = None) -> ReciprocityReport:
     return ReciprocityReport("parshin", product.is_one(), product, tuple(factors))
 
 
+def _raw(values) -> tuple:
+    return tuple(c.raw for c in values)
+
+
 def _curve_key(flag: SurfaceFlag):
     if flag.kind == "vertical":
         return ("vertical", flag.data[0].raw)
-    return ("graph", tuple(c.raw for c in flag.data[0].coeffs))
+    return ("graph", _raw(flag.data[0].coeffs))
 
 
 def _check_flag_cover(functions, flags) -> list:
@@ -222,16 +228,15 @@ def _check_flag_cover(functions, flags) -> list:
     if not flags:
         raise IncompleteFlagCover("no flags given")
     ring = functions[0].ring
-    points = {}
+    points = {}                             # raw point -> (point, flags there)
     for flag in flags:
-        provided = points.setdefault(flag.point, {})
+        _, provided = points.setdefault(_raw(flag.point), (flag.point, {}))
         if _curve_key(flag) in provided:
             raise UnsupportedArgument(f"the flag {flag.label()} is given twice")
         provided[_curve_key(flag)] = flag
     polys = [p for f in functions for p in (f.num, f.den)]
     found = {}
-    for point, provided in points.items():
-        x0, y0 = point
+    for raw_point, ((x0, y0), provided) in points.items():
         vertical = SurfaceFlag.vertical(x0, y0)
         shifted = flag_payloads(polys, vertical)
         degrees = [min(map(sum, p)) for p in shifted]
@@ -260,6 +265,6 @@ def _check_flag_cover(functions, flags) -> list:
                     raise IncompleteFlagCover(
                         f"function {f!r} has a zero or pole along"
                         f" {fl.label()} which is missing from the flags")
-        found[point] = unique
-    return [[flag_leading_term(p) for p in found[fl.point][_curve_key(fl)][1]]
+        found[raw_point] = unique
+    return [[flag_leading_term(p) for p in found[_raw(fl.point)][_curve_key(fl)][1]]
             for fl in flags]

@@ -59,6 +59,33 @@ def _unused_imports(path):
                   if name not in used)
 
 
+def _unreferenced_private_names(package):
+    """Private module-level functions and classes, and private methods, whose
+    name no expression, attribute or import in the package mentions."""
+    defined, used = {}, set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            for d in [node, *(node.body if isinstance(node, ast.ClassDef) else ())]:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and d.name.startswith("_") and not d.name.endswith("__")):
+                    defined[d.name] = f"{path.name}:{d.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(f"{name} ({where})" for name, where in defined.items()
+                  if name not in used)
+
+
+def test_every_private_helper_is_used():
+    # a helper that a refactor leaves behind is dead code
+    assert _unreferenced_private_names(Path(ccsym.__file__).parent) == []
+
+
 def test_no_module_imports_an_unused_name():
     # __init__.py imports names only to re-export them
     package = Path(ccsym.__file__).parent

@@ -1,13 +1,15 @@
+import hashlib
 import itertools
 from collections import Counter
 
 import pytest
 
+from ccsym.cocycle import homs_to_cyclic
 from ccsym.errors import AlgebraError
 from ccsym.groups import (FiniteGroup, alternating4, are_isomorphic,
                           c2c2_semi_c4, c4_semi_c4, central_product_d4_c4,
                           cyclic, dicyclic, dihedral, direct_product,
-                          group_catalog, modular16, semidihedral16)
+                          extension, group_catalog, modular16, semidihedral16)
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5,
                    9: 2, 10: 2, 11: 1, 12: 5, 13: 1, 14: 2, 15: 1, 16: 14}
@@ -37,6 +39,37 @@ class TestCatalog:
         # FiniteGroup's constructor re-checks associativity etc.
         for _, g in group_catalog():
             FiniteGroup(g.table, name=g.name)
+
+
+def test_catalog_tables_and_homs_are_pinned():
+    # sha256 of every name and table and of the homomorphisms to Z/r, as
+    # built before the catalog went through `extension`
+    digest = hashlib.sha256()
+    for name, g in group_catalog():
+        digest.update(repr((name, g.table)).encode())
+    for n in range(1, 9):
+        for make in (cyclic, dihedral, dicyclic):
+            g = make(n)
+            digest.update(repr((g.name, g.table)).encode())
+    for make in (alternating4, semidihedral16, modular16, c4_semi_c4,
+                 c2c2_semi_c4, central_product_d4_c4):
+        g = make()
+        digest.update(repr((g.name, g.table)).encode())
+    for name, g in group_catalog():
+        for r in (2, 3, 5, 7):
+            digest.update(repr((name, r, homs_to_cyclic(g, r))).encode())
+    assert digest.hexdigest() == (
+        "ad2dbcd3b325f17a4c5c5ecdff460f7bf0ffa588b1e996b61e971c95454587f7")
+
+
+def test_extension():
+    c2, c3, c4 = cyclic(2), cyclic(3), cyclic(4)
+    for n, h in ((c3, c2), (c2, c4), (dihedral(3), c2)):
+        trivial = extension(n, h, lambda y, x: x, lambda y, z: n.e)
+        assert trivial.table == extension(n, h).table == direct_product(h, n).table
+    q8 = extension(c4, c2, lambda s, x: c4.inv(x) if s else x,
+                   lambda s, u: 2 * s * u)
+    assert are_isomorphic(q8, dicyclic(2))
 
 
 class TestKnownStructure:
@@ -106,6 +139,20 @@ class TestGroupOps:
         sub = d3.subgroup_closure([reflection])
         with pytest.raises(AlgebraError):
             d3.quotient(sub)
+
+    @pytest.mark.parametrize("group, subset", [
+        (cyclic(4), {0, 1}),          # would project by a non-homomorphism
+        (dihedral(3), {3, 4, 5}),     # the reflections: conjugation-invariant
+        (cyclic(4), {1}),
+    ])
+    def test_quotient_rejects_a_non_subgroup(self, group, subset):
+        with pytest.raises(AlgebraError, match=r"is not a subgroup"):
+            group.quotient(subset)
+
+    def test_quotient_names_a_non_normal_subgroup(self):
+        d3 = dihedral(3)
+        with pytest.raises(AlgebraError, match=r"^subgroup is not normal$"):
+            d3.quotient(d3.subgroup_closure([3]))
 
     def test_malformed_table_rejected(self):
         with pytest.raises(AlgebraError):
