@@ -45,7 +45,7 @@ class Cocycle2:
         g = self.group
         for row in self.table:
             for v in row:
-                if v.ring != self.ring:
+                if v.ring is not self.ring:
                     raise InvalidCocycle("cocycle values live in different rings")
                 if not v.is_unit():
                     raise InvalidCocycle(f"cocycle value {v!r} is not a unit")
@@ -79,7 +79,7 @@ class Cocycle2:
 
     # -- algebra on cocycles ---------------------------------------------------
     def multiply(self, other: "Cocycle2") -> "Cocycle2":
-        if other.group is not self.group or other.ring != self.ring:
+        if other.group is not self.group or other.ring is not self.ring:
             raise InvalidCocycle("can only multiply cocycles on the same data")
         table = [[self.table[i][j] * other.table[i][j]
                   for j in range(self.group.n)] for i in range(self.group.n)]

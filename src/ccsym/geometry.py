@@ -62,7 +62,7 @@ class _Fraction:
 
     def __eq__(self, other):
         """Equality as fractions: num * den' = num' * den."""
-        return (type(other) is type(self) and self.ring == other.ring
+        return (type(other) is type(self) and self.ring is other.ring
                 and self.num * other.den == other.num * self.den)
 
     def __hash__(self):
@@ -115,7 +115,7 @@ class RationalFunction(_Fraction):
         if den is None:                 # num/1 is reduced and monic already
             self.ring, self.num, self.den = ring, num, Poly.one(ring)
             return
-        if den.ring != ring:
+        if den.ring is not ring:
             raise AlgebraError("numerator and denominator rings differ")
         if den.is_zero():
             raise ZeroFunction("denominator is the zero polynomial")
@@ -242,7 +242,8 @@ def _place_payloads(f: RationalFunction, place: Place, order: int = None):
     t^i -> u^-i."""
     B = residue_extension(f.ring, place.degree())
     zero = B._zero_raw()
-    num, den = ([zero if c.is_zero() else embed(c, B).raw for c in p.coeffs]
+    num, den = ([c.raw for c in p.coeffs] if B is f.ring else
+                [zero if c.is_zero() else embed(c, B).raw for c in p.coeffs]
                 for p in (f.num, f.den))
     if place.is_infinity:
         return B, *({-i: c for i, c in enumerate(p) if c != zero} for p in (num, den))
@@ -350,9 +351,8 @@ class BivarPoly:
 
     def __init__(self, ring, coeffs: dict):
         self.ring = ring
-        self.coeffs = {ij: (c if isinstance(c, RingValue) else ring.from_int(c))
-                       for ij, c in coeffs.items()}
-        self.coeffs = {ij: c for ij, c in self.coeffs.items() if not c.is_zero()}
+        coeffs = {ij: ring.coerce(c) for ij, c in coeffs.items()}
+        self.coeffs = {ij: c for ij, c in coeffs.items() if not c.is_zero()}
 
     @classmethod
     def zero(cls, ring):
@@ -384,7 +384,7 @@ class BivarPoly:
         return self.coeffs.keys() == {(0, 0)} and self.coeffs[(0, 0)].is_one()
 
     def __eq__(self, other):
-        return (isinstance(other, BivarPoly) and self.ring == other.ring
+        return (isinstance(other, BivarPoly) and self.ring is other.ring
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):

@@ -60,8 +60,9 @@ class LaurentRing(RingDescriptor):
         self._coeff_ops = _CoeffOps(base._mul, base._add, base._neg,
                                    base._nonzero_test(), base._wrapper())
 
-    def _key(self):
-        return (self.base, self.var)
+    @staticmethod
+    def _key(base, var="t"):
+        return (base, var)
 
     def __repr__(self):
         return f"{self.base}(({self.var}))"
@@ -91,7 +92,7 @@ class LaurentRing(RingDescriptor):
 
     def coerce(self, x):
         if isinstance(x, LaurentSeries):
-            if x.ring != self:
+            if x.ring is not self:
                 raise DescriptorMismatch(f"cannot coerce {x.ring} series into {self}")
             return x
         if isinstance(x, int):
@@ -284,7 +285,7 @@ class LaurentSeries:
             other = self.ring.from_int(other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (self.ring == other.ring and self._raw == other._raw
+        return (self.ring is other.ring and self._raw == other._raw
                 and self.prec == other.prec)
 
     def __hash__(self):
@@ -599,14 +600,14 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
     peeled in two stages: first f is divided by 1 + (tail * f_reg^{-1}) style
     correctors until nothing survives below the valuation (the surviving
     order doubles each pass, so nil_bound passes suffice), then the clean
-    corrector product is resolved into factors (1 - a_i t^i) one exponent at
-    a time from -1 downward, which is triangular and exact.  Positive factors
+    corrector product, a series in s = 1/t, is resolved into factors
+    (1 - a_i s^-i) by the positive stage.  Positive factors
     are then read off upward; they are truncated at `positive_cutoff` (default
     from f.prec) since the positive product rarely terminates.
     """
     require_units("cannot decompose non-unit {f!r}", f)
     ring = f.ring
-    mul, _, negate, nonzero, wrap = ring._coeff_ops
+    mul, _, _, nonzero, wrap = ring._coeff_ops
     one = ring.base._one_raw()
     nu = f.valuation()
 
@@ -626,21 +627,12 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
     else:  # pragma: no cover
         raise AlgebraError("negative-tail elimination failed to converge")
 
-    # stage 2: resolve w_acc into factors, least-negative exponent first;
-    # dividing by (1 - a_e t^e) only touches exponents below e, so each a_e
-    # is read once and never revisited
-    neg: dict = {}
-    w_rem = w_acc
-    while True:
-        tail_exps = [e for e in w_rem if e < 0]
-        if not tail_exps:
-            break
-        e = max(tail_exps)
-        neg[e] = wrap(negate(w_rem[e]))
-        factor = {0: one, e: w_rem[e]}
-        w_rem = _product(ring, w_rem, _nilpotent_unit_inverse(ring, factor))
-    if not _build(ring, w_rem).is_one():  # pragma: no cover
-        raise AlgebraError("negative part did not resolve cleanly")
+    # stage 2: w_acc is a product of factors (1 - a_e t^e), e < 0, positive
+    # in s = 1/t.  Each a_e sums products of at least -e/D nilpotent
+    # coefficients of w_acc, D = -min(w_acc), so none lies past (L - 1) D
+    neg = {-i: a for i, a in _positive_factors(
+        ring, {-e: c for e, c in w_acc.items()},
+        (ring.nil_bound - 1) * -min(w_acc) + 1).items()}
 
     # stage 3: positive factors up to the cutoff, from the normalised
     # remainder h / (lead t^nu)

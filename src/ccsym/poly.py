@@ -33,8 +33,7 @@ class Poly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: RingDescriptor, coeffs):
-        vals = [c if isinstance(c, RingValue) else ring.from_int(c)
-                for c in coeffs]
+        vals = [ring.coerce(c) for c in coeffs]
         while vals and vals[-1].is_zero():
             vals.pop()
         self.ring = ring
@@ -82,7 +81,7 @@ class Poly:
         return bool(self.coeffs) and self.coeffs[-1].is_one()
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.ring == other.ring
+        return (isinstance(other, Poly) and self.ring is other.ring
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):

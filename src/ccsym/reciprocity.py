@@ -102,7 +102,7 @@ def _line_reciprocity(law, local_symbol, f, g, precision) -> ReciprocityReport:
     """Normed local symbols over the support of f and g: by the module
     docstring's route, or from expansions to `precision` if given."""
     ring = f.ring
-    if g.ring != ring:
+    if g.ring is not ring:
         raise UnsupportedArgument("both functions must share one coefficient ring")
     if f.is_zero() or g.is_zero():
         raise ZeroFunction("reciprocity needs nonzero rational functions")
@@ -173,8 +173,8 @@ def parshin_check(functions, flags, precision: int = None) -> ReciprocityReport:
     if len(functions) != 3:
         raise UnsupportedArgument("the plane reciprocity law pairs 3 functions")
     ring = functions[0].ring
-    if any(f.ring != ring for f in functions) or any(
-            c.ring != ring for flag in flags for c in flag.point):
+    if any(f.ring is not ring for f in functions) or any(
+            c.ring is not ring for flag in flags for c in flag.point):
         raise UnsupportedArgument("the functions and flags must share one"
                                   " coefficient ring")
     if not ring.is_field:

@@ -2,7 +2,9 @@
 
 Every descriptor is a small immutable object that knows how to do exact
 arithmetic on raw payloads; `RingValue` is a thin operator-overloading wrapper
-around (descriptor, payload).  Payload conventions:
+around (descriptor, payload).  Descriptors are interned: equal constructor
+arguments give the same instance, so rings compare by identity and each
+holds its own tables and memos.  Payload conventions:
 
   * PrimeField(p)        -- int in [0, p)
   * GaloisField(p, d)    -- tuple of d ints, coordinates w.r.t. 1, g, ..., g^(d-1)
@@ -20,8 +22,8 @@ and `_pow` from log and Zech tables to its pinned generator g
 (Lidl-Niederreiter, Finite Fields, 9.1; Huber, IEEE Trans. Inf. Theory 36,
 1990): `exp[i] = g^i`, `log` inverts it, and `zech[k]` is the log of 1 + g^k,
 so a product is one index sum and a sum g^i + g^j = g^(i + zech[j - i]) one
-more lookup.  The tables are built on first use, one per (p, d) for every
-equal descriptor; at the bound they take about 1.8 MiB (1.2 MiB for F_{3^8}).
+more lookup.  The tables are built on the field's first use, not when it is
+constructed; at the bound they take about 1.8 MiB (1.2 MiB for F_{3^8}).
 Larger fields, and unreduced payloads, use the kernels: `_add_kernel` adds
 coordinates, and `_mul_kernel` is a Kronecker substitution (von zur
 Gathen-Gerhard, Modern Computer Algebra, 8.4): both payloads become integers
@@ -36,9 +38,8 @@ of Laurent series over them are well defined.
 An artinian ring with at most _TABLE_BOUND = 256 elements answers `_mul` and
 `_add` from two flat tables of |A|^2 slots, and `_inv` from one of |A| slots,
 indexed through a dict over its payloads and filled lazily by the arithmetic
-kernels; at the bound they take about 1 MiB.  One table serves every equal
-descriptor, and it is built on the first multiply, add or inverse, not when
-the ring is constructed.
+kernels; at the bound they take about 1 MiB.  They are built on the first
+multiply, add or inverse, not when the ring is constructed.
 """
 
 from __future__ import annotations
@@ -164,8 +165,26 @@ def _power(x, e: int, one, mul):
 # ---------------------------------------------------------------------------
 # descriptors
 
+# every descriptor, under (class, `_key` of its constructor arguments)
+_RINGS: dict = {}
 
-class RingDescriptor:
+
+class _Interned(type):
+    """Constructing a descriptor returns the instance registered under its
+    class and `_key`, the constructor's arguments with defaults filled in,
+    and runs `__init__` only for a new key: equal rings are one object,
+    which compares and hashes by identity."""
+
+    def __call__(cls, *args, **kwargs):
+        key = (cls, cls._key(*args, **kwargs))
+        ring = _RINGS.get(key)
+        if ring is None:
+            ring = _RINGS[key] = super().__call__(*args, **kwargs)
+            ring._args = key[1]
+        return ring
+
+
+class RingDescriptor(metaclass=_Interned):
     """Base class; concrete rings implement raw-payload arithmetic."""
 
     kind = "abstract"
@@ -240,26 +259,16 @@ class RingDescriptor:
 
     def coerce(self, x) -> "RingValue":
         if isinstance(x, RingValue):
-            if x.ring is not self and x.ring != self:
+            if x.ring is not self:
                 raise DescriptorMismatch(f"cannot coerce {x.ring} value into {self}")
             return x
         if isinstance(x, int):
             return self.from_int(x)
         raise DescriptorMismatch(f"cannot coerce {x!r} into {self}")
 
-    def __eq__(self, other):
-        return self is other or (type(self) is type(other)
-                                 and self._key() == other._key())
-
-    def __hash__(self):
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self):
-        return hash((type(self).__name__, self._key()))
-
-    def _key(self):
-        raise NotImplementedError
+    def __reduce__(self):
+        # copies and unpickled rings are rebuilt through the registry
+        return type(self), self._args
 
 
 class PrimeField(RingDescriptor):
@@ -274,8 +283,9 @@ class PrimeField(RingDescriptor):
         self.degree = 1
         self.size = p
 
-    def _key(self):
-        return (self.p,)
+    @staticmethod
+    def _key(p):
+        return (p,)
 
     def __repr__(self):
         return f"F{self.p}"
@@ -317,9 +327,6 @@ class PrimeField(RingDescriptor):
         return RingValue(self, rng.randrange(self.p))
 
 
-_MINPOLY_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
 def _minpoly(p: int, d: int) -> tuple[int, ...]:
     """Pinned minimal polynomial of the F_{p^d} generator (see module docstring).
 
@@ -327,13 +334,11 @@ def _minpoly(p: int, d: int) -> tuple[int, ...]:
     x^((p^d - 1)/q) != 1 mod f for every prime q | p^d - 1.  Then x is a unit
     of order exactly p^d - 1 in F_p[x]/(f); a quotient that is not a field has
     at most p^d - 2 units, so f is irreducible and x a generator."""
-    key = (p, d)
-    if key in _MINPOLY_CACHE:
-        return _MINPOLY_CACHE[key]
     order = p ** d - 1
     primes = list(_factor(order))
     # GaloisField's kernel multiply is arithmetic mod any monic f; the
-    # candidates never touch the log tables, which assume a generator
+    # candidates never touch the log tables, which assume a generator, nor
+    # the registry
     ring = GaloisField.__new__(GaloisField)
     x, one = (0, 1) + (0,) * (d - 2), (1,) + (0,) * (d - 1)
 
@@ -347,7 +352,6 @@ def _minpoly(p: int, d: int) -> tuple[int, ...]:
         ring._pin(p, d, coeffs)
         if coeffs[0] and power(order + 1) == x and all(
                 power(order // q) != one for q in primes):
-            _MINPOLY_CACHE[key] = coeffs
             return coeffs
     raise AlgebraError(f"no primitive polynomial found for F_{p}^{d}")  # pragma: no cover
 
@@ -374,8 +378,9 @@ class GaloisField(RingDescriptor):
         # for i >= d, x^i = sum t * x^(i+o) over the pairs (o, t) below
         self._tail = tuple((j - d, -c % p) for j, c in enumerate(minpoly) if c)
 
-    def _key(self):
-        return (self.p, self.d)
+    @staticmethod
+    def _key(p, d):
+        return (p, d)
 
     def __repr__(self):
         return f"F{self.size}"
@@ -385,13 +390,9 @@ class GaloisField(RingDescriptor):
 
     @functools.cached_property
     def _logs(self):
-        """The shared log and Zech tables, built on first use; None above
+        """The log and Zech tables, built on first use; None above
         _LOG_BOUND."""
-        key = (self.p, self.d)
-        tables = _LOG_CACHE.get(key)
-        if tables is None and self.size <= _LOG_BOUND:
-            tables = _LOG_CACHE[key] = _LogTables(self)
-        return tables
+        return _LogTables(self) if self.size <= _LOG_BOUND else None
 
     # With the tables, a nonzero payload is a power g^i of the generator, and
     # the list index i + j - n is (i + j) mod n for 0 <= i, j < n = q - 1.
@@ -526,10 +527,6 @@ class _LogTables:
         self.zech = [log.get(((x[0] + 1) % p,) + x[1:]) for x in exp]
 
 
-# shared per (p, d), so fields built on every call reuse one table
-_LOG_CACHE: dict[tuple[int, int], _LogTables] = {}
-
-
 class _ScalarTables:
     """Lazily filled sum, product and inverse tables of a small ring:
     `index` maps each payload to its number i, `elems[i]` is that payload,
@@ -546,10 +543,6 @@ class _ScalarTables:
         self.n = n = len(self.elems)
         self.results = ([None] * (n * n), [None] * (n * n))
         self.inverses = [None] * n
-
-
-# shared per (base, m), so rings built on every call reuse one table
-_TABLE_CACHE: dict[tuple, _ScalarTables] = {}
 
 
 def _tabled(kernel, op: int):
@@ -574,7 +567,7 @@ def _tabled(kernel, op: int):
 class ArtinianLocal(RingDescriptor):
     """k[e]/(e^m) for a finite field k; elements sum_{i<m} a_i e^i.
 
-    `_mul`, `_add` and `_inv` read the shared tables when the ring is small
+    `_mul`, `_add` and `_inv` read the tables when the ring is small
     enough (see the module docstring); `_mul_kernel`, `_add_kernel` and
     `_inv_kernel` fill them and serve payloads outside the index and larger
     rings."""
@@ -594,21 +587,19 @@ class ArtinianLocal(RingDescriptor):
         self._zero = (base._zero_raw(),) * m
         self._one = (base._one_raw(),) + self._zero[1:]
 
-    def _key(self):
-        return (self.base, self.m)
+    @staticmethod
+    def _key(base, m):
+        return (base, m)
 
     def __repr__(self):
         return f"{self.base}[e]/e^{self.m}"
 
     @functools.cached_property
     def _tables(self):
-        """The shared tables, built on first use; None above the bound."""
-        key = (self.base, self.m)
-        tables = _TABLE_CACHE.get(key)
-        if tables is None and self.base.size ** self.m <= _TABLE_BOUND:
-            tables = _TABLE_CACHE[key] = _ScalarTables(
-                x.raw for x in self.elements())
-        return tables
+        """The tables, built on first use; None above the bound."""
+        if self.base.size ** self.m <= _TABLE_BOUND:
+            return _ScalarTables(x.raw for x in self.elements())
+        return None
 
     def _add_kernel(self, a, b):
         return tuple(self.base._add(x, y) for x, y in zip(a, b))
@@ -770,7 +761,7 @@ class RingValue:
                 return NotImplemented
         if not isinstance(other, RingValue):
             return NotImplemented
-        return self.ring == other.ring and self.raw == other.raw
+        return self.ring is other.ring and self.raw == other.raw
 
     def __hash__(self):
         return hash((self.ring, self.raw))
@@ -990,9 +981,6 @@ def _rank(m, lower: int, field) -> int:
 # ---------------------------------------------------------------------------
 # embeddings and norms between scalar rings
 
-_EMBED_CACHE: dict[tuple, tuple] = {}
-
-
 def _raw_encoding(raw, ring) -> int:
     """Stable integer encoding of a payload: base-|k| digits, coordinate 0
     lowest (k the prime field, or the residue field of an artinian ring)."""
@@ -1169,22 +1157,19 @@ def _field_roots(coeffs: list, sub, field) -> list:
     return roots
 
 
+@functools.cache
 def _pinned_subfield_generator(sub: GaloisField, big: GaloisField) -> RingValue:
     """The pinned image of sub's generator inside big: the root of sub.minpoly
     with lexicographically smallest payload tuple (coordinate 0 first)."""
-    key = ("root", sub.p, sub.d, big.d)
-    if key in _EMBED_CACHE:
-        return RingValue(big, _EMBED_CACHE[key])
     roots = _field_roots(list(sub.minpoly) + [1], PrimeField(big.p), big)
     if not roots:
         raise AlgebraError(f"{sub} does not embed into {big}")
-    best = _EMBED_CACHE[key] = min(roots)
-    return RingValue(big, best)
+    return RingValue(big, min(roots))
 
 
 def _field_embed(x: RingValue, target) -> RingValue:
     src, dst = x.ring, target
-    if src == dst:
+    if src is dst:
         return x
     if isinstance(src, PrimeField):
         if src.p != dst.char:
@@ -1203,7 +1188,7 @@ def _field_embed(x: RingValue, target) -> RingValue:
 def embed(x: RingValue, target: RingDescriptor) -> RingValue:
     """Canonical embedding between scalar rings (field into field of divisible
     degree, field into artinian, artinian into artinian of the same order m)."""
-    if x.ring == target:
+    if x.ring is target:
         return x
     if isinstance(target, ArtinianLocal):
         if isinstance(x.ring, ArtinianLocal):
@@ -1220,23 +1205,29 @@ def embed(x: RingValue, target: RingDescriptor) -> RingValue:
     return _field_embed(x, target)
 
 
+@functools.cache
+def _subfield_basis(sub, big: GaloisField) -> tuple:
+    """The matrix B whose columns are the payloads in `big` of the basis 1, g,
+    ..., g^(s-1) of `sub`, s independent rows of B, and the inverse of the
+    square matrix they form."""
+    p, s = big.p, sub.degree
+    g = (big.one() if isinstance(sub, PrimeField)
+         else _pinned_subfield_generator(sub, big))
+    basis = [list(r) for r in zip(*((g ** i).raw for i in range(s)))]
+    fp, rows = PrimeField(p), []
+    for i in range(big.d):
+        if _rank([basis[r][:] for r in rows + [i]], big.d, fp) > len(rows):
+            rows.append(i)
+    return basis, rows, _solve(
+        [basis[r] for r in rows], _identity_columns(s, s, fp), s - 1, fp)
+
+
 def _subfield_coords(y: RingValue, sub) -> RingValue:
     """y, known to lie in the pinned copy of `sub`, as a `sub` element: its
     coordinates x in the basis 1, g, ..., g^(s-1) solve B x = y over F_p, read
-    off s independent rows of B (inverse cached per pair), checked on all."""
-    big, p, s = y.ring, y.ring.p, sub.degree
-    key = ("basis", s, p, big.d)
-    if key not in _EMBED_CACHE:
-        g = (big.one() if isinstance(sub, PrimeField)
-             else _pinned_subfield_generator(sub, big))
-        basis = [list(r) for r in zip(*((g ** i).raw for i in range(s)))]
-        fp, rows = PrimeField(p), []
-        for i in range(big.d):
-            if _rank([basis[r][:] for r in rows + [i]], big.d, fp) > len(rows):
-                rows.append(i)
-        _EMBED_CACHE[key] = basis, rows, _solve(
-            [basis[r] for r in rows], _identity_columns(s, s, fp), s - 1, fp)
-    basis, rows, inv = _EMBED_CACHE[key]
+    off s independent rows of B (`_subfield_basis`), checked on all."""
+    p = y.ring.p
+    basis, rows, inv = _subfield_basis(sub, y.ring)
     x = [sum(c * y.raw[r] for c, r in zip(row, rows)) % p for row in inv]
     if any(sum(b * c for b, c in zip(brow, x)) % p != v
            for brow, v in zip(basis, y.raw)):

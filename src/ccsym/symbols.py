@@ -59,7 +59,7 @@ def _common_ring(*series):
         if isinstance(s, LaurentSeries):
             if ring is None:
                 ring = s.ring
-            elif s.ring != ring:
+            elif s.ring is not ring:
                 raise DescriptorMismatch("symbol arguments live in different rings")
     if ring is None:
         raise DescriptorMismatch("symbol needs at least one Laurent series argument")

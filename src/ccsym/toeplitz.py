@@ -256,7 +256,7 @@ def joint_torsion(f: LaurentSeries, g: LaurentSeries,
         raise UnsupportedArgument("joint torsion needs 1 <= corner <= size, "
                                   f"not corner={corner}, size={size}")
     ring = f.ring
-    if g.ring != ring:
+    if g.ring is not ring:
         raise AlgebraError("joint torsion needs symbols over one ring")
     require_units("joint torsion needs unit symbols", f, g)
     v_f = toeplitz_index(f)

@@ -15,7 +15,7 @@ import pytest
 from ccsym import rings
 from ccsym.cli import main
 from ccsym.reciprocity import LocalFactor, ReciprocityReport
-from ccsym.rings import PrimeField
+from ccsym.rings import GaloisField, PrimeField
 
 
 def run(capsys, *argv):
@@ -286,7 +286,7 @@ def test_exit_3_on_weil_over_artinian(capsys):
 def test_exit_3_past_the_factoring_budget(capsys, monkeypatch):
     # 2^29 - 1 = 233 * 1103 * 2089 needs rho, which gets no squarings here
     monkeypatch.setattr(rings, "_RHO_BUDGET", 0)
-    monkeypatch.setattr(rings, "_MINPOLY_CACHE", {})
+    monkeypatch.delitem(rings._RINGS, (GaloisField, (2, 29)), raising=False)
     code, _, err = run(capsys, "verify", "weil", "--ring", "F536870912",
                        "t-1", "t+2")
     assert code == 3

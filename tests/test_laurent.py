@@ -510,7 +510,7 @@ def _o_unit_decompose(f, cutoff=None):
 A33 = ArtinianLocal(F3, 3)
 A52 = ArtinianLocal(F5, 2)
 DIFF_BASES = {"F2": PrimeField(2), "F9": GaloisField(3, 2), "F5[e]/e^2": A52,
-              "F3[e]/e^3": A33}
+              "F3[e]/e^3": A33, "F2[e]/e^4": ArtinianLocal(PrimeField(2), 4)}
 # depth-2 towers as (base, inner terms, inner precision): monomial inner
 # coefficients keep every inner operation exact, longer truncated ones do
 # not; towers over F3[e]/e^2 have nilpotent inner coefficients, hence

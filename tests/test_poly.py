@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from ccsym.errors import (AlgebraError, DescriptorMismatch, NotAUnit,
                           UnsupportedArgument)
 from ccsym import poly, rings
+from ccsym.geometry import BivarPoly
 from ccsym.poly import (Poly, _value_encoding, factor, is_irreducible, poly_gcd,
                         random_poly, roots_in, squarefree_decomposition)
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField, RingValue, embed
@@ -21,6 +22,16 @@ F4 = GaloisField(2, 2)
 F8 = GaloisField(2, 3)
 F9 = GaloisField(3, 2)
 ALL_FIELDS = (F2, F3, F5, PrimeField(7), F4, F8, F9)
+
+
+def test_coefficients_from_another_ring_are_refused():
+    with pytest.raises(DescriptorMismatch):
+        Poly(F5, [F9.generator(), 1])
+    with pytest.raises(DescriptorMismatch):
+        BivarPoly(F5, {(1, 0): F9.generator()})
+    with pytest.raises(DescriptorMismatch):
+        Poly(F5, [1.5])
+    assert Poly(F5, [F5.one(), 7]) == Poly(F5, [1, 2])
 
 
 def test_construction_strips_leading_zeros():

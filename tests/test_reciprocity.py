@@ -91,7 +91,8 @@ def test_weil_never_scans_a_field(monkeypatch, capsys):
     monkeypatch.setattr(GaloisField, "elements", refuse)
     monkeypatch.setattr(PrimeField, "elements", refuse)
     monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
-    monkeypatch.setattr(rings, "_EMBED_CACHE", {})
+    rings._pinned_subfield_generator.cache_clear()
+    rings._subfield_basis.cache_clear()
     F9 = GaloisField(3, 2)
     rng = random.Random(6)
     pi = random_poly(F9, rng, 6, monic=True)
@@ -172,7 +173,8 @@ def test_cc_high_degree_place_is_fast(monkeypatch):
     # f is irreducible over F3: one place of degree 10, where the norm from
     # F_{3^10}[e]/e^2 must not cost a determinant of size 10
     monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
-    monkeypatch.setattr(rings, "_EMBED_CACHE", {})
+    rings._pinned_subfield_generator.cache_clear()
+    rings._subfield_basis.cache_clear()
     A = ArtinianLocal(PrimeField(3), 2)
     f = rf(A, [1, 1, 1, 0, 2, 2, 1, 2, 0, 0, 1])
     g = RationalFunction(Poly(A, [A.eps(), A.one()]))
@@ -187,7 +189,8 @@ def test_weil_high_degree_place_is_fast(monkeypatch):
     # one place of degree 12 over F9, residue field F_{3^24}: one root by
     # halving and its Frobenius orbit, not a full split in F_{3^24}
     monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
-    monkeypatch.setattr(rings, "_EMBED_CACHE", {})
+    rings._pinned_subfield_generator.cache_clear()
+    rings._subfield_basis.cache_clear()
     F9 = GaloisField(3, 2)
     text = ("t^12 + (1+2*g)*t^11 + 2*g*t^10 + 2*g*t^6 + (2+2*g)*t^5"
             " + (2+g)*t^4 + 2*t^3 + 2*t + 2*g")

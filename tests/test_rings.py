@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 
@@ -7,12 +9,40 @@ from hypothesis import given, strategies as st
 
 from ccsym import rings
 from ccsym.errors import AlgebraError, DivisionByNonUnit, DescriptorMismatch
+from ccsym.laurent import LaurentRing
+from ccsym.parser import parse_ring
 from ccsym.poly import Poly, is_irreducible
 from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
                          embed, format_value, relative_norm)
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 F4, F8, F9 = GaloisField(2, 2), GaloisField(2, 3), GaloisField(3, 2)
+
+
+def test_descriptors_are_interned(monkeypatch):
+    A = ArtinianLocal(F5, 2)
+    assert PrimeField(5) is F5 and GaloisField(3, 2) is F9
+    assert ArtinianLocal(PrimeField(5), 2) is A
+    assert LaurentRing(A) is LaurentRing(A, "t") is LaurentRing(A, var="t")
+    assert rings._finite_field(3, 2) is F9 and rings._finite_field(5, 1) is F5
+    assert parse_ring("F9") is F9 and parse_ring("F5[e]/e^2") is A
+    # different keys, different objects
+    distinct = [F5, F7, F9, GaloisField(5, 2), A, ArtinianLocal(F5, 3),
+                ArtinianLocal(GaloisField(5, 2), 2), LaurentRing(A),
+                LaurentRing(A, "u"), LaurentRing(F5)]
+    assert len(set(map(id, distinct))) == len(distinct)
+    assert F5.one() != A.one() and F5.one() == PrimeField(5).one()
+    # copies and pickles come back as the registered instance
+    for x in (F9.generator(), A.eps() + 1, LaurentRing(A).gen(-1)):
+        assert copy.deepcopy(x) == x == pickle.loads(pickle.dumps(x))
+        assert copy.copy(x.ring) is x.ring
+    # the minpoly search and a refused construction register nothing
+    monkeypatch.delitem(rings._RINGS, (GaloisField, (11, 3)), raising=False)
+    rings._minpoly(11, 3)
+    with pytest.raises(AlgebraError):
+        PrimeField(4)
+    assert (GaloisField, (11, 3)) not in rings._RINGS
+    assert (PrimeField, (4,)) not in rings._RINGS
 
 
 class TestPinnedMinimalPolynomials:
@@ -299,8 +329,9 @@ def _scan_subfield_generator(sub, big):
 
 
 @pytest.mark.parametrize("p, top", [(2, 8), (3, 8), (5, 4)])
-def test_pinned_subfield_generator_matches_scan(monkeypatch, p, top):
-    monkeypatch.setattr(rings, "_EMBED_CACHE", {})
+def test_pinned_subfield_generator_matches_scan(p, top):
+    rings._pinned_subfield_generator.cache_clear()
+    rings._subfield_basis.cache_clear()
     for d in range(2, top + 1):
         big = GaloisField(p, d)
         for e in range(2, d + 1):
@@ -393,8 +424,7 @@ def _scan_minpoly(p, d):
     return None
 
 
-def test_minpoly_matches_unskipped_scan(monkeypatch):
-    monkeypatch.setattr(rings, "_MINPOLY_CACHE", {})
+def test_minpoly_matches_unskipped_scan():
     for p in range(2, 82):
         if not rings._is_prime(p):
             continue
@@ -585,24 +615,39 @@ def test_unit_predicates_agree_with_inv_on_unreduced_payloads(field):
         assert field._is_unit(reduced) == any(reduced), a
 
 
+def _fresh_fields_counting_log_tables(monkeypatch, keys):
+    """Drop the registered fields F_{p^d}, (p, d) in `keys`, for the test's
+    duration, and return the list of fields whose `_LogTables` get built."""
+    for key in keys:
+        monkeypatch.delitem(rings._RINGS, (GaloisField, key), raising=False)
+    built, real = [], rings._LogTables
+
+    def counted(field):
+        built.append(field)
+        return real(field)
+
+    monkeypatch.setattr(rings, "_LogTables", counted)
+    return built
+
+
 def test_minpoly_candidates_build_no_log_table(monkeypatch):
-    monkeypatch.setattr(rings, "_MINPOLY_CACHE", {})
-    monkeypatch.setattr(rings, "_LOG_CACHE", {})
+    built = _fresh_fields_counting_log_tables(monkeypatch, [(3, 4)])
     for p, d in [(2, 5), (3, 4), (3, 8), (7, 3)]:
         rings._minpoly(p, d)
-    assert rings._LOG_CACHE == {}
+    assert built == []
     field = GaloisField(3, 4)
-    assert rings._LOG_CACHE == {}            # nor does construction
+    assert built == []                       # nor does construction
     field._mul(field.generator().raw, field._one_raw())
-    assert list(rings._LOG_CACHE) == [(3, 4)]
+    assert built == [field]
 
 
 def test_equal_descriptors_share_one_log_table(monkeypatch):
-    monkeypatch.setattr(rings, "_LOG_CACHE", {})
-    assert GaloisField(3, 2)._logs is GaloisField(3, 2)._logs
+    built = _fresh_fields_counting_log_tables(
+        monkeypatch, [(3, 2), (2, 13), (2, 14)])
+    assert rings._finite_field(3, 2)._logs is GaloisField(3, 2)._logs
     assert GaloisField(2, 13)._logs is GaloisField(2, 13)._logs
     assert GaloisField(2, 14)._logs is None
-    assert set(rings._LOG_CACHE) == {(3, 2), (2, 13)}
+    assert built == [GaloisField(3, 2), GaloisField(2, 13)]
 
 
 @pytest.mark.parametrize("ring", [F9, GaloisField(2, 5), ArtinianLocal(F5, 2),
@@ -652,8 +697,7 @@ def _small_artinian_rings():
 
 
 @pytest.mark.parametrize("A", _small_artinian_rings(), ids=repr)
-def test_tabled_ops_match_the_kernel_on_every_pair(monkeypatch, A):
-    monkeypatch.setattr(rings, "_TABLE_CACHE", {})
+def test_tabled_ops_match_the_kernel_on_every_pair(A):
     A.__dict__.pop("_tables", None)
     elems = [x.raw for x in A.elements()]
     for fill in (True, False):      # the first pass fills, the second reads
@@ -674,8 +718,7 @@ def _tabled_artinian_rings():
 
 
 @pytest.mark.parametrize("A", _tabled_artinian_rings(), ids=repr)
-def test_tabled_inverse_matches_the_neumann_series_on_every_unit(monkeypatch, A):
-    monkeypatch.setattr(rings, "_TABLE_CACHE", {})
+def test_tabled_inverse_matches_the_neumann_series_on_every_unit(A):
     A.__dict__.pop("_tables", None)
     elems = [x.raw for x in A.elements()]
     for _ in range(2):              # the first pass fills, the second reads
