@@ -51,7 +51,7 @@ from .errors import (DivisionByNonUnit, ExpressionSyntaxError, UnknownSymbol,
                      UnsupportedArgument)
 from .geometry import (BivarPoly, BivarRational, RationalFunction,
                        _pair_product)
-from .laurent import LaurentRing, LaurentSeries, _add_into, _product, _series
+from .laurent import LaurentRing, _add_into, _product, _series
 from .poly import Poly
 from .rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
                     _finite_field, _is_prime, _power, embed)
@@ -373,96 +373,64 @@ class Domain:
         return self.wrap(value) if type(value) is dict else value
 
 
-def _scalar_names(ring) -> dict:
-    names = {}
-    base = ring
-    if isinstance(base, ArtinianLocal):
-        names["e"] = base.eps()
-        base = base.base
-    if isinstance(base, GaloisField):
-        gen = base.generator()
-        names["g"] = gen if base is ring else embed(gen, ring)
-    return names
-
-
-def series_domain(ring, depth: int = 1, precision: int = None) -> Domain:
-    """Laurent series over ``ring``; depth > 1 builds an iterated tower with
-    variables ``t1 .. t<depth>`` (innermost first)."""
-    if depth == 1:
-        variables = ("t",)
-    else:
+def _domain(kind: str, ring, var: str = "t", depth: int = 1,
+            precision: int = None) -> Domain:
+    """The evaluation domain `kind` over ``ring``: "series" (Laurent series
+    in ``t``, or for depth > 1 an iterated tower in ``t1 .. t<depth>``,
+    innermost first), "rational" (rational functions in `var`), "bivariate"
+    (rational functions in ``t1`` and ``t2``, kept unreduced) or "scalar".
+    ``e`` and ``g`` name the ring's nilpotent and Galois field generators."""
+    series = kind == "series"
+    origin = (0, 0) if kind == "bivariate" else 0
+    leaves = {}
+    field = ring.base if isinstance(ring, ArtinianLocal) else ring
+    if field is not ring:
+        leaves["e"] = {origin: ring.eps().raw}
+    if isinstance(field, GaloisField):
+        leaves["g"] = {origin: embed(field.generator(), ring).raw}
+    if series and depth > 1:
         variables = tuple(f"t{i}" for i in range(1, depth + 1))
-    tower = []
-    structure = ring
-    for var in variables:
-        structure = LaurentRing(structure, var)
-        tower.append(structure)
+    else:
+        variables = ("t",)
+    top = ring
+    for v in variables:
+        if top is not ring:     # one level up, every leaf so far is a constant
+            leaves = {k: {0: _series(top, raw)} for k, raw in leaves.items()}
+        top = LaurentRing(top, v)
+        if series:
+            leaves[v] = {1: top.base._one_raw()}
+    product = functools.partial(_product, top)
+    if series:
+        tail_vars = (variables[-1],)
+        if depth == 2:
+            leaves["t"] = leaves["t1"]
+            leaves["s"] = leaves["t2"]
+            tail_vars += ("s",)
+        return Domain(kind, top, leaves, 0, product,
+                      functools.partial(_series, top), tail_vars, precision)
+    one, zero = ring._one_raw(), ring._zero_raw()
+    if kind == "rational":
+        leaves[var] = {1: one}
 
-    def lift(raw: dict, level: int) -> dict:
-        """A payload dict over tower[level] as one over the top: a constant
-        of each level above."""
-        for inner in tower[level:-1]:
-            raw = {0: _series(inner, raw)}
-        return raw
+        def wrap(raw):
+            coeffs = [raw.get(i, zero) for i in range(max(raw, default=-1) + 1)]
+            return RationalFunction(Poly._of(ring, coeffs))
+    elif kind == "bivariate":
+        nonzero = ring._nonzero_test()
+        leaves["t1"] = {(1, 0): one}
+        leaves["t2"] = {(0, 1): one}
 
-    leaves = {var: lift({1: tower[i].base._one_raw()}, i)
-              for i, var in enumerate(variables)}
-    tail_vars = (variables[-1],)
-    if depth == 2:
-        leaves.setdefault("t", leaves["t1"])
-        leaves.setdefault("s", leaves["t2"])
-        tail_vars += ("s",)
-    for key, value in _scalar_names(ring).items():
-        leaves[key] = lift({0: value.raw}, 0)
-    top = tower[-1]
-    return Domain("series", top, leaves, 0, functools.partial(_product, top),
-                  functools.partial(_series, top), tail_vars, precision)
+        def product(x, y):
+            return {k: c for k, c in _pair_product(ring, x, y, {}).items()
+                    if nonzero(c)}
 
-
-def _scalar_leaves(ring, origin) -> dict:
-    return {k: {origin: v.raw} for k, v in _scalar_names(ring).items()}
-
-
-def rational_domain(ring, var: str = "t") -> Domain:
-    """One-variable rational functions over ``ring`` in the variable ``var``."""
-    zero = ring._zero_raw()
-
-    def wrap(raw):
-        coeffs = [raw.get(i, zero) for i in range(max(raw, default=-1) + 1)]
-        return RationalFunction(Poly._of(ring, coeffs))
-
-    laurent = LaurentRing(ring, var)
-    leaves = _scalar_leaves(ring, 0)
-    leaves[var] = {1: ring._one_raw()}
-    return Domain("rational", laurent, leaves, 0,
-                  functools.partial(_product, laurent), wrap)
-
-
-def bivariate_domain(ring) -> Domain:
-    """Rational functions on the plane over ``ring``, kept unreduced."""
-    nonzero = ring._nonzero_test()
-
-    def product(x, y):
-        return {k: c for k, c in _pair_product(ring, x, y, {}).items()
-                if nonzero(c)}
-
-    def wrap(raw):
-        return BivarRational(BivarPoly(ring, {k: RingValue(ring, c)
-                                              for k, c in raw.items()}))
-
-    leaves = _scalar_leaves(ring, (0, 0))
-    leaves["t1"] = {(1, 0): ring._one_raw()}
-    leaves["t2"] = {(0, 1): ring._one_raw()}
-    return Domain("bivariate", LaurentRing(ring, "t1"), leaves, (0, 0),
-                  product, wrap)
-
-
-def scalar_domain(ring) -> Domain:
-    zero = ring._zero_raw()
-    laurent = LaurentRing(ring, "t")
-    return Domain("scalar", laurent, _scalar_leaves(ring, 0), 0,
-                  functools.partial(_product, laurent),
-                  lambda raw: RingValue(ring, raw.get(0, zero)))
+        def wrap(raw):
+            return BivarRational(BivarPoly(ring, {k: RingValue(ring, c)
+                                                  for k, c in raw.items()}))
+    else:
+        def wrap(raw):
+            return RingValue(ring, raw.get(0, zero))
+    return Domain(kind, top, leaves, origin, product, wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -614,23 +582,21 @@ def parse_expression(src: str, ring, domain: str = "auto", depth: int = 1,
     tree = parse_tree(src)
     if domain == "auto":
         domain = "series" if _wants_series(tree) else "rational"
-    if domain == "series":
-        dom = series_domain(ring, depth=depth, precision=precision)
-    elif domain == "rational":
-        dom = rational_domain(ring)
-    elif domain == "bivariate":
-        dom = bivariate_domain(ring)
-    else:
+    if domain not in ("series", "rational", "bivariate"):
         raise ExpressionSyntaxError(f"unknown domain {domain!r}", 1, 1)
+    if domain == "series" and depth < 1:
+        raise ExpressionSyntaxError(
+            f"series depth must be at least 1, not {depth}", 1, 1)
+    dom = _domain(domain, ring, depth=depth, precision=precision)
     value = dom.value(_evaluate(tree, dom))
-    if domain == "series" and precision is not None and isinstance(value, LaurentSeries):
+    if domain == "series" and precision is not None:
         value = value.truncate(precision)
     return value
 
 
 def parse_scalar(src: str, ring):
     """Parse an expression with no series/curve variables into a ring value."""
-    dom = scalar_domain(ring)
+    dom = _domain("scalar", ring)
     return dom.value(_evaluate(parse_tree(src), dom))
 
 
@@ -640,7 +606,7 @@ def parse_polynomial(src: str, ring, var: str = "t"):
     Division is allowed as long as it cancels: the result must have trivial
     denominator.
     """
-    dom = rational_domain(ring, var)
+    dom = _domain("rational", ring, var)
     value = dom.value(_evaluate(parse_tree(src), dom))
     if not value.den.is_one():
         raise UnsupportedArgument(

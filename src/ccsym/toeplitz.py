@@ -126,12 +126,6 @@ def mat_det(a, ring):
     return RingValue(ring, _det_raw(_raw(a), ring))
 
 
-def residue_rank(a, ring) -> int:
-    """Rank of the residue-field reduction of a matrix."""
-    return _rank([[residue_raw(ring, x.raw) for x in row] for row in a],
-                 len(a) - 1, residue_field(ring))
-
-
 # -- index, Szego ratio, joint torsion ----------------------------------------
 
 def toeplitz_index(f: LaurentSeries, window: int = None) -> int:
@@ -139,8 +133,12 @@ def toeplitz_index(f: LaurentSeries, window: int = None) -> int:
 
     Shift f into the regular range first: for h = t^K f with K + low(f) >= 0
     the n x n compression of the residue of h has rank exactly n - (K + v),
-    so v is recovered from one rank computation.
+    so v is recovered from one rank computation.  An explicit `window` needs
+    1 <= window.
     """
+    if window is not None and window < 1:
+        raise UnsupportedArgument(
+            f"index needs 1 <= window, not window={window}")
     require_units("index needs a unit symbol", f)
     shift = max(0, -(f.low if f.low is not None else 0))
     span = (f.degree() if f.coeffs else 0) + shift

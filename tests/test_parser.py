@@ -265,6 +265,14 @@ def test_iterated_series_aliases():
     assert a.ring.var == "t2" and a.ring.base.var == "t1"
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_series_depth_below_one_is_refused(depth):
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse_expression("1+t", F5, domain="series", depth=depth)
+    assert str(info.value) == \
+        f"series depth must be at least 1, not {depth} (line 1, column 1)"
+
+
 def test_tail_rules():
     z = parse_expression("O(t^3)", F5, domain="series")
     assert z.prec == 3 and not z.coeffs
@@ -973,6 +981,10 @@ _RANDOM_DOMAINS = [
     ("expr", {"domain": "series"}, ("t", "e", "g")),
     ("expr", {"domain": "series", "precision": 6}, ("t", "e", "g")),
     ("expr", {"domain": "series", "depth": 2}, ("t1", "t2", "t", "s", "e")),
+    ("expr", {"domain": "series", "depth": 2}, ("t1", "t2", "t", "s", "g")),
+    ("expr", {"domain": "series", "depth": 2, "precision": 6},
+     ("t1", "t2", "s", "e", "g")),
+    ("expr", {"domain": "series", "depth": 3}, ("t1", "t2", "t3", "e", "g")),
     ("expr", {"domain": "rational"}, ("t", "e", "g")),
     ("expr", {"domain": "bivariate"}, ("t1", "t2", "e", "g")),
     ("expr", {}, ("t", "e", "g")),
@@ -1001,7 +1013,8 @@ def _corpus(seed):
         src = _random_expr(rng, names, rng.randrange(1, 4))
         if kind == "expr" and options.get("domain", "series") == "series" \
                 and rng.random() < 0.3:
-            var = "t2" if options.get("depth") == 2 else "t"
+            depth = options.get("depth", 1)
+            var = f"t{depth}" if depth > 1 else "t"
             src += f" + O({var}^{rng.randrange(-2, 6)})"
         cases.append((kind, src, R, options))
     return cases
@@ -1079,7 +1092,8 @@ def test_corpus_covers_every_domain_and_both_outcomes():
         outcomes["error" if result[0][0].isupper() else "value"] += 1
     assert len(_corpus(1)) + len(_corpus(2)) + len(_corpus(3)) >= 5000
     assert {("expr", "series", None), ("expr", "series", 2),
-            ("expr", "rational", None), ("expr", "bivariate", None),
+            ("expr", "series", 3), ("expr", "rational", None),
+            ("expr", "bivariate", None),
             ("expr", None, None), ("scalar", None, None),
             ("poly", None, None)} <= kinds
     assert min(outcomes.values()) > 100, outcomes

@@ -16,8 +16,7 @@ from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
                          residue_field, residue_value)
 from ccsym.symbols import cc_symbol, tame_symbol
 from ccsym.toeplitz import (joint_torsion, mat_det, mat_inv, mat_mul,
-                            residue_rank, szego_ratio, toeplitz_index,
-                            toeplitz_matrix)
+                            szego_ratio, toeplitz_index, toeplitz_matrix)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -197,12 +196,16 @@ def test_mat_inv_singular_raises():
 
 
 def test_residue_rank_drops_nilpotents():
+    def residue_rank(m):
+        return rings._rank([[rings.residue_raw(A52, x.raw) for x in row]
+                            for row in m], len(m) - 1, residue_field(A52))
+
     e = A52.eps()
     one = A52.one()
     m = [[one, e], [one, e]]  # residue reduction has two equal rows
-    assert residue_rank(m, A52) == 1
+    assert residue_rank(m) == 1
     m2 = [[e, e], [e, e]]
-    assert residue_rank(m2, A52) == 0
+    assert residue_rank(m2) == 0
 
 
 # -- index --------------------------------------------------------------------
@@ -225,6 +228,19 @@ def test_index_rejects_non_unit():
     R = LaurentRing(A52, "t")
     with pytest.raises(NotAUnit):
         toeplitz_index(series(R, {0: 0}))
+
+
+def test_index_refuses_a_window_below_one():
+    # both symbols have index 0
+    R = LaurentRing(F5, "t")
+    A = LaurentRing(A52, "t")
+    cases = [(series(R, {0: 3, 1: 1}), -2),
+             (series(A, {0: 1, 3: 1}) + series(A, {-2: 1}).scale(A52.eps()), 0)]
+    for f, window in cases:
+        assert toeplitz_index(f) == 0
+        with pytest.raises(UnsupportedArgument,
+                           match=f"index needs 1 <= window, not window={window}"):
+            toeplitz_index(f, window=window)
 
 
 # -- Szego ratios --------------------------------------------------------------
