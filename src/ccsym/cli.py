@@ -21,7 +21,9 @@ given and ``--precision`` as the integer it parses to.
 A batch line is split by the rules of ``shlex.split``.  A command of the
 plain form VERB [KIND] OPTION... EXPR... is read straight off the command
 table; argparse parses, or refuses, every other command, so both give the
-same arguments and the same errors.
+same arguments and the same errors.  One runner then serves a command alone
+and a batch line alike: it parses the ring, checks the expression count and
+builds the ``cc-symbols/1`` envelope that the verb's function fills in.
 """
 
 from __future__ import annotations
@@ -162,16 +164,6 @@ def _table_args(argv):
     return argparse.Namespace(**args)
 
 
-def _header(verb: str, args) -> dict:
-    return {
-        "schema": SCHEMA,
-        "verb": verb,
-        "ring": args.ring,
-        "precision": args.precision,
-        "convention": CONVENTION,
-    }
-
-
 def _parse_flag(spec: str, ring) -> SurfaceFlag:
     head, sep, point_src = spec.partition("@")
     if not sep:
@@ -208,36 +200,27 @@ def _report_lines(report) -> list:
     return lines
 
 
-def _cmd_symbol(args):
-    ring = parse_ring(args.ring)
-    if args.kind in ("tame", "cc") and len(args.exprs) != 2:
-        raise ExpressionSyntaxError(
-            f"symbol {args.kind} takes exactly 2 expressions", 1, 1)
-    if args.kind == "higher" and len(args.exprs) < 2:
-        raise ExpressionSyntaxError(
-            "symbol higher takes at least 2 expressions", 1, 1)
-    depth = 1 if args.kind in ("tame", "cc") else len(args.exprs) - 1
-    values = [parse_expression(src, ring, domain="series", depth=depth,
-                               precision=args.precision)
-              for src in args.exprs]
+def _series(args, ring, depth=1) -> list:
+    return [parse_expression(src, ring, domain="series", depth=depth,
+                             precision=args.precision)
+            for src in args.exprs]
+
+
+def _cmd_symbol(args, ring, payload):
+    depth = len(args.exprs) - 1 if args.kind == "higher" else 1
+    values = _series(args, ring, depth)
     if args.kind == "tame":
-        result = tame_symbol(values[0], values[1])
+        result = tame_symbol(*values)
     elif args.kind == "cc":
-        result = cc_symbol(values[0], values[1])
+        result = cc_symbol(*values)
     else:
         result = higher_symbol(values)
     text = format_value(result)
-    payload = _header("symbol", args)
     payload.update(kind=args.kind, inputs=list(args.exprs), value=text)
     return payload, [text], 0
 
 
-def _cmd_verify(args):
-    ring = parse_ring(args.ring)
-    expected = 3 if args.kind == "parshin" else 2
-    if len(args.exprs) != expected:
-        raise ExpressionSyntaxError(
-            f"verify {args.kind} takes exactly {expected} expressions", 1, 1)
+def _cmd_verify(args, ring, payload):
     if args.flags and args.kind != "parshin":
         raise ExpressionSyntaxError("--flag only applies to verify parshin", 1, 1)
     if args.kind == "parshin":
@@ -250,55 +233,47 @@ def _cmd_verify(args):
                 for src in args.exprs)
         check = weil_check if args.kind == "weil" else cc_check
         report = check(f, g, precision=args.precision)
-    payload = _header("verify", args)
     payload.update(inputs=list(args.exprs), **report.to_json())
     return payload, _report_lines(report), 0 if report.ok else 4
 
 
-def _cmd_toeplitz(args):
-    ring = parse_ring(args.ring)
-    if len(args.exprs) != 2:
-        raise ExpressionSyntaxError("toeplitz takes exactly 2 expressions", 1, 1)
-    f, g = (parse_expression(src, ring, domain="series",
-                             precision=args.precision)
-            for src in args.exprs)
+def _cmd_toeplitz(args, ring, payload):
     corner, size = args.window or (None, None)
-    result = joint_torsion(f, g, corner=corner, size=size)
+    result = joint_torsion(*_series(args, ring), corner=corner, size=size)
     window = None if args.window is None else [corner, size]
     text = format_value(result)
-    payload = _header("toeplitz", args)
     payload.update(inputs=list(args.exprs), window=window, value=text)
     return payload, [text], 0
 
 
-def _cmd_expand(args):
-    ring = parse_ring(args.ring)
-    if len(args.exprs) != 1:
-        raise ExpressionSyntaxError("expand takes exactly 1 expression", 1, 1)
-    series = parse_expression(args.exprs[0], ring, domain="series",
-                              precision=args.precision)
-    text = format_series(series)
-    payload = _header("expand", args)
+def _cmd_expand(args, ring, payload):
+    text = format_series(_series(args, ring)[0])
     payload.update(inputs=list(args.exprs), series=text)
     return payload, [text], 0
 
 
-_COMMANDS = {
-    "symbol": _cmd_symbol,
-    "verify": _cmd_verify,
-    "toeplitz": _cmd_toeplitz,
-    "expand": _cmd_expand,
-}
+_COMMANDS = {"symbol": _cmd_symbol, "verify": _cmd_verify,
+             "toeplitz": _cmd_toeplitz, "expand": _cmd_expand}
+# expressions per kind or verb: exactly so many, at least so many for higher
+_COUNTS = {"tame": 2, "cc": 2, "higher": 2, "weil": 2, "parshin": 3,
+           "toeplitz": 2, "expand": 1}
 
 
-def _run_single(args, out) -> int:
-    payload, lines, status = _COMMANDS[args.verb](args)
-    if args.json:
-        print(json.dumps(payload), file=out)
-    else:
-        for line in lines:
-            print(line, file=out)
-    return status
+def _run(args):
+    """(payload, text lines, exit code) of one command: the verb's function
+    gets the parsed ring and the cc-symbols/1 header to add its fields to."""
+    ring = parse_ring(args.ring)
+    kind = getattr(args, "kind", None)
+    count, given = _COUNTS[kind or args.verb], len(args.exprs)
+    if given < count or given > count and kind != "higher":
+        command = args.verb if kind is None else f"{args.verb} {kind}"
+        bound = "at least" if kind == "higher" else "exactly"
+        noun = "expression" if count == 1 else "expressions"
+        raise ExpressionSyntaxError(f"{command} takes {bound} {count} {noun}",
+                                    1, 1)
+    payload = {"schema": SCHEMA, "verb": args.verb, "ring": args.ring,
+               "precision": args.precision, "convention": CONVENTION}
+    return _COMMANDS[args.verb](args, ring, payload)
 
 
 # A batch line is split by the POSIX rules of shlex.split: words are
@@ -357,7 +332,7 @@ def _run_batch(stream, out) -> int:
                     args = parser.parse_args(argv)
             if args.verb == "batch":
                 raise ExpressionSyntaxError("cannot nest batch mode", 1, 1)
-            payload, _, code = _COMMANDS[args.verb](args)
+            payload, _, code = _run(args)
         except SystemExit:
             payload, code = {"schema": SCHEMA, "error": f"bad command: {line}",
                              "exit": 2}, 2
@@ -377,17 +352,21 @@ def _run_batch(stream, out) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _table_args(argv) or build_parser().parse_args(argv)
-    out = sys.stdout
     try:
         if args.verb == "batch":
-            return _run_batch(sys.stdin, out)
-        return _run_single(args, out)
+            return _run_batch(sys.stdin, sys.stdout)
+        payload, lines, status = _run(args)
     except ExpressionSyntaxError as exc:
         print(f"sym: parse error: {exc}", file=sys.stderr)
         return 2
     except (AlgebraError, OverflowError) as exc:
         print(f"sym: domain error: {exc}", file=sys.stderr)
         return 3
+    if args.json:
+        lines = [json.dumps(payload)]
+    for line in lines:
+        print(line)
+    return status
 
 
 if __name__ == "__main__":

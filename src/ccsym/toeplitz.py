@@ -134,13 +134,16 @@ def toeplitz_index(f: LaurentSeries, window: int = None) -> int:
     Shift f into the regular range first: for h = t^K f with K + low(f) >= 0
     the n x n compression of the residue of h has rank exactly n - (K + v),
     so v is recovered from one rank computation.  An explicit `window` needs
-    1 <= window.
+    1 <= window and K + v <= window: a smaller compression has rank 0.
     """
     if window is not None and window < 1:
         raise UnsupportedArgument(
             f"index needs 1 <= window, not window={window}")
     require_units("index needs a unit symbol", f)
     shift = max(0, -(f.low if f.low is not None else 0))
+    if window is not None and window < shift + f.valuation():
+        raise UnsupportedArgument(f"index needs window >= "
+                                  f"{shift + f.valuation()}, not window={window}")
     span = (f.degree() if f.coeffs else 0) + shift
     n = window if window is not None else span + 2
     _require_band(f, n, shift)

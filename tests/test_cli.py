@@ -162,6 +162,48 @@ def test_expand_json_and_precision(capsys):
     assert data["series"] == "1 + (1 + e)*t + (1 + e)*t^2 + (1 + e)*t^3 + O(t^4)"
 
 
+# the whole --json line of each verb: key order is part of cc-symbols/1
+_HEADER = ('"schema": "cc-symbols/1", "verb": "{}", "ring": "{}", '
+           '"precision": {}, "convention": "boundary-composite/v1"')
+
+
+@pytest.mark.parametrize("line,expected", [
+    ('symbol cc --ring "F5[e]/e^2" --json "1-e*t^-1" "1-2*t"',
+     "{" + _HEADER.format("symbol", "F5[e]/e^2", "null")
+     + ', "kind": "cc", "inputs": ["1-e*t^-1", "1-2*t"], "value": "1 + 2*e"}'),
+    ('verify weil --ring F5 --json "t*(1-t)" "1-t"',
+     "{" + _HEADER.format("verify", "F5", "null")
+     + ', "inputs": ["t*(1-t)", "1-t"], "law": "weil", "verdict": true, '
+     '"product": "1", "factors": [{"place": "t", "degree": 1, "local": "1", '
+     '"value": "1", "regular": true}, {"place": "4 + t", "degree": 1, '
+     '"local": "4", "value": "4", "regular": false}, {"place": "infinity", '
+     '"degree": 1, "local": "4", "value": "4", "regular": false}]}'),
+    ("verify parshin --ring F5 --flag t1=0@0 --flag t2=0@0 --flag t2=-t1@0 "
+     "--json t1 t2 t1+t2",
+     "{" + _HEADER.format("verify", "F5", "null")
+     + ', "inputs": ["t1", "t2", "t1+t2"], "law": "parshin", "verdict": true, '
+     '"product": "1", "factors": [{"place": "(t1 = 0; point (0, 0))", '
+     '"degree": 1, "local": "4", "value": "4", "regular": false}, '
+     '{"place": "(t2 = 0; point (0, 0))", "degree": 1, "local": "4", '
+     '"value": "4", "regular": false}, {"place": "(t2 + t1 = 0; point (0, 0))", '
+     '"degree": 1, "local": "1", "value": "1", "regular": true}]}'),
+    ('toeplitz --ring F5 --window 4,12 --json "t^2*(1+t)" "3*t^-1"',
+     "{" + _HEADER.format("toeplitz", "F5", "null")
+     + ', "inputs": ["t^2*(1+t)", "3*t^-1"], "window": [4, 12], "value": "4"}'),
+    ('expand --ring "F3[e]/e^2" --precision 4 --json "(1+e*t)/(1-t)"',
+     "{" + _HEADER.format("expand", "F3[e]/e^2", "4")
+     + ', "inputs": ["(1+e*t)/(1-t)"], "series": "1 + (1 + e)*t + '
+     '(1 + e)*t^2 + (1 + e)*t^3 + O(t^4)"}'),
+], ids=["symbol", "weil", "parshin", "toeplitz", "expand"])
+def test_json_line_of_each_verb(capsys, monkeypatch, line, expected):
+    code, out, _ = run(capsys, *shlex.split(line))
+    assert (code, out) == (0, expected + "\n")
+    # a batch reply is the same line
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    assert main(["batch"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 # -- other verbs ------------------------------------------------------------------
 
 def test_toeplitz_matches_cc_symbol(capsys):
@@ -322,6 +364,30 @@ def test_wrong_arity_is_parse_error(capsys):
     code, _, err = run(capsys, "verify", "weil", "--ring", "F5",
                        "t", "1-t", "t")
     assert code == 2
+
+
+# the ring is read before the count is checked, and the count before --flag
+@pytest.mark.parametrize("line,message", [
+    ("symbol tame --ring F5 t", "symbol tame takes exactly 2 expressions"),
+    ("symbol cc --ring F5 t", "symbol cc takes exactly 2 expressions"),
+    ("symbol higher --ring F5 t", "symbol higher takes at least 2 expressions"),
+    ("verify weil --ring F5 t", "verify weil takes exactly 2 expressions"),
+    ("verify cc --ring F5 t 1-t t", "verify cc takes exactly 2 expressions"),
+    ("verify parshin --ring F5 t1 t2", "verify parshin takes exactly 3 expressions"),
+    ("toeplitz --ring F5 t", "toeplitz takes exactly 2 expressions"),
+    ("expand --ring F5 t 1-t", "expand takes exactly 1 expression"),
+    ("verify weil --ring F5 --flag t1=0@0 t",
+     "verify weil takes exactly 2 expressions"),
+    ("symbol cc --ring F6 t", "bad ring spec 'F6': 6 is not a prime power"),
+])
+def test_count_messages_alone_and_in_batch(capsys, monkeypatch, line, message):
+    message += " (line 1, column 1)"
+    code, out, err = run(capsys, *shlex.split(line))
+    assert (code, out, err) == (2, "", f"sym: parse error: {message}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code = main(["batch"])
+    reply = {"schema": "cc-symbols/1", "error": message, "exit": 2}
+    assert (code, capsys.readouterr().out) == (2, json.dumps(reply) + "\n")
 
 
 # -- batch mode ---------------------------------------------------------------------

@@ -243,6 +243,24 @@ def test_index_refuses_a_window_below_one():
             toeplitz_index(f, window=window)
 
 
+def test_index_refuses_a_window_below_shift_plus_index():
+    # with K the shift into the regular range and v the index, a window
+    # below K + v compresses the residue to rank 0, which caps the answer
+    R = LaurentRing(F5, "t")
+    A = LaurentRing(A52, "t")
+    eps = A52.eps()
+    cases = [(series(R, {3: 1, 4: 2}), 3, 3),
+             (series(A, {0: 1, 3: 1}) + series(A, {-2: 1}).scale(eps), 0, 2),
+             (series(A, {2: 2, 3: 1}) + series(A, {-1: 1}).scale(eps), 2, 3)]
+    for f, index, least in cases:
+        for window in range(1, least):
+            with pytest.raises(UnsupportedArgument, match=f"index needs window "
+                               f">= {least}, not window={window}$"):
+                toeplitz_index(f, window=window)
+        for window in range(least, least + 4):
+            assert toeplitz_index(f, window=window) == index
+
+
 # -- Szego ratios --------------------------------------------------------------
 
 def test_szego_ratio_is_decomposition_lead(rng):
@@ -560,6 +578,9 @@ def _dense_det(a, ring):
 def _oracle_index(f, window=None):
     require_units("index needs a unit symbol", f)
     shift = max(0, -(f.low if f.low is not None else 0))
+    if window is not None and window < shift + f.valuation():
+        raise UnsupportedArgument(f"index needs window >= "
+                                  f"{shift + f.valuation()}, not window={window}")
     span = (f.degree() if f.coeffs else 0) + shift
     n = window if window is not None else span + 2
     field = residue_field(f.ring.base)
