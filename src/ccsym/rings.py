@@ -35,11 +35,18 @@ terms only.
 All rings here are local: every element is a unit or nilpotent, so valuations
 of Laurent series over them are well defined.
 
-An artinian ring with at most _TABLE_BOUND = 256 elements answers `_mul` and
-`_add` from two flat tables of |A|^2 slots, and `_inv` from one of |A| slots,
-indexed through a dict over its payloads and filled lazily by the arithmetic
+An artinian ring with at most _TABLE_BOUND = 256 elements numbers its
+elements by small-int codes (`_ScalarTables`).  It answers `_mul` and `_add`
+from two flat code tables of |A|^2 slots, and `_inv` from one of |A| slots,
+reached through a dict over its payloads and filled lazily by the arithmetic
 kernels; at the bound they take about 1 MiB.  They are built on the first
 multiply, add or inverse, not when the ring is constructed.
+
+The matrix kernel at the end of this module is written once, against the row
+primitive `_axpy` (row[j] += f * y over (j, y) pairs).  On codes the tables
+answer it with two list indexes per entry; a prime field answers on its ints
+with one `% p`, and any other ring through `_add` and `_mul`.  Callers encode
+their entries once (`_coded`) and decode only results.
 """
 
 from __future__ import annotations
@@ -225,6 +232,19 @@ class RingDescriptor(metaclass=_Interned):
         """A predicate on payloads: false exactly on the zero payload."""
         return self._zero_raw().__ne__
 
+    # -- the matrix kernel on payloads; see `_coded` ----------------------
+    _tables = None      # the code tables of a small artinian ring
+
+    def _axpy(self, row, f, pairs):
+        """row[j] += f * y over the (j, y) pairs."""
+        add, mul = self._add, self._mul
+        for j, y in pairs:
+            row[j] = add(row[j], mul(f, y))
+
+    def _decode(self, x):
+        """The payload of a kernel entry: on a descriptor, the entry."""
+        return x
+
     def _wrapper(self):
         """payload -> element."""
         return functools.partial(RingValue, self)
@@ -298,6 +318,11 @@ class PrimeField(RingDescriptor):
 
     def _mul(self, a, b):
         return (a * b) % self.p
+
+    def _axpy(self, row, f, pairs):
+        p = self.p
+        for j, y in pairs:
+            row[j] = (row[j] + f * y) % p
 
     def _inv(self, a):
         if a % self.p == 0:
@@ -528,38 +553,100 @@ class _LogTables:
 
 
 class _ScalarTables:
-    """Lazily filled sum, product and inverse tables of a small ring:
-    `index` maps each payload to its number i, `elems[i]` is that payload,
-    slot i * n + j of `results[0]` (sums) or `results[1]` (products) holds
-    the result for elems[i] and elems[j] as an `elems` entry, and slot i of
-    `inverses` the inverse of the unit elems[i]; every slot is None until
-    first computed, and a non-unit's stays None."""
+    """The arithmetic of a small artinian ring A = k[e]/e^m on element
+    codes, which the matrix kernel runs on as on a descriptor.  A code is
+    the payload's base-|k| digits, coordinate 0 lowest (its place in
+    `elements()`; `index` and `elems` translate), so 0 codes zero, a unit
+    has a nonzero lowest digit and e^k divides a code with k zero digits.
+    Slot i * n + j of `results[0]` (sums) or `results[1]` (products) holds
+    the code for codes i and j, and slot i of `inverses` that of the unit
+    i's inverse; the ring's kernels fill each on first use."""
 
-    __slots__ = ("index", "elems", "n", "results", "inverses")
+    __slots__ = ("index", "elems", "n", "q", "m", "results", "inverses",
+                 "_kernels", "_inv_kernel", "_one", "_minus_one")
+    is_field = False
 
-    def __init__(self, payloads):
-        self.elems = list(payloads)
+    def __init__(self, ring: "ArtinianLocal"):
+        self.elems = [x.raw for x in ring.elements()]
         self.index = {x: i for i, x in enumerate(self.elems)}
         self.n = n = len(self.elems)
+        self.q, self.m = ring.base.size, ring.m
         self.results = ([None] * (n * n), [None] * (n * n))
         self.inverses = [None] * n
+        self._kernels = (ring._add_kernel, ring._mul_kernel)
+        self._inv_kernel = ring._inv_kernel
+        self._one = self.index[ring._one_raw()]
+        self._minus_one = self.index[ring._neg(ring._one_raw())]
+
+    def _slot(self, op: int, a: int, b: int) -> int:
+        """The code in results[op] for codes a and b, filled on first use."""
+        k = a * self.n + b
+        c = self.results[op][k]
+        if c is None:
+            c = self.results[op][k] = self.index[
+                self._kernels[op](self.elems[a], self.elems[b])]
+        return c
+
+    def _mul(self, a, b):
+        return self._slot(1, a, b)
+
+    def _neg(self, a):
+        return self._slot(1, a, self._minus_one)
+
+    def _inv(self, a):
+        c = self.inverses[a]
+        if c is None:
+            # a non-unit raises from the kernel, with its payload's message
+            c = self.inverses[a] = self.index[self._inv_kernel(self.elems[a])]
+        return c
+
+    def _axpy(self, row, f, pairs):
+        """row[j] += f * y over the (j, y) pairs."""
+        n, (sums, prods) = self.n, self.results
+        fn = f * n
+        for j, y in pairs:
+            c = prods[fn + y]
+            if c is None:
+                c = self._slot(1, f, y)
+            x = row[j]
+            s = sums[x * n + c]
+            row[j] = self._slot(0, x, c) if s is None else s
+
+    def _is_unit(self, a):
+        return a % self.q != 0
+
+    def _valuation(self, a):
+        """The e-adic valuation: the number of low zero digits, m for 0."""
+        return next((k for k in range(self.m) if a // self.q ** k % self.q),
+                    self.m)
+
+    def _unshift(self, a, k):
+        """a / e^k for a multiple a of e^k."""
+        return a // self.q ** k
+
+    def _zero_raw(self):
+        return 0
+
+    def _one_raw(self):
+        return self._one
+
+    def _decode(self, a):
+        return self.elems[a]
 
 
 def _tabled(kernel, op: int):
-    """The ring operation `kernel` behind results[op] of the ring's
-    `_tables`; the kernel fills empty slots and serves what has none."""
+    """The ring operation `kernel` on payloads, answered from slot op of the
+    ring's `_tables` when both payloads have codes."""
     def tabled(self, a, b):
         tables = self._tables
         if tables is not None:
             index = tables.index
             i, j = index.get(a), index.get(b)
             if i is not None and j is not None:
-                k = i * tables.n + j
-                results = tables.results[op]
-                c = results[k]
-                if c is None:
-                    c = results[k] = tables.elems[index[kernel(self, a, b)]]
-                return c
+                # `_slot` inlined for a filled slot: this is the hot path of
+                # every series kernel over a tabled ring
+                c = tables.results[op][i * tables.n + j]
+                return tables.elems[tables._slot(op, i, j) if c is None else c]
         return kernel(self, a, b)
     return tabled
 
@@ -598,7 +685,7 @@ class ArtinianLocal(RingDescriptor):
     def _tables(self):
         """The tables, built on first use; None above the bound."""
         if self.base.size ** self.m <= _TABLE_BOUND:
-            return _ScalarTables(x.raw for x in self.elements())
+            return _ScalarTables(self)
         return None
 
     def _add_kernel(self, a, b):
@@ -626,10 +713,7 @@ class ArtinianLocal(RingDescriptor):
             i = tables.index.get(a)
             if i is not None:
                 c = tables.inverses[i]
-                if c is None:
-                    c = tables.inverses[i] = tables.elems[
-                        tables.index[self._inv_kernel(a)]]
-                return c
+                return tables.elems[tables._inv(i) if c is None else c]
         return self._inv_kernel(a)
 
     def _inv_kernel(self, a):
@@ -652,6 +736,15 @@ class ArtinianLocal(RingDescriptor):
 
     def _is_nilpotent(self, a):
         return not self.base._is_unit(a[0])
+
+    def _valuation(self, a):
+        """The least k with a unit coordinate k, m for none."""
+        unit = self.base._is_unit
+        return next((k for k, c in enumerate(a) if unit(c)), self.m)
+
+    def _unshift(self, a, k):
+        """a / e^k for a multiple a of e^k."""
+        return a[k:] + self._zero[:k]
 
     def _zero_raw(self):
         return self._zero
@@ -835,32 +928,50 @@ def format_value(x: RingValue) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the matrix kernel: lists of payload rows over F_q or F_q[e]/e^m
+# the matrix kernel: lists of rows over F_q or F_q[e]/e^m
 #
 # One elimination serves every matrix in the package.  F_q[e]/e^m is a chain
 # ring, every ideal is some (e^k), so a column pivoted on an entry of least
 # e-adic valuation divides every other entry of that column, and each row
 # operation is exact (Storjohann-Mulders, "Fast algorithms for linear algebra
-# modulo N", ESA 1998).  Zero entries are skipped throughout.
+# modulo N", ESA 1998).  Zero entries are skipped throughout.  `ring` is a
+# descriptor on payloads or a `_ScalarTables` on codes, as `_coded` picks.
+
+
+def _coded(ring, *lists):
+    """What the kernel runs on for these lists of payloads, and the lists
+    in its entries: codes when the ring's tables index every payload."""
+    tables = ring._tables
+    if tables is not None:
+        index = tables.index
+        try:
+            return tables, [[index[x] for x in lst] for lst in lists]
+        except KeyError:
+            pass
+    return ring, lists
 
 
 def _identity_columns(n: int, c: int, ring):
-    """The first c columns of the n x n identity, as raw payloads."""
+    """The first c columns of the n x n identity."""
     one, zero = ring._one_raw(), ring._zero_raw()
     return [[one if i == j else zero for j in range(c)] for i in range(n)]
 
 
 def _mul_raw(a, b, ring):
-    """Product of raw matrices; a's zero entries skip whole rows of b."""
-    zero = ring._zero_raw()
-    add, mul = ring._add, ring._mul
+    """Product of matrices; a's zero entries skip whole rows of b, whose
+    nonzero entries are listed on first use."""
+    zero, axpy = ring._zero_raw(), ring._axpy
+    pairs_b = [None] * len(b)
     out = []
     for row in a:
         acc = [zero] * len(b[0])
-        for x, brow in zip(row, b):
+        for k, x in enumerate(row):
             if x != zero:
-                acc = [s if y == zero else add(s, mul(x, y))
-                       for s, y in zip(acc, brow)]
+                pairs = pairs_b[k]
+                if pairs is None:
+                    pairs = pairs_b[k] = [(j, y) for j, y in enumerate(b[k])
+                                          if y != zero]
+                axpy(acc, x, pairs)
         out.append(acc)
     return out
 
@@ -875,13 +986,12 @@ def _pivot_row(a, top: int, col: int, end: int, ring):
             return r, 0
     if ring.is_field:
         return None, None
-    unit = ring.base._is_unit
+    valuation = ring._valuation
     best, low = None, ring.m
     for r in range(top, end):
-        for k, c in enumerate(a[r][col][:low]):
-            if unit(c):
-                best, low = r, k
-                break
+        k = valuation(a[r][col])
+        if k < low:
+            best, low = r, k
     return best, low
 
 
@@ -894,16 +1004,14 @@ def _eliminate_below(a, top: int, col: int, end: int, ring) -> None:
     nz = [(j, x) for j, x in enumerate(prow[col + 1:], col + 1) if x != zero]
     if not nz:
         return
-    add, mul = ring._add, ring._mul
+    mul, axpy = ring._mul, ring._axpy
     s = None
     for row in a[top + 1:end]:
         x = row[col]
         if x != zero:
             if s is None:
                 s = ring._neg(ring._inv(prow[col]))
-            f = mul(x, s)
-            for j, y in nz:
-                row[j] = add(row[j], mul(f, y))
+            axpy(row, mul(x, s), nz)
 
 
 def _solve(a, b, lower: int, ring):
@@ -913,7 +1021,7 @@ def _solve(a, b, lower: int, ring):
     raises SingularCompression; back substitution follows."""
     n = len(a)
     zero = ring._zero_raw()
-    add, mul, neg = ring._add, ring._mul, ring._neg
+    mul, neg, axpy = ring._mul, ring._neg, ring._axpy
     rows = [ra + rb for ra, rb in zip(a, b)]
     for col in range(n):
         end = min(n, col + lower + 1)
@@ -924,17 +1032,16 @@ def _solve(a, b, lower: int, ring):
         rows[col], rows[piv] = rows[piv], rows[col]
         _eliminate_below(rows, col, col, end, ring)
     x = [None] * n
+    pairs = [None] * n
     for r in range(n - 1, -1, -1):
         row = rows[r]
         acc = row[n:]
-        for j in range(r + 1, n):
-            u = row[j]
+        for j, u in enumerate(row[r + 1:n], r + 1):
             if u != zero:
-                u = neg(u)
-                acc = [s if y == zero else add(s, mul(u, y))
-                       for s, y in zip(acc, x[j])]
+                axpy(acc, neg(u), pairs[j])
         s = ring._inv(row[r])
         x[r] = [y if y == zero else mul(s, y) for y in acc]
+        pairs[r] = [(j, y) for j, y in enumerate(x[r]) if y != zero]
     return x
 
 
@@ -954,15 +1061,14 @@ def _det_raw(a, ring):
         det = ring._mul(det, a[col][col])
         if k:
             for row in a[col:]:
-                row[col] = row[col][k:] + ring._zero_raw()[:k]
+                row[col] = ring._unshift(row[col], k)
         _eliminate_below(a, col, col, n, ring)
     return det
 
 
 def _rank(m, lower: int, field) -> int:
-    """Rank of a payload matrix over a field whose entries lie at most
-    `lower` places below the diagonal; columns without a pivot are
-    skipped."""
+    """Rank of a matrix over a field whose entries lie at most `lower`
+    places below the diagonal; columns without a pivot are skipped."""
     n_rows, n_cols = len(m), len(m[0]) if m else 0
     rank = 0
     for col in range(n_cols):

@@ -25,16 +25,26 @@ Only the c x c corner of D is ever built, never D itself or an inverse:
 
     D[:c, :c] = (T(f0) T(g0))[:c, :] Y,   T(g0) X = E_c,   T(f0) Y = X,
 
-with E_c the first c columns of the identity.  Everything runs on raw
-payloads.  A symbol's coefficients are read once per compression, as the
-band of payloads at t^(1-n) ... t^(n-1), and the rows are slices of that
-band.  T(f, n) has bandwidth p = deg f below the diagonal and q = pole(f)
-above it, so each solve is a forward elimination that looks for pivots and
-clears entries only within the p rows below the diagonal, then a back
-substitution.  Zero entries are skipped throughout.  An n x n window costs
-O(n (p + q) (p + c)) scalar operations instead of O(n^3).  For an index-0
-symbol the Szego ratio det T(f0, k) / det T(f0, k-1) is the k-th pivot of
-one elimination of T(f0) without row swaps.
+with E_c the first c columns of the identity.  A symbol's coefficients are
+read once per compression, as the band of payloads at t^(1-n) ... t^(n-1),
+and each band is encoded once by `rings._coded`: over a ring with code
+tables its 2n - 1 payloads become small-int codes, and otherwise stay
+payloads.  The rows are slices of the coded band, and only results (the
+corner determinant, the Szego pivots) are decoded.  T(f, n) has bandwidth
+p = deg f below the diagonal and q = pole(f) above it, so each solve is a
+forward elimination that looks for pivots and clears entries only within
+the p rows below the diagonal, then a back substitution.  Zero entries are
+skipped throughout.  An n x n window costs O(n (p + q) (p + c)) scalar
+operations instead of O(n^3); on codes each is two list indexes, where on
+a tabled ring's payloads it is two method calls and four payload-keyed
+dict lookups.  For an index-0 symbol the Szego ratio
+det T(f0, k) / det T(f0, k-1) is the k-th pivot of one elimination of
+T(f0) without row swaps.
+
+An explicit window (a corner or size, an index window, a matrix order) is
+at most _WINDOW_LIMIT = 4096, checked before any band is allocated; an
+n x n compression's rows hold n^2 entries.  Default windows grow with the
+symbols and are not limited.
 
 Two bands with zeros below t^0 and a unit at t^0 (every index-0 pair over
 a field) give lower triangular compressions with a unit diagonal.  These
@@ -55,9 +65,19 @@ from __future__ import annotations
 
 from .errors import AlgebraError, SingularCompression, UnsupportedArgument
 from .laurent import LaurentSeries, require_units
-from .rings import (RingValue, _det_raw, _eliminate_below, _identity_columns,
-                    _mul_raw, _pivot_row, _rank, _solve, residue_field,
-                    residue_raw)
+from .rings import (RingValue, _coded, _det_raw, _eliminate_below,
+                    _identity_columns, _mul_raw, _pivot_row, _rank, _solve,
+                    residue_field, residue_raw)
+
+
+# the largest explicit window (see the module docstring)
+_WINDOW_LIMIT = 4096
+
+
+def _refuse_windows(what: str, **windows) -> None:
+    given = ", ".join(f"{name}={n}" for name, n in windows.items())
+    raise UnsupportedArgument(
+        f"{what} needs windows of at most {_WINDOW_LIMIT}, not {given}")
 
 
 # -- compressions as payload bands --------------------------------------------
@@ -94,6 +114,8 @@ def _reach(f: LaurentSeries, n: int) -> int:
 
 def toeplitz_matrix(f: LaurentSeries, n: int):
     """n x n compression of multiplication by f; entry (i, j) = coeff(i-j)."""
+    if n > _WINDOW_LIMIT:
+        _refuse_windows("toeplitz matrix", n=n)
     return _wrap(_rows(_band(f, n), n), f.ring.base)
 
 
@@ -103,27 +125,32 @@ def _raw(a):
     return [[x.raw for x in row] for row in a]
 
 
-def _wrap(a, ring):
-    wrap = ring._wrapper()
-    return [[wrap(x) for x in row] for row in a]
+def _wrap(a, ring, kernel=None):
+    """Elements of `ring` from a matrix of `kernel` entries (payloads when
+    there is no kernel)."""
+    wrap, decode = ring._wrapper(), (kernel or ring)._decode
+    return [[wrap(decode(x)) for x in row] for row in a]
 
 
 def mat_mul(a, b):
     ring = a[0][0].ring
-    return _wrap(_mul_raw(_raw(a), _raw(b), ring), ring)
+    kernel, rows = _coded(ring, *_raw(a), *_raw(b))
+    return _wrap(_mul_raw(rows[:len(a)], rows[len(a):], kernel), ring, kernel)
 
 
 def mat_inv(a, ring):
     """Inverse over a local ring (pivots must be units)."""
     n = len(a)
-    return _wrap(_solve(_raw(a), _identity_columns(n, n, ring), n - 1, ring),
-                 ring)
+    kernel, a = _coded(ring, *_raw(a))
+    return _wrap(_solve(a, _identity_columns(n, n, kernel), n - 1, kernel),
+                 ring, kernel)
 
 
 def mat_det(a, ring):
     """Determinant over a local ring, exact also when it is not a unit: each
     column is pivoted on an entry of least e-adic valuation."""
-    return RingValue(ring, _det_raw(_raw(a), ring))
+    kernel, a = _coded(ring, *_raw(a))
+    return RingValue(ring, kernel._decode(_det_raw(a, kernel)))
 
 
 # -- index, Szego ratio, joint torsion ----------------------------------------
@@ -139,6 +166,8 @@ def toeplitz_index(f: LaurentSeries, window: int = None) -> int:
     if window is not None and window < 1:
         raise UnsupportedArgument(
             f"index needs 1 <= window, not window={window}")
+    if window is not None and window > _WINDOW_LIMIT:
+        _refuse_windows("index", window=window)
     require_units("index needs a unit symbol", f)
     shift = max(0, -(f.low if f.low is not None else 0))
     if window is not None and window < shift + f.valuation():
@@ -148,9 +177,11 @@ def toeplitz_index(f: LaurentSeries, window: int = None) -> int:
     n = window if window is not None else span + 2
     _require_band(f, n, shift)
     h = f.shift(shift)
-    base = f.ring.base
-    residues = [residue_raw(base, x) for x in _band(h, n)]
-    rank = _rank(_rows(residues, n), _reach(h, n), residue_field(base))
+    base, field = f.ring.base, residue_field(f.ring.base)
+    band = _band(h, n)
+    if field is not base:
+        band = [residue_raw(base, x) for x in band]
+    rank = _rank(_rows(band, n), _reach(h, n), field)
     return (n - rank) - shift
 
 
@@ -161,22 +192,22 @@ def _pivots(f0: LaurentSeries, n: int, m: int):
     without, so the pivot at position k > m is the Schur complement
     det T(f0, k) / det T(f0, k-1), exact while the pivots before it are
     units."""
-    base = f0.ring.base
-    a = _rows(_band(f0, n), n)
+    kernel, (band,) = _coded(f0.ring.base, _band(f0, n))
+    a = _rows(band, n)
     lower = _reach(f0, n)
     pivots = []
     for col in range(n):
         end = min(n, col + lower + 1)
         if col < m:
-            piv, k = _pivot_row(a, col, col, min(m, end), base)
+            piv, k = _pivot_row(a, col, col, min(m, end), kernel)
             if piv is None or k:
                 return None
             a[col], a[piv] = a[piv], a[col]
         else:
-            pivots.append(a[col][col])
-            if not base._is_unit(a[col][col]):
+            pivots.append(kernel._decode(a[col][col]))
+            if not kernel._is_unit(a[col][col]):
                 break
-        _eliminate_below(a, col, col, end, base)
+        _eliminate_below(a, col, col, end, kernel)
     return pivots
 
 
@@ -236,12 +267,13 @@ def _corner_det(f0, g0, corner: int, size: int):
     if size >= 1 and all(b[:size - 1] == zeros and base._is_unit(b[size - 1])
                          for b in bands):
         return base.one()
+    kernel, bands = _coded(base, *bands)
     tf, tg = (_rows(b, size) for b in bands)
-    x = _solve(tg, _identity_columns(size, corner, base), _reach(g0, size),
-               base)
-    y = _solve(tf, x, _reach(f0, size), base)
-    block = _mul_raw(_mul_raw(tf[:corner], tg, base), y, base)
-    return RingValue(base, _det_raw(block, base))
+    x = _solve(tg, _identity_columns(size, corner, kernel), _reach(g0, size),
+               kernel)
+    y = _solve(tf, x, _reach(f0, size), kernel)
+    block = _mul_raw(_mul_raw(tf[:corner], tg, kernel), y, kernel)
+    return RingValue(base, kernel._decode(_det_raw(block, kernel)))
 
 
 def joint_torsion(f: LaurentSeries, g: LaurentSeries,
@@ -256,6 +288,8 @@ def joint_torsion(f: LaurentSeries, g: LaurentSeries,
             or size is not None and (corner is None or size < corner)):
         raise UnsupportedArgument("joint torsion needs 1 <= corner <= size, "
                                   f"not corner={corner}, size={size}")
+    if corner is not None and max(corner, size or 0) > _WINDOW_LIMIT:
+        _refuse_windows("joint torsion", corner=corner, size=size)
     ring = f.ring
     if g.ring is not ring:
         raise AlgebraError("joint torsion needs symbols over one ring")

@@ -505,3 +505,22 @@ def test_a_size_past_the_index_range_is_a_domain_error(capsys, monkeypatch,
     assert [row.get("exit", 0) for row in rows] == [3, 0]
     assert rows[1]["value"] == "1"
     assert code == 3
+
+
+def test_a_window_past_the_limit_is_refused_alone_and_in_batch(capsys,
+                                                              monkeypatch):
+    # a window that fits an index but would allocate a band of 2 * 10^12
+    # payloads is refused before the band is built
+    line = ('toeplitz --ring "F5[e]/e^2" --window 1000000000000,1000000000000'
+            ' "1-e*t^-1" "1-t"')
+    message = ("joint torsion needs windows of at most 4096, "
+               "not corner=1000000000000, size=1000000000000")
+    code, out, err = run(capsys, *shlex.split(line))
+    assert (code, out, err) == (3, "", f"sym: domain error: {message}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        f'{line}\ntoeplitz --ring "F5[e]/e^2" "1-e*t^-1" "1-t"\n'))
+    code = main(["batch"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == {"schema": "cc-symbols/1", "error": message, "exit": 3}
+    assert rows[1]["value"] == "1 + e"
+    assert code == 3

@@ -502,6 +502,46 @@ def test_joint_torsion_refuses_a_window_outside_one_to_size():
             joint_torsion(f, g, **window)
 
 
+def test_windows_past_the_limit_are_refused_before_any_band(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def band(f, n):
+        raise Reached(n)
+
+    monkeypatch.setattr(toeplitz, "_band", band)
+    limit = toeplitz._WINDOW_LIMIT
+    assert limit >= 512
+    R = LaurentRing(A52, "t")
+    f = series(R, {0: 1, -1: -A52.eps()})
+    g = series(R, {0: 1, 1: -2})
+    for call, given in (
+            (lambda: joint_torsion(f, g, corner=10 ** 12, size=10 ** 12),
+             "joint torsion needs windows of at most 4096, "
+             "not corner=1000000000000, size=1000000000000"),
+            (lambda: joint_torsion(f, g, corner=4, size=limit + 1),
+             "joint torsion needs windows of at most 4096, "
+             "not corner=4, size=4097"),
+            (lambda: joint_torsion(f, g, corner=limit + 1),
+             "joint torsion needs windows of at most 4096, "
+             "not corner=4097, size=None"),
+            (lambda: toeplitz_index(f, window=10 ** 20),
+             "index needs windows of at most 4096, "
+             "not window=100000000000000000000"),
+            (lambda: toeplitz_matrix(f, limit + 1),
+             "toeplitz matrix needs windows of at most 4096, not n=4097")):
+        with pytest.raises(UnsupportedArgument) as caught:
+            call()
+        assert str(caught.value) == given
+    # windows at the limit pass the check and reach the band
+    with pytest.raises(Reached):
+        toeplitz_index(f, window=limit)
+    with pytest.raises(Reached):
+        toeplitz_matrix(f, limit)
+    with pytest.raises(Reached):
+        joint_torsion(f, g, corner=limit, size=limit)
+
+
 def test_corner_det_singular_compression():
     # joint_torsion normalises both symbols to index 0, whose compressions
     # are triangular with a unit diagonal modulo the maximal ideal; the
@@ -737,3 +777,248 @@ def test_banded_kernels_match_dense_oracles(monkeypatch, base):
         torsion_both(f.shift(rng.randrange(-2, 3)), g)
     reached = outcomes - before
     assert reached["value"] and reached[PrecisionExhausted]
+
+
+# -- the matrix kernel on element codes against the payload kernel -------------
+#
+# The oracle is the payload kernel the code tables replaced: the same
+# elimination, written on payloads with the descriptor's `_add` and `_mul`.
+
+def _payload_mul(a, b, ring):
+    zero = ring._zero_raw()
+    add, mul = ring._add, ring._mul
+    out = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for x, brow in zip(row, b):
+            if x != zero:
+                acc = [s if y == zero else add(s, mul(x, y))
+                       for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+def _payload_pivot_row(a, top, col, end, ring):
+    is_unit = ring._is_unit
+    for r in range(top, end):
+        if is_unit(a[r][col]):
+            return r, 0
+    if ring.is_field:
+        return None, None
+    unit = ring.base._is_unit
+    best, low = None, ring.m
+    for r in range(top, end):
+        for k, c in enumerate(a[r][col][:low]):
+            if unit(c):
+                best, low = r, k
+                break
+    return best, low
+
+
+def _payload_eliminate_below(a, top, col, end, ring):
+    zero = ring._zero_raw()
+    prow = a[top]
+    nz = [(j, x) for j, x in enumerate(prow[col + 1:], col + 1) if x != zero]
+    if not nz:
+        return
+    add, mul = ring._add, ring._mul
+    s = None
+    for row in a[top + 1:end]:
+        x = row[col]
+        if x != zero:
+            if s is None:
+                s = ring._neg(ring._inv(prow[col]))
+            f = mul(x, s)
+            for j, y in nz:
+                row[j] = add(row[j], mul(f, y))
+
+
+def _payload_solve(a, b, lower, ring):
+    n = len(a)
+    zero = ring._zero_raw()
+    add, mul, neg = ring._add, ring._mul, ring._neg
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    for col in range(n):
+        end = min(n, col + lower + 1)
+        piv, k = _payload_pivot_row(rows, col, col, end, ring)
+        if piv is None or k:
+            raise SingularCompression(
+                f"column {col} has no unit pivot; the compression is singular")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        _payload_eliminate_below(rows, col, col, end, ring)
+    x = [None] * n
+    for r in range(n - 1, -1, -1):
+        row = rows[r]
+        acc = row[n:]
+        for j in range(r + 1, n):
+            u = row[j]
+            if u != zero:
+                u = neg(u)
+                acc = [s if y == zero else add(s, mul(u, y))
+                       for s, y in zip(acc, x[j])]
+        s = ring._inv(row[r])
+        x[r] = [y if y == zero else mul(s, y) for y in acc]
+    return x
+
+
+def _payload_det(a, ring):
+    n, det = len(a), ring._one_raw()
+    a = [list(row) for row in a]
+    for col in range(n):
+        piv, k = _payload_pivot_row(a, col, col, n, ring)
+        if piv is None:
+            return ring._zero_raw()
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = ring._neg(det)
+        det = ring._mul(det, a[col][col])
+        if k:
+            for row in a[col:]:
+                row[col] = row[col][k:] + ring._zero_raw()[:k]
+        _payload_eliminate_below(a, col, col, n, ring)
+    return det
+
+
+def _payload_rank(m, lower, field):
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    rank = 0
+    for col in range(n_cols):
+        end = min(n_rows, col + lower + 1)
+        piv, _ = _payload_pivot_row(m, rank, col, end, field)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        _payload_eliminate_below(m, rank, col, end, field)
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _unreduced(ring, raw):
+    """The same element with its first base-field coordinate raised by p, a
+    payload that no code table indexes."""
+    if isinstance(ring, ArtinianLocal):
+        return (_unreduced(ring.base, raw[0]),) + raw[1:]
+    if isinstance(ring, PrimeField):
+        return raw + ring.p
+    return (raw[0] + ring.p,) + raw[1:]
+
+
+def _banded_matrix(ring, n, lower, rng):
+    """An n x n payload matrix with nothing more than `lower` places below
+    the diagonal.  Over an artinian ring some columns are scaled by e, so
+    that their pivots are not units; some have a nilpotent diagonal; one in
+    five matrices has a zero column."""
+    eps = ring.one() if ring.is_field else ring.eps()
+    a = [[ring.random(rng) if i - j <= lower else ring.zero()
+          for j in range(n)] for i in range(n)]
+    for j in range(n):
+        kind = rng.randrange(6)
+        if kind == 0:
+            for row in a:
+                row[j] = row[j] * eps
+        elif kind == 1 and not ring.is_field:
+            a[j][j] = a[j][j] * eps
+    if rng.randrange(5) == 0:
+        j = rng.randrange(n)
+        for row in a:
+            row[j] = ring.zero()
+    return [[x.raw for x in row] for row in a]
+
+
+def _decoded(kernel, a):
+    return [[kernel._decode(x) for x in row] for row in a]
+
+
+# tabled (two small, four at the bound), above the bound, fields
+CODE_RINGS = (ArtinianLocal(F3, 2), ArtinianLocal(F5, 3),
+              ArtinianLocal(PrimeField(2), 8),
+              ArtinianLocal(GaloisField(2, 2), 4),
+              ArtinianLocal(GaloisField(2, 4), 2), ArtinianLocal(F3, 5),
+              ArtinianLocal(F9, 3), ArtinianLocal(GaloisField(5, 2), 2),
+              F5, F9, GaloisField(3, 8))
+
+
+def test_code_rings_sit_where_the_table_bound_puts_them():
+    tabled = [ring for ring in CODE_RINGS if ring._tables is not None]
+    assert [str(ring) for ring in tabled] == [
+        "F3[e]/e^2", "F5[e]/e^3", "F2[e]/e^8", "F4[e]/e^4", "F16[e]/e^2",
+        "F3[e]/e^5"]
+    assert all(ring.base.size ** ring.m == rings._TABLE_BOUND
+               for ring in tabled[2:5])
+    # a code is the payload's base-|k| digits, coordinate 0 lowest
+    for ring in tabled:
+        tables = ring._tables
+        assert [rings._raw_encoding(x, ring) for x in tables.elems] == list(
+            range(tables.n))
+
+
+@pytest.mark.parametrize("ring", CODE_RINGS, ids=str)
+def test_kernel_on_codes_matches_the_payload_kernel(ring):
+    rng = random.Random(f"codes {ring}")
+    field = residue_field(ring)
+    outcomes = collections.Counter()
+    for trial in range(60):
+        n = rng.randrange(1, 9)
+        lower = rng.randrange(n)
+        a = _banded_matrix(ring, n, lower, rng)
+        c = rng.randrange(1, 4)
+        b = [[ring.random(rng).raw for _ in range(c)] for _ in range(n)]
+        if trial % 4 == 3:
+            i, j = rng.randrange(n), rng.randrange(n)
+            a[i][j] = _unreduced(ring, a[i][j])
+        solved = _outcome(_payload_solve, a, b, lower, ring)
+        product = _payload_mul(a, b, ring)
+        det = _payload_det(a, ring)
+        # the kernel on what `_coded` picks (codes for a tabled ring, unless
+        # an entry is outside the index), and on payloads
+        kernel, rows = rings._coded(ring, *a, *b)
+        outcomes["coded"] += kernel is not ring
+        for kernel, ca, cb in ((kernel, rows[:n], rows[n:]), (ring, a, b)):
+            got = _outcome(rings._solve, ca, cb, lower, kernel)
+            if not isinstance(got, tuple):
+                got = _decoded(kernel, got)
+            assert got == solved, (a, b, lower)
+            assert _decoded(kernel, rings._mul_raw(ca, cb, kernel)) == \
+                product, (a, b)
+            assert kernel._decode(rings._det_raw(ca, kernel)) == det, a
+        # ranks run over fields: the matrix's residues
+        residues = [[rings.residue_raw(ring, x) for x in row] for row in a]
+        assert rings._rank([row[:] for row in residues], lower, field) == \
+            _payload_rank([row[:] for row in residues], lower, field), a
+        outcomes[solved[0] if isinstance(solved, tuple) else "value"] += 1
+        if det != ring._zero_raw() and not ring._is_unit(det):
+            outcomes["non-unit det"] += 1
+    assert outcomes["coded"] == (45 if ring._tables is not None else 0)
+    assert outcomes["value"] and outcomes[SingularCompression]
+    assert outcomes["non-unit det"] or ring.is_field
+
+
+@pytest.mark.parametrize("ring", CODE_RINGS[:8], ids=str)
+def test_szego_ratio_on_codes_matches_the_payload_kernel(monkeypatch, ring):
+    rng = random.Random(f"szego codes {ring}")
+    R = LaurentRing(ring, "t")
+    symbols = []
+    for trial in range(12):
+        f = _differential_symbol(R, rng, trial % 4, trial % 3 == 2)
+        symbols.append(f)
+        if trial % 4 == 1:
+            # a coefficient outside the table index sends the band to the
+            # payload kernel
+            e = rng.choice(sorted(f.coeffs))
+            x = f.coeffs[e]
+            symbols.append(LaurentSeries(
+                R, {**f.coeffs, e: RingValue(ring, _unreduced(ring, x.raw))},
+                f.prec))
+    starts = [None, 0, 3, 6]
+    got = [_outcome(szego_ratio, f, start=s) for f in symbols for s in starts]
+    with monkeypatch.context() as m:
+        m.setattr(toeplitz, "_coded", lambda ring, *lists: (ring, list(lists)))
+        m.setattr(toeplitz, "_pivot_row", _payload_pivot_row)
+        m.setattr(toeplitz, "_eliminate_below", _payload_eliminate_below)
+        want = [_outcome(szego_ratio, f, start=s)
+                for f in symbols for s in starts]
+    assert got == want
+    kinds = {x[0] if isinstance(x, tuple) else "value" for x in got}
+    assert "value" in kinds and SingularCompression in kinds
