@@ -25,13 +25,13 @@ with coefficient one (an identity or a swap) only move exponents.  At a flag
 the coordinates take the curve to z2 = 0, so the least z2 exponent of a
 substituted polynomial (`flag_payloads`) is the curve's multiplicity in it;
 the Parshin check reads multiplicities and leading terms (`flag_leading_term`)
-there without expanding.  At a place the quotient is the denominator's linear
-recurrence (`laurent._quotient`, at most nil_bound passes), exact in every
-stored coefficient; a flag's tower denominator goes through `laurent_inv`.  The
-default precisions of `local_expand` and `flag_expand` stay heuristic, read
-off the valuations (and at a place the nilpotent tails and nil_bound); the
-line reciprocity laws do not use them but cut each shift where its local
-symbol is determined.
+there without expanding.  At a place only `local_expand` divides, by the
+denominator's linear recurrence (`laurent._quotient`, at most nil_bound
+passes), exact in every stored coefficient; the line reciprocity laws read the
+shifts and divide nothing.  A flag's tower denominator goes through
+`laurent_inv`.  The default precisions of `local_expand` and `flag_expand`
+stay heuristic, read off the valuations (and at a place the nilpotent tails
+and nil_bound).
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
         nu_n, nu_d = num_s.valuation(), den_s.valuation()
         tail = (nu_n - num_s.low) + (nu_d - den_s.low)
         prec = (abs(nu_n - nu_d) + tail) * R.base.nil_bound + 8
-    return _place_quotient(R, num, den, prec)
+    return _series(R, _quotient(R, num, den, prec), prec)
 
 
 def _place_payloads(f: RationalFunction, place: Place, order: int = None):
@@ -265,11 +265,6 @@ def _taylor_shift(ring, coeffs: list, alpha, order) -> dict:
     for c in reversed(coeffs):                  # acc * (alpha + u) + c
         acc = [add(x, mul(alpha, y)) for x, y in zip([c] + acc, acc + [zero])][:top]
     return {i: c for i, c in enumerate(acc) if c != zero}
-
-
-def _place_quotient(R: LaurentRing, num: dict, den: dict, prec: int) -> LaurentSeries:
-    """num/den below u^prec from a place's payloads (`_place_payloads`)."""
-    return _series(R, _quotient(R, num, den, prec), prec)
 
 
 def _lifted(coeffs, B) -> dict:

@@ -253,7 +253,9 @@ def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:
     return f.lead(), factors
 
 
+# least recently used first; a reciprocity round reads about 30 keys
 _ROOTS_CACHE: dict = {}
+_ROOTS_CACHE_SIZE = 1024
 
 
 def roots_in(f: Poly, target_field) -> list[RingValue]:
@@ -263,7 +265,7 @@ def roots_in(f: Poly, target_field) -> list[RingValue]:
     factor of f with roots in the target gives one root, found in the
     target, and its Frobenius orbit (see `rings._field_roots`)."""
     key = (f.ring, f.encoding(), target_field)
-    cached = _ROOTS_CACHE.get(key)
+    cached = _ROOTS_CACHE.pop(key, None)
     if cached is None:
         if f.is_zero():
             raise AlgebraError("every element is a root of the zero polynomial")
@@ -271,9 +273,11 @@ def roots_in(f: Poly, target_field) -> list[RingValue]:
             raise UnsupportedArgument("root finding needs a field target")
         embed(f.lead(), target_field)   # raises unless the coefficients embed
         raws = _field_roots(f._raw(), f.ring, target_field)
-        roots = sorted((RingValue(target_field, r) for r in raws),
-                       key=_value_encoding)
-        cached = _ROOTS_CACHE[key] = tuple(roots)
+        cached = tuple(sorted((RingValue(target_field, r) for r in raws),
+                              key=_value_encoding))
+        if len(_ROOTS_CACHE) >= _ROOTS_CACHE_SIZE:
+            del _ROOTS_CACHE[next(iter(_ROOTS_CACHE))]
+    _ROOTS_CACHE[key] = cached
     return list(cached)
 
 

@@ -4,11 +4,10 @@ reports.
 
 Unless a precision is given, the line laws shift each function once per place
 (`geometry._place_payloads`).  Over a field the `symbols` closed form reads nu
-and the leading coefficient off that shift; over an artinian ring it is
-divided below u^P, P = nu_f + (L-1)(J_f + (L-1) J_g) + 1, for L the nilpotency
-bound and J = nu - low the nilpotent pole depth.  That determines the symbol:
-a change at u^P moves f by a factor in 1 + u^M B[[u]] with M > (L-1)^2 J_g,
-whose P_i factors pair to 1 with g's N_j (j <= (L-1) J_g).
+and the leading coefficient off that shift.  Over an artinian ring nothing is
+divided: for f = a/b and g = c/d the exact shifts of a, b, c and d are units of
+B((u)), and the bimultiplicative symbol is (a, c)(b, d) / ((a, d)(b, c))
+(`symbols._cc_product`).
 
 The Parshin law substitutes each numerator and denominator into the flag
 coordinates of each candidate curve at each marked point once
@@ -31,13 +30,13 @@ from .errors import (IncompleteFlagCover, PrecisionExhausted, UnsupportedArgumen
 from .geometry import (RationalFunction, SurfaceFlag, flag_leading_term,
                        flag_payloads, leading_unit_guard, local_expand,
                        support_places)
-from .laurent import LaurentRing
+from .laurent import LaurentRing, _series
 from .poly import Poly, _value_encoding, roots_in
 from .rings import RingValue, format_value, relative_norm, residue_field
-from .symbols import _tame_value, cc_symbol, tame_symbol
+from .symbols import _cc_product, _tame_value, cc_symbol, tame_symbol
 
-# local_expand and tame_symbol serve only an explicit precision, cc_symbol also
-# artinian rings, flag_expand nothing; bench/tracing.py wraps them all here.
+# local_expand, tame_symbol and cc_symbol serve only an explicit precision,
+# flag_expand nothing; bench/tracing.py wraps them all here.
 flag_expand = geometry.flag_expand
 
 
@@ -115,7 +114,7 @@ def _line_reciprocity(law, local_symbol, f, g, precision) -> ReciprocityReport:
         elif ring.is_field:
             local = _field_symbol(f, g, place)
         else:
-            local = local_symbol(*_symbol_expansions(f, g, place))
+            local = _artinian_symbol(f, g, place)
         contribution = relative_norm(local, e)
         factors.append(LocalFactor(place.label(), place.degree(),
                                    local, contribution))
@@ -137,25 +136,12 @@ def _field_symbol(f, g, place):
     return _tame_value(tuple(rows), leads, B)
 
 
-def _symbol_expansions(f, g, place):
-    """f and g over an artinian ring expanded below the u^P of the module
-    docstring from one shift each: a first quotient to a bound on nu (deg(num)
-    / deg(pi), or deg(den) - deg(num) at infinity, as leading coefficients are
-    units) gives nu and J, and a larger P reruns it on the same payloads."""
-    L = f.ring.nil_bound
-    payloads, out = [], []
-    for h in (f, g):
-        bound = (h.den.degree() - h.num.degree() if place.is_infinity
-                 else h.num.degree() // place.degree())
-        B, num, den = geometry._place_payloads(h, place)
-        payloads.append((LaurentRing(B, "u"), num, den))
-        out.append(geometry._place_quotient(*payloads[-1], bound + 1))
-    nu_f, nu_g = out[0].valuation(), out[1].valuation()
-    j_f, j_g = nu_f - out[0].low, nu_g - out[1].low
-    needs = (nu_f + (L - 1) * (j_f + (L - 1) * j_g) + 1,
-             nu_g + (L - 1) * (j_g + (L - 1) * j_f) + 1)
-    return [s if s.prec >= need else geometry._place_quotient(*p, need)
-            for p, s, need in zip(payloads, out, needs)]
+def _artinian_symbol(f, g, place):
+    """The local symbol of the module docstring over an artinian ring."""
+    shifts = [geometry._place_payloads(h, place) for h in (f, g)]
+    R = LaurentRing(shifts[0][0], "u")
+    return _cc_product(*(((_series(R, num), 1), (_series(R, den), -1))
+                         for _, num, den in shifts))
 
 
 # -- Parshin reciprocity on the plane -------------------------------------------

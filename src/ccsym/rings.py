@@ -517,6 +517,9 @@ class GaloisField(RingDescriptor):
 
 # the largest artinian ring, by number of elements, that gets scalar tables
 _TABLE_BOUND = 256
+# the largest nilpotency order m, refused before any m-long payload is built:
+# a CC symbol over F5[e]/e^1024 takes about 0.5 s, and over e^4096 5.5 s
+_NILPOTENCY_LIMIT = 1024
 # the largest Galois field that gets log and Zech tables: the smallest power
 # of two that covers F_{3^8}, the residue field of degree-4 places over F9
 _LOG_BOUND = 1 << 13
@@ -667,6 +670,9 @@ class ArtinianLocal(RingDescriptor):
             raise AlgebraError("artinian coefficients must sit over a field")
         if m < 2:
             raise AlgebraError("nilpotency order m must be at least 2")
+        if m > _NILPOTENCY_LIMIT:
+            raise AlgebraError(f"nilpotency order m must be at most "
+                               f"{_NILPOTENCY_LIMIT}, not {m}")
         self.base = base
         self.m = m
         self.char = base.char
@@ -1263,7 +1269,7 @@ def _field_roots(coeffs: list, sub, field) -> list:
     return roots
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)       # a reciprocity round meets < 10 pairs
 def _pinned_subfield_generator(sub: GaloisField, big: GaloisField) -> RingValue:
     """The pinned image of sub's generator inside big: the root of sub.minpoly
     with lexicographically smallest payload tuple (coordinate 0 first)."""
@@ -1311,7 +1317,7 @@ def embed(x: RingValue, target: RingDescriptor) -> RingValue:
     return _field_embed(x, target)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def _subfield_basis(sub, big: GaloisField) -> tuple:
     """The matrix B whose columns are the payloads in `big` of the basis 1, g,
     ..., g^(s-1) of `sub`, s independent rows of B, and the inverse of the

@@ -151,44 +151,52 @@ def tame_symbol(f, g):
 
 
 def cc_symbol(f, g):
-    """Contou-Carrere symbol of two units of A((t)), valued in A.
-
-    Over a field base this equals the tame symbol and is computed directly
-    from leading coefficients.  Over a base with nilpotents the canonical
-    factorizations of both arguments are paired factor by factor; positive
-    factors are only needed up to (L-1)*J + 1 where L bounds nilpotency and
-    J is the deepest pole on the other side, so the computation is finite.
-    PrecisionExhausted signals that a truncated argument does not determine
-    whether it is a unit, or the factors the other argument's poles can see.
-    """
+    """Contou-Carrere symbol of two units of A((t)), valued in A: the tame
+    symbol on the leading coefficients over a field base, `_cc_product` on the
+    one pair over a base with nilpotents."""
     ring = _common_ring(f, g)
     f, g = ring.coerce(f), ring.coerce(g)
     require_units("Contou-Carrere symbol needs unit arguments", f, g)
-    base = ring.base
-    L = ring.nil_bound
-    nu_f, nu_g = f.valuation(), g.valuation()
-    if L == 1:
-        # field-like coefficients: no nilpotent tails, symbol = tame formula
-        return _leading_symbol(f, g, nu_f, nu_g)
-    # decompose each argument once, then extend its positive factors to what
-    # the other argument's deepest pole needs
-    dec_f = unit_decompose(f, positive_cutoff=1)
-    dec_g = unit_decompose(g, positive_cutoff=1)
-    cut_f = (L - 1) * dec_g.max_pole() + 1
-    cut_g = (L - 1) * dec_f.max_pole() + 1
-    for x, nu, cut in ((f, nu_f, cut_f), (g, nu_g, cut_g)):
-        if x.prec is not None and nu + cut > x.prec:
-            raise PrecisionExhausted(
-                f"need {x!r} modulo t^{nu + cut} to pair against the other "
-                f"argument's poles")
-    return _pair_decompositions(dec_f.extend(cut_f), dec_g.extend(cut_g), base)
+    if ring.nil_bound == 1:
+        return _leading_symbol(f, g, f.valuation(), g.valuation())
+    return _cc_product(((f, 1),), ((g, 1),))
 
 
-def _pair_decompositions(dec_f, dec_g, base):
-    """The pairing table of the module docstring over every pair of
-    elementary factors, on payloads: f's factors (T, C, P by rising index,
-    N by rising depth) in turn against g's, skipping trivial pairs."""
-    mul, add, negate, _, wrap = dec_f.ring._coeff_ops
+def _cc_product(fs, gs):
+    """prod (f, g)^(e k) over (f, e) in fs, (g, k) in gs (e, k = +-1), for
+    units of one A((t)) over a base with nilpotents: the symbol of prod f^e
+    and prod g^k, as it is bimultiplicative.  Each argument is decomposed once
+    and its positive factors extended to (L-1)*J + 1, for L the nilpotency
+    bound and J the deepest pole on the other side: past that, P_i(a) pairs
+    with N_j(b), j <= J, to 1, as d = gcd(i, j) <= j gives i/d >= L and
+    b^(i/d) = 0.  PrecisionExhausted signals that a truncated argument does
+    not determine the factors the other side's poles can see."""
+    ring = fs[0][0].ring
+    sides = [[(x, e, unit_decompose(x, positive_cutoff=1)) for x, e in side]
+             for side in (fs, gs)]
+    extended = []
+    for side, other in zip(sides, sides[::-1]):
+        pole = max(dec.max_pole() for _, _, dec in other)
+        cut = (ring.nil_bound - 1) * pole + 1
+        for x, _, dec in side:
+            if x.prec is not None and dec.nu + cut > x.prec:
+                raise PrecisionExhausted(
+                    f"need {x!r} modulo t^{dec.nu + cut} to pair against the "
+                    f"other argument's poles")
+        extended.append([(e, dec.extend(cut)) for _, e, dec in side])
+    out = ring.base._one_raw()
+    for e, dec_f in extended[0]:
+        for k, dec_g in extended[1]:
+            out = _pair_decompositions(dec_f, dec_g, ring.base, e * k, out)
+    return ring._coeff_ops.wrap(out)
+
+
+def _pair_decompositions(dec_f, dec_g, base, sign, out):
+    """out times the pairing table of the module docstring over every pair of
+    elementary factors raised to `sign` (+-1), on payloads: f's factors (T,
+    C, P by rising index, N by rising depth) in turn against g's, skipping
+    trivial pairs."""
+    mul, add, negate, _, _ = dec_f.ring._coeff_ops
     one, zero, inv = base._one_raw(), base._zero_raw(), base._inv
     # over scalar payloads a zero power absorbs the product; over a tower
     # the product keeps the other factor's precision
@@ -207,25 +215,24 @@ def _pair_decompositions(dec_f, dec_g, base):
         return power(add(one, negate(mul(power(a.raw, j // d), bp))), sign * d)
 
     nu_f, nu_g = dec_f.nu, dec_g.nu
-    out = one
     if nu_f:
         if nu_f * nu_g % 2:
             out = mul(out, base._from_int_raw(-1))
         if not dec_g.lead.is_one():
-            out = mul(out, power(dec_g.lead.raw, -nu_f))
+            out = mul(out, power(dec_g.lead.raw, -sign * nu_f))
     if nu_g and not dec_f.lead.is_one():
-        out = mul(out, power(dec_f.lead.raw, nu_g))
+        out = mul(out, power(dec_f.lead.raw, sign * nu_g))
     for i, a in sorted(dec_f.pos.items()):
         for j, b in sorted(dec_g.neg.items(), reverse=True):
-            x = pair(i, a, -j, b, 1)
+            x = pair(i, a, -j, b, sign)
             if x is not None:
                 out = mul(out, x)
     for j, b in sorted(dec_f.neg.items(), reverse=True):
         for i, a in sorted(dec_g.pos.items()):
-            x = pair(i, a, -j, b, -1)
+            x = pair(i, a, -j, b, -sign)
             if x is not None:
                 out = mul(out, x)
-    return wrap(out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -487,23 +487,47 @@ def test_batch_answers_help_lines_with_error_objects():
     assert proc.returncode == 2
 
 
-# sizes past the index range of a list, refused by Python before anything is
-# allocated
+# sizes past the index range of a list, refused by their limits before
+# anything is allocated
 @pytest.mark.parametrize("line", [
     "toeplitz --ring F5 --window 1,99999999999999999999 t 1+t",
     "symbol cc --ring 'F5[e]/e^99999999999999999999' t 1+t",
 ])
 def test_a_size_past_the_index_range_is_a_domain_error(capsys, monkeypatch,
                                                        line):
+    message = {
+        "toeplitz": "joint torsion needs windows of at most 4096, "
+                    "not corner=1, size=99999999999999999999",
+        "symbol": "nilpotency order m must be at most 1024, "
+                  "not 99999999999999999999"}[line.split()[0]]
     code, _, err = run(capsys, *shlex.split(line))
     assert code == 3
-    assert err.startswith("sym: domain error: ")
+    assert err == f"sym: domain error: {message}\n"
     monkeypatch.setattr("sys.stdin",
                         io.StringIO(f"{line}\nsymbol tame --ring F5 t 1+t\n"))
     code = main(["batch"])
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row.get("exit", 0) for row in rows] == [3, 0]
+    assert rows[0]["error"] == message
     assert rows[1]["value"] == "1"
+    assert code == 3
+
+
+def test_a_nilpotency_order_past_the_limit_is_refused_alone_and_in_batch(
+        capsys, monkeypatch):
+    # F5[e]/e^16384 fits an index, but a symbol over it ran past 60 s
+    line = 'symbol cc --ring "F5[e]/e^16384" t 1+t'
+    message = "nilpotency order m must be at most 1024, not 16384"
+    start = time.perf_counter()
+    code, out, err = run(capsys, *shlex.split(line))
+    assert (code, out, err) == (3, "", f"sym: domain error: {message}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        f'{line}\nsymbol cc --ring "F5[e]/e^2" "1-e*t^-1" "1-2*t"\n'))
+    code = main(["batch"])
+    assert time.perf_counter() - start < 1.0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == {"schema": "cc-symbols/1", "error": message, "exit": 3}
+    assert rows[1]["value"] == "1 + 2*e"
     assert code == 3
 
 

@@ -263,6 +263,29 @@ def test_roots_in_matches_scan_for_every_small_monic(monkeypatch, field):
                 assert roots_in(f, target) == _scan_roots(f, target), (f, target)
 
 
+def test_roots_cache_evicts_the_least_recently_used_past_its_bound(monkeypatch):
+    # more distinct keys than the bound leave at most the bound, the entry
+    # read last survives, and evicted roots come back equal
+    monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
+    monkeypatch.setattr(poly, "_ROOTS_CACHE_SIZE", 8)
+    F25 = GaloisField(5, 2)
+    quadratics = list(_monics(F5, 2))[:20]
+    first = [roots_in(f, F25) for f in quadratics]
+    assert len(poly._ROOTS_CACHE) == 8
+    assert roots_in(quadratics[12], F25) == first[12]      # the oldest, read
+    roots_in(quadratics[0], F5)                             # a new key
+    assert (F5, quadratics[12].encoding(), F25) in poly._ROOTS_CACHE
+    assert (F5, quadratics[13].encoding(), F25) not in poly._ROOTS_CACHE
+    assert [roots_in(f, F25) for f in quadratics] == first
+    assert len(poly._ROOTS_CACHE) == 8
+    # the embedding memos are bounded the same way, and recompute equal values
+    sub, big = GaloisField(3, 2), GaloisField(3, 4)
+    generator = rings._pinned_subfield_generator(sub, big)
+    for memo in (rings._pinned_subfield_generator, rings._subfield_basis):
+        assert memo.cache_info().maxsize == 256
+    assert rings._pinned_subfield_generator.__wrapped__(sub, big) == generator
+
+
 def test_roots_in_matches_scan_for_quartic_places_over_f9(monkeypatch):
     big = GaloisField(3, 8)
     monkeypatch.setattr(poly, "_ROOTS_CACHE", {})

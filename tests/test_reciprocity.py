@@ -12,7 +12,7 @@ import pytest
 
 from collections import Counter
 
-from ccsym import geometry, laurent, poly, rings
+from ccsym import geometry, laurent, poly, rings, symbols
 from ccsym.cli import main
 from ccsym.errors import (AlgebraError, IncompleteFlagCover,
                           NonUnitLeadingCoefficient, UnsupportedArgument,
@@ -23,10 +23,11 @@ from ccsym.geometry import (BivarPoly, BivarRational, Place, RationalFunction,
 from ccsym.parser import parse_expression
 from ccsym.poly import Poly, is_irreducible, random_poly
 from ccsym.reciprocity import (LocalFactor, ReciprocityReport,
-                               _check_flag_cover, _curve_key, _field_symbol,
-                               cc_check, parshin_check, weil_check)
+                               _artinian_symbol, _check_flag_cover, _curve_key,
+                               _field_symbol, cc_check, parshin_check,
+                               weil_check)
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
-from ccsym.symbols import tame_symbol
+from ccsym.symbols import cc_symbol, tame_symbol
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -302,12 +303,70 @@ def test_field_symbol_matches_the_expanded_tame_symbol(k):
     assert degrees == set(range(1, 7)) and deep
 
 
+def _quotient_expansions(f, g, place):
+    """f and g over an artinian ring divided below u^P, P = nu_f + (L-1)(J_f +
+    (L-1) J_g) + 1 for J = nu - low, from one shift each: a first quotient to
+    a bound on nu gives nu and J, and a larger P reruns it on the same
+    payloads.  The route the line laws took before they paired the shifted
+    polynomials: the oracle of `_artinian_symbol`."""
+    L = f.ring.nil_bound
+    payloads, out = [], []
+    for h in (f, g):
+        bound = (h.den.degree() - h.num.degree() if place.is_infinity
+                 else h.num.degree() // place.degree())
+        B, num, den = geometry._place_payloads(h, place)
+        payloads.append((laurent.LaurentRing(B, "u"), num, den))
+        out.append(_divided(*payloads[-1], bound + 1))
+    nu_f, nu_g = out[0].valuation(), out[1].valuation()
+    j_f, j_g = nu_f - out[0].low, nu_g - out[1].low
+    needs = (nu_f + (L - 1) * (j_f + (L - 1) * j_g) + 1,
+             nu_g + (L - 1) * (j_g + (L - 1) * j_f) + 1)
+    return [s if s.prec >= need else _divided(*p, need)
+            for p, s, need in zip(payloads, out, needs)]
+
+
+def _divided(R, num, den, prec):
+    return laurent._series(R, laurent._quotient(R, num, den, prec), prec)
+
+
+ARTINIAN_LINE_RINGS = [r for r in LINE_RINGS if not r.is_field] + [
+    ArtinianLocal(PrimeField(3), 6)]
+
+
+@pytest.mark.parametrize("ring", ARTINIAN_LINE_RINGS, ids=repr)
+def test_artinian_symbol_matches_the_quotient_and_expanded_routes(ring):
+    # the four pairings of the shifted polynomials against the quotient
+    # below u^P and against cc_symbol on long expansions, at every support
+    # place and at infinity; F3[e]/e^6 reaches poles whose P passes 60
+    rng = random.Random(f"four pairings {ring!r}")
+    precision = 60 if ring.nil_bound <= 4 else 120
+    degrees, nontrivial, poles = set(), 0, 0
+    for _ in range(20 if ring.nil_bound <= 4 else 8):
+        f, g = (random_artinian_rational(ring, rng, 3) for _ in range(2))
+        places = support_places(f, g)
+        if not places[-1].is_infinity:
+            places.append(Place(None))
+        for place in places:
+            got = _outcome(lambda: _artinian_symbol(f, g, place))
+            assert got == _outcome(
+                lambda: cc_symbol(*_quotient_expansions(f, g, place))), (f, g, place)
+            assert got == _outcome(lambda: cc_symbol(
+                *(local_expand(h, place, precision) for h in (f, g))))
+            degrees.add(place.degree())
+            nontrivial += not got.is_one()
+            poles += any(s.low < s.valuation()
+                         for s in (local_expand(h, place) for h in (f, g)))
+    assert degrees >= {1, 2} and nontrivial and poles
+
+
 @pytest.mark.parametrize("ring", LINE_RINGS, ids=repr)
 def test_line_laws_substitute_each_function_once_per_place(ring, monkeypatch):
-    # at the default precision each function is shifted once per place; a
-    # field check divides nothing, an artinian one at most twice per shift
-    shifts, quotients = [], []
+    # at the default precision each function is shifted once per place and
+    # nothing is divided; an artinian check decomposes each shifted numerator
+    # and denominator once
+    shifts, quotients, decompositions = [], [], []
     place_payloads, quotient = geometry._place_payloads, geometry._quotient
+    unit_decompose = symbols.unit_decompose
 
     def counted_payloads(h, place, *args):
         shifts.append((id(h), place.label()))
@@ -317,23 +376,28 @@ def test_line_laws_substitute_each_function_once_per_place(ring, monkeypatch):
         quotients.append(args)
         return quotient(*args)
 
+    def counted_decompose(*args, **kwargs):
+        decompositions.append(args)
+        return unit_decompose(*args, **kwargs)
+
     monkeypatch.setattr(geometry, "_place_payloads", counted_payloads)
     monkeypatch.setattr(geometry, "_quotient", counted_quotient)
     monkeypatch.setattr(laurent, "_quotient", counted_quotient)
+    monkeypatch.setattr(symbols, "unit_decompose", counted_decompose)
     rng = random.Random(f"one shift per place {ring!r}")
     for _ in range(20):
         f, g = (random_artinian_rational(ring, rng, 3) for _ in range(2))
         for check in (weil_check, cc_check) if ring.is_field else (cc_check,):
             shifts.clear()
             quotients.clear()
+            decompositions.clear()
             check(f, g)
             assert Counter(shifts) == Counter(
                 (id(h), place.label())
                 for place in support_places(f, g) for h in (f, g))
-            if ring.is_field:
-                assert not quotients
-            else:
-                assert len(quotients) <= 2 * len(shifts)
+            assert not quotients
+            assert len(decompositions) == (0 if ring.is_field
+                                           else 2 * len(shifts))
 
 
 def test_cc_guards():

@@ -45,6 +45,18 @@ def test_descriptors_are_interned(monkeypatch):
     assert (PrimeField, (4,)) not in rings._RINGS
 
 
+def test_the_nilpotency_order_is_limited_before_any_payload_is_built():
+    # the refusal names the limit and m, and the refused ring is not
+    # registered; the limit itself is a ring
+    F5 = PrimeField(5)
+    assert ArtinianLocal(F5, rings._NILPOTENCY_LIMIT).m == 1024
+    for m in (1025, 16384, 10 ** 20):
+        with pytest.raises(AlgebraError) as info:
+            ArtinianLocal(F5, m)
+        assert str(info.value) == f"nilpotency order m must be at most 1024, not {m}"
+        assert (ArtinianLocal, (F5, m)) not in rings._RINGS
+
+
 class TestPinnedMinimalPolynomials:
     """The defining polynomial of F_{p^d} is pinned: the first monic
     irreducible AND primitive polynomial in the integer-encoding order."""
