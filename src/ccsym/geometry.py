@@ -25,13 +25,12 @@ with coefficient one (an identity or a swap) only move exponents.  At a flag
 the coordinates take the curve to z2 = 0, so the least z2 exponent of a
 substituted polynomial (`flag_payloads`) is the curve's multiplicity in it;
 the Parshin check reads multiplicities and leading terms (`flag_leading_term`)
-there without expanding.  At a place only `local_expand` divides, by the
-denominator's linear recurrence (`laurent._quotient`, at most nil_bound
-passes), exact in every stored coefficient; the line reciprocity laws read the
-shifts and divide nothing.  A flag's tower denominator goes through
-`laurent_inv`.  The default precisions of `local_expand` and `flag_expand`
-stay heuristic, read off the valuations (and at a place the nilpotent tails
-and nil_bound).
+there without expanding.  `local_expand` and `flag_expand` divide alike
+(`_series_quotient`), through the denominator's `laurent_inv`: a linear
+recurrence at a place, a geometric window over a flag's tower, exact in
+every stored coefficient; the line reciprocity laws divide nothing.
+The default precisions of `local_expand` and `flag_expand` stay heuristic,
+read off the valuations (and at a place the nilpotent tails and nil_bound).
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ from dataclasses import dataclass
 
 from .errors import (AlgebraError, NonUnitLeadingCoefficient, UnsupportedArgument,
                      ZeroFunction, ZeroOnCurve)
-from .laurent import (LaurentRing, LaurentSeries, _quotient, _series,
-                      laurent_inv)
+from .laurent import LaurentRing, LaurentSeries, _series, laurent_inv
 from .poly import Poly, factor, poly_gcd, roots_in
 from .rings import (ArtinianLocal, RingValue, _finite_field, _fmt_poly, _power,
                     embed, residue_field, residue_value)
@@ -225,14 +223,20 @@ def local_expand(f: RationalFunction, place: Place, prec: int = None,
         raise ZeroFunction("cannot expand the zero function")
     B, num, den = _place_payloads(f, place)
     R = LaurentRing(B, var)
+    num_s, den_s = _series(R, num), _series(R, den)
     if prec is None:
-        num_s, den_s = _series(R, num), _series(R, den)
         if den_s.is_one():
             return num_s
         nu_n, nu_d = num_s.valuation(), den_s.valuation()
         tail = (nu_n - num_s.low) + (nu_d - den_s.low)
         prec = (abs(nu_n - nu_d) + tail) * R.base.nil_bound + 8
-    return _series(R, _quotient(R, num, den, prec), prec)
+    return _series_quotient(num_s, den_s, prec)
+
+
+def _series_quotient(num: LaurentSeries, den: LaurentSeries, prec: int):
+    """num/den below t^prec, for exact series and num nonzero: the product
+    of num and 1/den below t^(prec - low(num)) ends at t^prec."""
+    return num * laurent_inv(den, prec - num.low)
 
 
 def _place_payloads(f: RationalFunction, place: Place, order: int = None):
@@ -560,8 +564,7 @@ def flag_expand(f: BivarRational, flag: SurfaceFlag, prec: int = None,
     else:
         if prec is None:
             prec = 2 * max(1, abs(den_s.valuation()), abs(num_s.valuation())) + 6
-        inv_den = laurent_inv(den_s, prec - num_s.low)
-        out = (num_s * inv_den).truncate(prec)
+        out = _series_quotient(num_s, den_s, prec)
     if inner_prec is not None:
         out = LaurentSeries(N2, {e: c.truncate(inner_prec)
                                  for e, c in out.coeffs.items()}, out.prec)

@@ -7,7 +7,15 @@ Laurent polynomial.  Precision composes conservatively:
 
     add:  min(Na, Nb)
     mul:  min(low(a) + Nb, low(b) + Na)
-    inv:  Nf - 2*valuation(f)
+    inv:  Nf - 2*nu - 2*(L-1)*(nu - low(f)) for nu = valuation(f) and L
+          the nilpotency bound, also under an explicit precision
+
+Inversion splits a unit as f = U + N, U from the first unit coefficient up
+and N nilpotent, so 1/f = U^-1 sum_{j<L} (-N U^-1)^j: over a scalar base a
+linear recurrence divides by U once per power of N.  A tower base sums the
+geometric series of 1/(1 + u), u = f/(lead t^nu) - 1, in a fixed window: an
+inner coefficient with no stored terms counts as zero, and the recurrence
+skips such terms, so it would drop the inner precisions the window keeps.
 
 Coefficients may be scalars (RingValue) or again LaurentSeries, giving the
 iterated rings A((t1))...((tn)) as literal series-of-series.
@@ -430,86 +438,80 @@ def _geometric(ring: LaurentRing, m: dict, bound, steps: int):
 
 
 def _unit_inverse(ring: LaurentRing, raw: dict, nu: int, prec: int) -> dict:
-    """Payloads of 1/f below t^prec, for f (a payload dict) whose valuation is
-    nu: the geometric series of 1/(1 + u) in a fixed working window."""
-    mul, _, negate, nonzero, _ = ring._coeff_ops
-    L = ring.nil_bound
-    lead_inv = ring.base._inv(raw[nu])
-    # u = f / (lead * t^nu) - 1: no constant term; negatives nilpotent
-    u = {e - nu: mul(c, lead_inv) for e, c in raw.items() if e != nu}
-    u = {e: c for e, c in u.items() if nonzero(c)}
-    rel_prec = prec + nu             # target precision of (1+u)^{-1}
-    pole = max(0, -min(u, default=0))
-    # fixed working window: anything dropped at >= work would need >= L
-    # nilpotent factors to re-enter below rel_prec, so it never does
-    work = rel_prec + (L - 1) * pole
-    limit = max(0, work) + (L - 1) * (pole + 1) + 1
-    acc, term = _geometric(ring, {e: negate(c) for e, c in u.items()}, work, limit)
-    if term:  # pragma: no cover
-        raise AlgebraError("inverse iteration failed to terminate")
-    out = {e - nu: mul(c, lead_inv) for e, c in acc.items() if e < rel_prec}
-    return {e: c for e, c in out.items() if nonzero(c)}
-
-
-def laurent_inv(f: LaurentSeries, prec=None) -> LaurentSeries:
-    """Multiplicative inverse of a unit series.
-
-    The stored part is exact, so the inverse is computed exactly on it and
-    then truncated: to `prec` if given, to f.prec - 2*valuation(f) otherwise
-    (the honest bound on what the truncated input determines).  Nilpotent
-    below-valuation coefficients make the geometric series terminate.
-    """
-    nu = f.valuation()
-    L = f.ring.nil_bound
-    tail_depth = max(0, nu - f.low)
-    if prec is None:
-        if f.prec is None:
-            raw = f._raw
-            if len(raw) == 1:
-                e, c = next(iter(raw.items()))
-                return _series(f.ring, {-e: f.ring.base._inv(c)})
-            prec = default_precision(f) - nu
-        else:
-            # a perturbation of f at t^N moves 1/f at N - 2nu - 2(L-1)*pole
-            prec = f.prec - 2 * nu - 2 * (L - 1) * tail_depth
-            if prec <= -nu - (L - 1) * tail_depth:
-                raise PrecisionExhausted("inverse has no representable coefficients")
-    return _series(f.ring, _unit_inverse(f.ring, f._raw, nu, prec), prec)
-
-
-def _quotient(ring: LaurentRing, num: dict, den: dict, prec: int) -> dict:
-    """Payloads of num/den below t^prec for exact payload dicts over a scalar
-    base.  den = U + N: U from its first unit coefficient d_nu at t^nu up, N
-    the nilpotent terms below, so 1/den = U^-1 sum_{j<L} (-N U^-1)^j for L the
-    nilpotency bound.  Dividing by U is the causal recurrence y_n = d_nu^-1
-    (x_{n+nu} - sum_{i>=1} d_{nu+i} y_{n-i}), O(prec * len(U)).  Multiplying
-    by N lowers the first unknown exponent by nu - low(N), so pass j runs to
-    prec + (L-1-j)(nu - low(N)) and every stored coefficient is exact; over a
-    field N is empty and one pass suffices.  NotAUnit if den is no unit."""
+    """Payloads of 1/f below t^prec, for f (a payload dict) of valuation nu,
+    by the module docstring's rule.  Over a scalar base, dividing by U is the
+    causal recurrence y_n = d_nu^-1 (x_{n+nu} - sum_{i>=1} d_{nu+i} y_{n-i}),
+    O(prec * len(U)), run on x = 1, then on x = -N y of the pass before.  N
+    lowers the first unknown exponent by drop = nu - low(N), so pass j runs
+    to prec + (L-1-j) drop, and every stored coefficient is exact."""
     mul, add, negate, nonzero, _ = ring._coeff_ops
-    nu = _series(ring, den).valuation()
-    inv, zero = ring.base._inv(den[nu]), ring.base._zero_raw()
-    tail = [(e - nu, negate(den[e])) for e in sorted(den) if e > nu]
-    minus_n = {e: negate(c) for e, c in den.items() if e < nu}
+    L = ring.nil_bound
+    inv = ring.base._inv(raw[nu])
+    if len(raw) == 1:
+        return {-nu: inv} if -nu < prec else {}
+    if isinstance(ring.base, LaurentRing):
+        # m = -u = 1 - f / (lead t^nu): no constant term; negatives nilpotent
+        m = {e - nu: negate(mul(c, inv)) for e, c in raw.items() if e != nu}
+        m = {e: c for e, c in m.items() if nonzero(c)}
+        rel_prec = prec + nu             # target precision of (1+u)^{-1}
+        pole = max(0, -min(m, default=0))
+        # fixed working window: anything dropped at >= work would need >= L
+        # nilpotent factors to re-enter below rel_prec, so it never does
+        work = rel_prec + (L - 1) * pole
+        limit = max(0, work) + (L - 1) * (pole + 1) + 1
+        acc, term = _geometric(ring, m, work, limit)
+        if term:  # pragma: no cover
+            raise AlgebraError("inverse iteration failed to terminate")
+        out = {e - nu: mul(c, inv) for e, c in acc.items() if e < rel_prec}
+        return {e: c for e, c in out.items() if nonzero(c)}
+    zero = ring.base._zero_raw()
+    minus_n = {e: negate(c) for e, c in raw.items() if e < nu}
     drop = nu - min(minus_n, default=nu)
-    out, x = {}, num
-    for passes_left in reversed(range(ring.nil_bound)):
+    span = prec + nu + (L - 1) * drop   # passes read U below t^(nu + span)
+    tail = [(e - nu, negate(raw[e])) for e in sorted(raw) if 0 < e - nu < span]
+    out, x = {}, {0: ring.base._one_raw()}
+    for passes_left in reversed(range(L)):
         bound = prec + passes_left * drop
-        start, y = min(x) - nu, []
-        for n in range(bound - start):
-            acc = x.get(start + nu + n, zero)
-            for i, c in tail:
-                if i > n:
-                    break
-                if nonzero(y[n - i]):
-                    acc = add(acc, mul(c, y[n - i]))
-            y.append(mul(acc, inv))
-        y = {start + n: c for n, c in enumerate(y) if nonzero(c)}
+        if not tail:  # below the span U is a monomial
+            y = {e - nu: mul(c, inv) for e, c in x.items() if e - nu < bound}
+        else:
+            start, y = min(x) - nu, []
+            for n in range(bound - start):
+                acc = x.get(start + nu + n)
+                for i, c in tail:
+                    if i > n:
+                        break
+                    z = y[n - i]
+                    if nonzero(z):
+                        z = mul(c, z)
+                        acc = z if acc is None else add(acc, z)
+                y.append(zero if acc is None else mul(acc, inv))
+            y = {start + n: c for n, c in enumerate(y) if nonzero(c)}
         _add_into(ring, out, {e: c for e, c in y.items() if e < prec})
         x = _product(ring, minus_n, y, bound - drop + nu)
         if not x:
             break
     return out
+
+
+def laurent_inv(f: LaurentSeries, prec=None) -> LaurentSeries:
+    """Multiplicative inverse of a unit series, exact on the stored part and
+    cut below t^prec: by default default_precision(f) - valuation(f) for an
+    exact f, and never past what a truncated f determines."""
+    nu = f.valuation()
+    if f.prec is not None:
+        # 1/f starts at t^low or later, and a perturbation of f at t^N moves
+        # it at t^(N + 2 low)
+        low = -nu - (f.ring.nil_bound - 1) * (nu - f.low)
+        bound = f.prec + 2 * low
+        if bound <= low:
+            raise PrecisionExhausted("inverse has no representable coefficients")
+        prec = bound if prec is None else min(prec, bound)
+    elif prec is None:
+        if len(f._raw) == 1:
+            return _series(f.ring, {-nu: f.ring.base._inv(f._raw[nu])})
+        prec = default_precision(f) - nu
+    return _series(f.ring, _unit_inverse(f.ring, f._raw, nu, prec), prec)
 
 
 class UnitDecomposition:
@@ -607,7 +609,7 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
     """
     require_units("cannot decompose non-unit {f!r}", f)
     ring = f.ring
-    mul, _, _, nonzero, wrap = ring._coeff_ops
+    mul, _, negate, nonzero, wrap = ring._coeff_ops
     one = ring.base._one_raw()
     nu = f.valuation()
 
@@ -620,10 +622,11 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
             break
         regular = {e: c for e, c in h.items() if e >= nu}
         r_inv = _unit_inverse(ring, regular, nu, 1 - min(tail))
-        w = {0: one}
-        w.update(_product(ring, tail, r_inv, 0))
-        h = _product(ring, h, _nilpotent_unit_inverse(ring, w))
-        w_acc = _product(ring, w_acc, w)
+        n = _product(ring, tail, r_inv, 0)     # negative and nilpotent
+        n_inv, _ = _geometric(ring, {e: negate(c) for e, c in n.items()}, None,
+                              ring.nil_bound - 1)
+        h = _product(ring, h, n_inv)
+        w_acc = _product(ring, w_acc, {0: one, **n})
     else:  # pragma: no cover
         raise AlgebraError("negative-tail elimination failed to converge")
 
@@ -675,14 +678,6 @@ def _positive_factors(ring: LaurentRing, rem: dict, cutoff: int) -> dict:
     if any(map(nonzero, r[1:])):  # pragma: no cover
         raise AlgebraError("positive part did not resolve cleanly")
     return pos
-
-
-def _nilpotent_unit_inverse(ring: LaurentRing, w: dict) -> dict:
-    """Exact inverse of 1 + n (payload dicts) where n has only negative,
-    nilpotent coefficients."""
-    negate = ring._coeff_ops.neg
-    n = {e: negate(c) for e, c in w.items() if e != 0}
-    return _geometric(ring, n, None, ring.nil_bound - 1)[0]
 
 
 def reduce_mod_t(f: LaurentSeries):

@@ -397,16 +397,16 @@ def _o_inv(f, prec=None):
     nu = f.valuation()
     L = ring.nil_bound
     tail_depth = max(0, nu - f.low)
-    if prec is None:
-        if f.prec is None:
-            if len(f.coeffs) == 1:
-                e, c = next(iter(f.coeffs.items()))
-                return LaurentSeries(ring, {-e: _c_inv(c)}, None)
-            prec = default_precision(f) - nu
-        else:
-            prec = f.prec - 2 * nu - 2 * (L - 1) * tail_depth
-            if prec <= -nu - (L - 1) * tail_depth:
-                raise PrecisionExhausted("inverse has no representable coefficients")
+    if f.prec is not None:
+        bound = f.prec - 2 * nu - 2 * (L - 1) * tail_depth
+        if bound <= -nu - (L - 1) * tail_depth:
+            raise PrecisionExhausted("inverse has no representable coefficients")
+        prec = bound if prec is None else min(prec, bound)
+    elif prec is None:
+        if len(f.coeffs) == 1:
+            e, c = next(iter(f.coeffs.items()))
+            return LaurentSeries(ring, {-e: _c_inv(c)}, None)
+        prec = default_precision(f) - nu
     lead_inv = _c_inv(f.coeffs[nu])
     u = LaurentSeries(ring, {e - nu: _c_mul(c, lead_inv)
                              for e, c in f.coeffs.items() if e != nu}, None)
@@ -566,13 +566,70 @@ def test_product_of_cancelling_terms_is_an_empty_window():
     assert not product.coeffs and product.prec == 3
 
 
+def _tail_samples(label, count):
+    """Units over an artinian base with two to four nilpotent terms below
+    the valuation, so that the inverse runs its later passes."""
+    base = DIFF_BASES[label]
+    ring = LaurentRing(base, "t")
+    rng = random.Random(f"nilpotent tails {label}")
+    out = []
+    while len(out) < count:
+        nu = rng.randrange(-1, 3)
+        coeffs = {e: base.eps() * base.random(rng)
+                  for e in rng.sample(range(nu - 4, nu), rng.randrange(2, 5))}
+        coeffs[nu] = base.random_unit(rng)
+        coeffs.update({e: base.random(rng) for e in range(nu + 1, nu + 6)
+                       if rng.random() < 0.6})
+        f = LaurentSeries(ring, coeffs, rng.choice((None, None, nu + 30)))
+        if sum(e < nu for e in f.coeffs) >= 2:
+            out.append(f)
+    return out
+
+
+TAIL_SAMPLES = {"F3[e]/e^3", "F2[e]/e^4"}
+
+
 @pytest.mark.parametrize("label", DIFF_RINGS)
 def test_inverse_matches_geometric_oracle(label):
     units = [f for f in _diff_samples(label, 3, 40) if f.is_unit()]
     assert len(units) >= 10
+    if label in TAIL_SAMPLES:
+        units += _tail_samples(label, 12)
     for f in units:
-        for prec in (None, f.valuation() + 3, -f.valuation()):
+        for prec in (None, f.valuation() + 3, -f.valuation(), 25, 60):
             assert (_outcome(laurent_inv, f, prec) == _outcome(_o_inv, f, prec)), (f, prec)
+
+
+COMPLETION_BASES = {"F5": F5, "F9": GaloisField(3, 2), "F3[e]/e^2": A32,
+                    "F5[e]/e^2": A52}
+
+
+@pytest.mark.parametrize("label", sorted(COMPLETION_BASES))
+def test_inverse_of_a_truncated_unit_is_determined_by_it(label):
+    # an explicit precision past the default bound fabricates nothing: every
+    # stored coefficient is that of the inverse of each random completion
+    base = COMPLETION_BASES[label]
+    ring = LaurentRing(base, "t")
+    rng = random.Random(f"completions {label}")
+    checked = 0
+    for _ in range(60):
+        f = ring.random(rng, low=-2, high=6, prec=rng.randrange(3, 9))
+        if not f.is_unit():
+            continue
+        try:
+            bound = laurent_inv(f).prec
+        except PrecisionExhausted:
+            continue
+        completions = [LaurentSeries(ring, {**f.coeffs, **{
+            e: base.random(rng) for e in range(f.prec, f.prec + 10)}})
+            for _ in range(4)]
+        for prec in range(bound, max(bound, f.prec) + 4):
+            got = laurent_inv(f, prec)
+            assert got.prec == bound, (f, prec)
+            for g in completions:
+                assert got == laurent_inv(g, bound), (f, prec, g)
+            checked += 1
+    assert checked >= 40
 
 
 def test_inverse_over_a_truncated_tower_matches_oracle():
@@ -591,6 +648,7 @@ def test_inverse_of_a_truncated_deep_tail_runs_out_of_precision():
     expected = _outcome(_o_inv, f)
     assert expected[0] == "PrecisionExhausted"
     assert _outcome(laurent_inv, f) == expected
+    assert _outcome(laurent_inv, f, 10) == expected
 
 
 def _decomposition(f, cutoff):

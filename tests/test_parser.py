@@ -4,6 +4,7 @@ round trips."""
 import random
 import re
 import sys
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -297,6 +298,25 @@ def test_precision_controls_series_division():
     s = parse_expression("1/(1-t)", F5, domain="series", precision=5)
     assert s.prec == 5
     assert all(s.coeff(i) == F5.one() for i in range(5))
+
+
+def test_precision_stops_at_a_truncated_divisor():
+    # the completion 1+t+t^3 of the divisor puts 3*t^3 in the quotient, so
+    # nothing from t^3 on is determined, whatever precision is asked for
+    s = parse_expression("1/(1+t+O(t^3))", F5, domain="series", precision=10)
+    assert format_series(s) == "1 + 4*t + t^2 + O(t^3)"
+
+
+@pytest.mark.parametrize("ring, num, den", [
+    (F5, "1", "1-t-t^2"), (ArtinianLocal(F5, 2), "1+e*t^-1", "1-t+2*t^2")],
+    ids=["F5", "F5[e]/e^2"])
+def test_series_division_at_a_large_precision_stays_fast(ring, num, den):
+    start = time.perf_counter()
+    s = parse_expression(f"({num})/({den})", ring, domain="series",
+                         precision=20000)
+    assert time.perf_counter() - start < 2
+    num_s, den_s = (parse_expression(x, ring, domain="series") for x in (num, den))
+    assert s.prec == 20000 and (s * den_s).agrees_with(num_s)
 
 
 def test_scalar_and_polynomial_helpers():
@@ -927,7 +947,7 @@ def _bench_cases(rng):
 
 # the expressions of the README and CI commands, with the domain each uses
 DOCUMENTED = [
-    ("F5[e]/e^2", "series", ["1-e*t^-1", "1-2*t"]),
+    ("F5[e]/e^2", "series", ["1-e*t^-1", "1-2*t", "(1+e*t^-1)/(1-t+2*t^2)"]),
     ("F7", "series", ["t"]),
     ("F5", "rational", ["t*(1-t)", "1-t", "t", "t-1", "t+2"]),
     ("F9", "rational", ["t^4+t+g", "1+2*t", "t^10+2*t^9+2*t^7+2*t^6+(2+2*g)*t^5"
@@ -935,7 +955,7 @@ DOCUMENTED = [
     ("F3[e]/e^3", "rational", ["(t+1)/(t^2+e*t+e)", "(t-1)/(t+e)"]),
     ("F5", "bivariate", ["t1", "t2", "t1+t2"]),
     ("F1048583", "bivariate", ["t1", "t2", "t1+t2"]),
-    ("F5", "series", ["1/(1-t)", "t", "q", "0", "1+t"]),
+    ("F5", "series", ["1/(1-t)", "t", "q", "0", "1+t", "1/(1+t+O(t^3))"]),
     ("F3[e]/e^2", "series", ["e", "t", "e+O(t^3)", "1+t"]),
     ("F3[e]/e^2", "rational", ["t", "1-t"]),
     ("F7", "series", ["0", "1+t", "-t"]),
