@@ -21,9 +21,10 @@ Numerator and denominator are substituted exactly and wrapped into series
 once: at a place by a 1-D Taylor shift on payload lists, cut below the order a
 caller needs (`_place_payloads`; a reindexing at infinity), at a flag on
 payload dicts keyed by exponent pairs (`_substitute`), where single monomials
-with coefficient one (an identity or a swap) only move exponents.  At a flag
-the coordinates take the curve to z2 = 0, so the least z2 exponent of a
-substituted polynomial (`flag_payloads`) is the curve's multiplicity in it;
+with coefficient one (an identity or a swap) only move exponents.  Plane
+polynomials (`BivarPoly`) hold such dicts and run on the same pair kernel.
+At a flag the coordinates take the curve to z2 = 0, so the least z2 exponent
+of a substituted polynomial (`flag_payloads`) is the curve's multiplicity in it;
 the Parshin check reads multiplicities and leading terms (`flag_leading_term`)
 there without expanding.  `local_expand` and `flag_expand` divide alike
 (`_series_quotient`), through the denominator's `laurent_inv`: a linear
@@ -40,10 +41,10 @@ from dataclasses import dataclass
 
 from .errors import (AlgebraError, NonUnitLeadingCoefficient, UnsupportedArgument,
                      ZeroFunction, ZeroOnCurve)
-from .laurent import LaurentRing, LaurentSeries, _series, laurent_inv
+from .laurent import LaurentRing, LaurentSeries, _add_into, _series, laurent_inv
 from .poly import Poly, factor, poly_gcd, roots_in
 from .rings import (ArtinianLocal, RingValue, _finite_field, _fmt_poly, _power,
-                    embed, residue_field, residue_value)
+                    embed, residue_field, residue_raw)
 
 
 # -- fractions, and rational functions on the line ------------------------------
@@ -170,8 +171,8 @@ def _residue_pair(f: RationalFunction) -> tuple[Poly, Poly]:
     if f.ring.is_field:
         return f.num, f.den
     k = residue_field(f.ring)
-    num = f.num.map_coefficients(residue_value, k)
-    den = f.den.map_coefficients(residue_value, k)
+    num, den = (Poly._of(k, [residue_raw(f.ring, c) for c in p._raw])
+                for p in (f.num, f.den))
     if num.is_zero():
         raise ZeroFunction("numerator vanishes modulo the maximal ideal")
     return num, den
@@ -246,7 +247,7 @@ def _place_payloads(f: RationalFunction, place: Place, order: int = None):
     t^i -> u^-i."""
     B = residue_extension(f.ring, place.degree())
     zero = B._zero_raw()
-    num, den = ([c.raw for c in p.coeffs] if B is f.ring else
+    num, den = (p._raw if B is f.ring else
                 [zero if c.is_zero() else embed(c, B).raw for c in p.coeffs]
                 for p in (f.num, f.den))
     if place.is_infinity:
@@ -255,7 +256,8 @@ def _place_payloads(f: RationalFunction, place: Place, order: int = None):
     if not roots:
         raise AlgebraError(f"{place.label()} has no root in the residue field"
                            " (is it irreducible over the right field?)")
-    alpha = embed(roots[0], B).raw
+    # over a field B the root already lies in B
+    alpha = roots[0].raw if B.is_field else embed(roots[0], B).raw
     return B, *(_taylor_shift(B, p, alpha, order) for p in (num, den))
 
 
@@ -295,27 +297,26 @@ def _substitute(ring, poly: dict, s1: dict, s2: dict) -> dict:
     return _substitute_horner(ring, poly, s1, s2)
 
 
-def _pair_product(ring, x: dict, y: dict, acc: dict) -> dict:
-    """acc + x*y, into acc, for payload dicts over the scalar ring keyed by
-    exponent pairs; sums that vanish are kept."""
-    mul, add = ring._mul, ring._add
+def _pair_product(ring, x: dict, y: dict, acc: dict = None) -> dict:
+    """acc + x*y, zeros dropped, for payload dicts over the scalar ring keyed
+    by exponent pairs; a given acc is summed into in place."""
+    mul, add, nonzero = ring._mul, ring._add, ring._nonzero_test()
+    acc = {} if acc is None else acc
     for (a1, b1), c1 in x.items():
         for (a2, b2), c2 in y.items():
             k, p = (a1 + a2, b1 + b2), mul(c1, c2)
             q = acc.get(k)
             acc[k] = p if q is None else add(q, p)
-    return acc
+    return {k: c for k, c in acc.items() if nonzero(c)}
 
 
 def _substitute_horner(ring, poly: dict, s1: dict, s2: dict) -> dict:
     """poly(s1, s2) by Horner in s2 over rows that are Horner in s1."""
-    nonzero = ring._nonzero_test()
-
     def horner(coeffs: dict, s: dict) -> dict:     # sum_e coeffs[e] * s^e
         acc: dict = {}
         for e in range(max(coeffs, default=-1), -1, -1):
             acc = _pair_product(ring, acc, s, dict(coeffs.get(e, {})))
-        return {k: c for k, c in acc.items() if nonzero(c)}
+        return acc
 
     rows: dict = {}
     for (i, j), c in poly.items():
@@ -344,14 +345,31 @@ def _monomial(ij) -> str:
 
 
 class BivarPoly:
-    """Polynomial in two variables t1, t2; sparse {(i, j): coefficient}."""
+    """Polynomial in two variables t1, t2; sparse {(i, j): coefficient}, held
+    as a dict `_raw` of nonzero payloads that no operation mutates."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_raw", "_coeffs")
 
     def __init__(self, ring, coeffs: dict):
-        self.ring = ring
-        coeffs = {ij: ring.coerce(c) for ij, c in coeffs.items()}
-        self.coeffs = {ij: c for ij, c in coeffs.items() if not c.is_zero()}
+        nonzero = ring._nonzero_test()
+        raw = {ij: ring.coerce(c).raw for ij, c in coeffs.items()}
+        self.ring, self._coeffs = ring, None
+        self._raw = {ij: c for ij, c in raw.items() if nonzero(c)}
+
+    @classmethod
+    def _of(cls, ring, raw: dict) -> "BivarPoly":
+        """The polynomial with nonzero payloads `raw`, a dict it keeps."""
+        poly = cls.__new__(cls)
+        poly.ring, poly._raw, poly._coeffs = ring, raw, None
+        return poly
+
+    @property
+    def coeffs(self) -> dict:
+        """{(i, j): coefficient} of the nonzero terms; never mutate it."""
+        if self._coeffs is None:
+            wrap = self.ring._wrapper()
+            self._coeffs = {ij: wrap(c) for ij, c in self._raw.items()}
+        return self._coeffs
 
     @classmethod
     def zero(cls, ring):
@@ -374,51 +392,41 @@ class BivarPoly:
         return cls(ring, {(0, 1): ring.one()})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._raw
 
     def is_constant(self) -> bool:
-        return set(self.coeffs) <= {(0, 0)}
+        return set(self._raw) <= {(0, 0)}
 
     def is_one(self) -> bool:
-        return self.coeffs.keys() == {(0, 0)} and self.coeffs[(0, 0)].is_one()
+        return self._raw == {(0, 0): self.ring._one_raw()}
 
     def __eq__(self, other):
         return (isinstance(other, BivarPoly) and self.ring is other.ring
-                and self.coeffs == other.coeffs)
+                and self._raw == other._raw)
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted((ij, c.raw)
-                                             for ij, c in self.coeffs.items()))))
+        return hash((self.ring, tuple(sorted(self._raw.items()))))
 
     def __repr__(self):
         return _fmt_poly(sorted(self.coeffs.items()), _monomial, str,
                          lambda body: " + " in body)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for ij, c in other.coeffs.items():
-            s = out.get(ij)
-            out[ij] = c if s is None else s + c
-        return BivarPoly(self.ring, out)
+        out = dict(self._raw)
+        _add_into(LaurentRing(self.ring), out, other._raw)
+        return BivarPoly._of(self.ring, out)
 
     def __neg__(self):
-        return BivarPoly(self.ring, {ij: -c for ij, c in self.coeffs.items()})
+        neg = self.ring._neg
+        return BivarPoly._of(self.ring, {ij: neg(c) for ij, c in self._raw.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, RingValue):
-            return BivarPoly(self.ring, {ij: c * other
-                                         for ij, c in self.coeffs.items()})
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                ij = (i1 + i2, j1 + j2)
-                p = c1 * c2
-                s = out.get(ij)
-                out[ij] = p if s is None else s + p
-        return BivarPoly(self.ring, out)
+            other = BivarPoly(self.ring, {(0, 0): other})
+        return BivarPoly._of(self.ring, _pair_product(self.ring, self._raw, other._raw))
 
     __rmul__ = __mul__
 
@@ -428,25 +436,27 @@ class BivarPoly:
         return _power(self, e, BivarPoly.one(self.ring), operator.mul)
 
     def evaluate(self, a: RingValue, b: RingValue) -> RingValue:
-        acc = self.ring.zero()
-        for (i, j), c in self.coeffs.items():
-            acc = acc + c * a ** i * b ** j
-        return acc
+        ring = self.ring
+        out = _substitute(ring, self._raw, {(0, 0): ring.coerce(a).raw},
+                          {(0, 0): ring.coerce(b).raw})
+        return RingValue(ring, out.get((0, 0), ring._zero_raw()))
 
     def substitute_t2(self, phi: Poly) -> Poly:
         """The univariate polynomial self(t1, phi(t1))."""
-        out = Poly.zero(self.ring)
-        for (i, j), c in self.coeffs.items():
-            out = out + (Poly.constant(c).shift_up(i)) * phi ** j
-        return out
+        zero = self.ring._zero_raw()
+        return self._in_t1({(1, 0): self.ring._one_raw()},
+                           {(i, 0): c for i, c in enumerate(phi._raw) if c != zero})
 
     def substitute_t1(self, value: RingValue) -> Poly:
         """The univariate polynomial self(value, t2)."""
-        out = Poly.zero(self.ring)
-        for (i, j), c in self.coeffs.items():
-            term = Poly.constant(c * value ** i).shift_up(j)
-            out = out + term
-        return out
+        return self._in_t1({(0, 0): self.ring.coerce(value).raw},
+                           {(1, 0): self.ring._one_raw()})
+
+    def _in_t1(self, s1: dict, s2: dict) -> Poly:
+        """self(s1, s2), for substitutes in t1 alone, as a polynomial."""
+        raw, zero = _substitute(self.ring, self._raw, s1, s2), self.ring._zero_raw()
+        top = max((i for i, _ in raw), default=-1)
+        return Poly._of(self.ring, [raw.get((i, 0), zero) for i in range(top + 1)])
 
 
 class BivarRational(_Fraction):
@@ -541,8 +551,7 @@ def flag_payloads(polys, flag: SurfaceFlag) -> list:
     curve's multiplicity in the polynomial."""
     ring = flag.point[0].ring
     t1, t2 = _flag_coordinates(ring, flag)
-    return [_substitute(ring, {ij: c.raw for ij, c in p.coeffs.items()}, t1, t2)
-            for p in polys]
+    return [_substitute(ring, p._raw, t1, t2) for p in polys]
 
 
 def flag_leading_term(payloads: dict) -> tuple:

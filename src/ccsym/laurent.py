@@ -48,7 +48,8 @@ from collections import namedtuple
 
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit, NotRegular,
                      PrecisionExhausted)
-from .rings import RingDescriptor, _composite, _fmt_poly, _power, format_value
+from .rings import (RingDescriptor, _composite, _fmt_poly, _signed_power,
+                    format_value)
 
 #: raw coefficient operations that the kernel loops run on
 _CoeffOps = namedtuple("_CoeffOps", "mul add neg nonzero wrap")
@@ -67,6 +68,7 @@ class LaurentRing(RingDescriptor):
         self.nil_bound = base.nil_bound
         self._coeff_ops = _CoeffOps(base._mul, base._add, base._neg,
                                    base._nonzero_test(), base._wrapper())
+        self._zero, self._one = self.zero(), self.one()
 
     @staticmethod
     def _key(base, var="t"):
@@ -125,15 +127,6 @@ class LaurentRing(RingDescriptor):
 
     def _is_unit(self, a):
         return a.is_unit()
-
-    def _is_nilpotent(self, a):
-        return a.is_nilpotent()
-
-    def _zero_raw(self):
-        return self.zero()
-
-    def _one_raw(self):
-        return self.one()
 
     def _from_int_raw(self, n):
         return self.from_int(n)
@@ -208,7 +201,7 @@ class LaurentSeries:
     def is_nilpotent(self) -> bool:
         # trusts the truncation: the unknown tail of a non-unit over a local
         # ring is nilpotent anyway
-        return all(map(self.ring.base._is_nilpotent, self._raw.values()))
+        return not self.is_unit()
 
     def valuation(self) -> int:
         """Least exponent carrying a unit coefficient.
@@ -283,9 +276,7 @@ class LaurentSeries:
         return self * self._lift(other).inv()
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        return _power(self, e, self.ring.one(), operator.mul)
+        return _signed_power(self.ring, self, e)
 
     # -- structure ------------------------------------------------------------
     def __eq__(self, other):

@@ -49,12 +49,11 @@ import sys
 
 from .errors import (DivisionByNonUnit, ExpressionSyntaxError, UnknownSymbol,
                      UnsupportedArgument)
-from .geometry import (BivarPoly, BivarRational, RationalFunction,
-                       _pair_product)
+from .geometry import BivarPoly, BivarRational, RationalFunction, _pair_product
 from .laurent import LaurentRing, _add_into, _product, _series
 from .poly import Poly
 from .rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
-                    _finite_field, _is_prime, _power, embed)
+                    _finite_field, _is_prime, _power, _signed_power, embed)
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +415,12 @@ def _domain(kind: str, ring, var: str = "t", depth: int = 1,
             coeffs = [raw.get(i, zero) for i in range(max(raw, default=-1) + 1)]
             return RationalFunction(Poly._of(ring, coeffs))
     elif kind == "bivariate":
-        nonzero = ring._nonzero_test()
         leaves["t1"] = {(1, 0): one}
         leaves["t2"] = {(0, 1): one}
-
-        def product(x, y):
-            return {k: c for k, c in _pair_product(ring, x, y, {}).items()
-                    if nonzero(c)}
+        product = functools.partial(_pair_product, ring)
 
         def wrap(raw):
-            return BivarRational(BivarPoly(ring, {k: RingValue(ring, c)
-                                                  for k, c in raw.items()}))
+            return BivarRational(BivarPoly._of(ring, raw))
     else:
         def wrap(raw):
             return RingValue(ring, raw.get(0, zero))
@@ -498,10 +492,9 @@ def _power_of(node: Power, dom: Domain):
         if len(base) == 1 and dom.origin == 0:     # a monomial c*t^k
             ((k, c),) = base.items()
             coeffs = dom.laurent.base
-            if e < 0 and dom.kind == "series" and coeffs._is_unit(c):
-                k, c, e = -k, coeffs._inv(c), -e   # as laurent_inv inverts it
-            if e >= 0:
-                c = _power(c, e, coeffs._one_raw(), coeffs._mul)
+            # a negative power inverts a unit c, as laurent_inv inverts it
+            if e >= 0 or dom.kind == "series" and coeffs._is_unit(c):
+                c = _signed_power(coeffs, c, e)
                 return {k * e: c} if dom.laurent._coeff_ops.nonzero(c) else {}
         elif e >= 0:
             return _power(base, e, dom.one(), dom.product)

@@ -1,10 +1,11 @@
 """Univariate polynomials over the scalar rings, with factorization and root
 finding over finite fields.
 
-`Poly` shows its coefficients as `RingValue`s, but all its arithmetic (sums,
-products, division, monic scaling, derivatives, gcds) runs on raw payloads in
-the one polynomial kernel in `rings`, which this module imports, so the
-kernel cannot live here.  `factor` splits f into squarefree parts
+`Poly` holds its coefficients as a list of payloads, low to high, and wraps
+them as `RingValue`s only when `coeffs` is read.  All its arithmetic runs on
+those payloads, the larger steps (sums, products, division, derivatives,
+gcds) in the one polynomial kernel in `rings`, which this module imports, so
+the kernel cannot live here.  `factor` splits f into squarefree parts
 (`_raw_squarefree`) and hands each to the kernel's distinct-degree split
 `_raw_ddf` and Cantor-Zassenhaus equal-degree split `_raw_edf`.
 `roots_in` runs `_field_roots` over the coefficient field of f, and the
@@ -22,7 +23,8 @@ from .errors import (AlgebraError, DescriptorMismatch, NotAUnit,
 from .rings import (RingDescriptor, RingValue, _composite, _field_roots,
                     _fmt_poly, _power, _raw_add, _raw_ddf, _raw_derivative,
                     _raw_divmod, _raw_edf, _raw_encoding, _raw_gcd,
-                    _raw_monic, _raw_mul, _seeded_rng, embed)
+                    _raw_monic, _raw_mul, _raw_trim, _seeded_rng,
+                    _signed_power, embed)
 
 
 class Poly:
@@ -30,14 +32,28 @@ class Poly:
     zeros.  The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_raw", "_coeffs")
 
     def __init__(self, ring: RingDescriptor, coeffs):
-        vals = [ring.coerce(c) for c in coeffs]
-        while vals and vals[-1].is_zero():
-            vals.pop()
-        self.ring = ring
-        self.coeffs = tuple(vals)
+        self.ring, self._coeffs = ring, None
+        self._raw = _raw_trim([ring.coerce(c).raw for c in coeffs],
+                              ring._zero_raw())
+
+    @classmethod
+    def _of(cls, ring, raw: list) -> "Poly":
+        """The polynomial with payloads `raw`, low to high: a list it keeps
+        as `_raw`, which no operation mutates."""
+        poly = cls.__new__(cls)
+        poly.ring, poly._coeffs = ring, None
+        poly._raw = _raw_trim(raw, ring._zero_raw())
+        return poly
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as `RingValue`s, low to high."""
+        if self._coeffs is None:
+            self._coeffs = tuple(map(self.ring._wrapper(), self._raw))
+        return self._coeffs
 
     @classmethod
     def zero(cls, ring):
@@ -56,54 +72,46 @@ class Poly:
         return cls(value.ring, (value,))
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._raw) - 1
 
     def lead(self) -> RingValue:
-        if not self.coeffs:
+        if not self._raw:
             raise AlgebraError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return RingValue(self.ring, self._raw[-1])
 
     def coeff(self, i: int) -> RingValue:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._raw):
+            return RingValue(self.ring, self._raw[i])
         return self.ring.zero()
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._raw
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._raw) <= 1
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
+        return self._raw == [self.ring._one_raw()]
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].is_one()
+        return bool(self._raw) and self._raw[-1] == self.ring._one_raw()
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ring is other.ring
-                and self.coeffs == other.coeffs)
+                and self._raw == other._raw)
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, tuple(self._raw)))
 
     def __repr__(self):
         return _fmt_poly(enumerate(self.coeffs), "t", str, _composite)
 
-    # -- arithmetic: each operation runs once on raw payloads, in `rings` ------
-    @classmethod
-    def _of(cls, ring, raw: list) -> "Poly":
-        """The polynomial with payloads `raw`, low to high."""
-        return cls(ring, [RingValue(ring, c) for c in raw])
-
-    def _raw(self) -> list:
-        return [c.raw for c in self.coeffs]
-
+    # -- arithmetic: each operation runs once on raw payloads -----------------
     def __add__(self, other):
-        return Poly._of(self.ring, _raw_add(self._raw(), other._raw(), self.ring))
+        return Poly._of(self.ring, _raw_add(self._raw, other._raw, self.ring))
 
     def __neg__(self):
-        return Poly(self.ring, [-c for c in self.coeffs])
+        return Poly._of(self.ring, list(map(self.ring._neg, self._raw)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -115,7 +123,7 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             raise DescriptorMismatch(f"cannot multiply a polynomial by {other!r}")
-        return Poly._of(self.ring, _raw_mul(self._raw(), other._raw(), self.ring))
+        return Poly._of(self.ring, _raw_mul(self._raw, other._raw, self.ring))
 
     __rmul__ = __mul__
 
@@ -125,13 +133,14 @@ class Poly:
         return _power(self, e, Poly.one(self.ring), operator.mul)
 
     def scale(self, value: RingValue) -> "Poly":
-        return Poly(self.ring, [c * value for c in self.coeffs])
+        mul, v = self.ring._mul, self.ring.coerce(value).raw
+        return Poly._of(self.ring, [mul(c, v) for c in self._raw])
 
     def shift_up(self, k: int) -> "Poly":
         """Multiply by t^k."""
         if self.is_zero():
             return self
-        return Poly(self.ring, [self.ring.zero()] * k + list(self.coeffs))
+        return Poly._of(self.ring, [self.ring._zero_raw()] * k + self._raw)
 
     def divmod(self, other: "Poly"):
         """(q, r) with self = q * other + r and deg r < deg other: division by
@@ -141,8 +150,8 @@ class Poly:
         if not other.lead().is_unit():
             raise NotAUnit("divisor needs a unit leading coefficient")
         ring = self.ring
-        mul, inv = ring._mul, ring._inv(other.lead().raw)
-        quot, rem = _raw_divmod(self._raw(), [mul(inv, c) for c in other._raw()],
+        mul, inv = ring._mul, ring._inv(other._raw[-1])
+        quot, rem = _raw_divmod(self._raw, [mul(inv, c) for c in other._raw],
                                 ring)
         return Poly._of(ring, [mul(inv, c) for c in quot]), Poly._of(ring, rem)
 
@@ -155,28 +164,29 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return Poly._of(self.ring, _raw_monic(self._raw(), self.ring))
+        return Poly._of(self.ring, _raw_monic(self._raw, self.ring))
 
     def derivative(self) -> "Poly":
-        return Poly._of(self.ring, _raw_derivative(self._raw(), self.ring))
+        return Poly._of(self.ring, _raw_derivative(self._raw, self.ring))
 
     def evaluate(self, x: RingValue) -> RingValue:
-        acc = x.ring.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + embed(c, x.ring)
-        return acc
+        """f(x) in the ring of x, into which f's coefficients embed."""
+        B, acc = x.ring, x.ring._zero_raw()
+        for c in reversed(self._raw if B is self.ring
+                          else [embed(c, B).raw for c in self.coeffs]):
+            acc = B._add(B._mul(acc, x.raw), c)
+        return RingValue(B, acc)
 
     def map_coefficients(self, fn, target: RingDescriptor) -> "Poly":
         return Poly(target, [fn(c) for c in self.coeffs])
 
     def encoding(self) -> tuple:
         """Stable integer encoding, used for deterministic seeds and order."""
-        return tuple(_value_encoding(c) for c in self.coeffs)
+        return tuple(_raw_encoding(c, self.ring) for c in self._raw)
 
 
 def _value_encoding(c: RingValue) -> int:
-    raw = c.raw
-    return _raw_encoding(raw, c.ring)
+    return _raw_encoding(c.raw, c.ring)
 
 
 def random_poly(ring, rng, degree: int, monic: bool = False) -> Poly:
@@ -196,13 +206,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         raise UnsupportedArgument("gcds need field coefficients")
     if b.is_zero():
         a, b = b, a
-    return Poly._of(a.ring, _raw_gcd(a._raw(), b._raw(), a.ring))
+    return Poly._of(a.ring, _raw_gcd(a._raw, b._raw, a.ring))
 
 
 def _raw_squarefree(f: list, field) -> list[tuple[list, int]]:
     """Pairs (g, m), sorted by (m, encoding): the g squarefree, monic and
     pairwise coprime with f = prod g^m, for a monic raw f over a field."""
-    p, mul = field.char, field._mul
+    p = field.char
     out: dict[tuple, int] = {}
     e = 1
     while len(f) > 1:
@@ -219,8 +229,7 @@ def _raw_squarefree(f: list, field) -> list[tuple[list, int]]:
             f = g
         if len(f) > 1:
             # f is a polynomial in x^p: inverse Frobenius on its coefficients
-            f = [_power(c, p ** (field.degree - 1), field._one_raw(), mul)
-                 for c in f[::p]]
+            f = [_signed_power(field, c, p ** (field.degree - 1)) for c in f[::p]]
             e *= p
     return sorted(((list(g), m) for g, m in out.items()), key=lambda it: (
         it[1], tuple(_raw_encoding(c, field) for c in it[0])))
@@ -229,7 +238,7 @@ def _raw_squarefree(f: list, field) -> list[tuple[list, int]]:
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Pairs (g_i, m_i) with f monic = prod g_i^{m_i}, the g_i squarefree and
     pairwise coprime."""
-    raw = _raw_monic(f._raw(), f.ring) if f.coeffs else []
+    raw = _raw_monic(f._raw, f.ring) if f._raw else []
     return [(Poly._of(f.ring, g), m) for g, m in _raw_squarefree(raw, f.ring)]
 
 
@@ -240,8 +249,7 @@ def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:
         raise AlgebraError("cannot factor the zero polynomial")
     if not f.ring.is_field:
         raise UnsupportedArgument("factorization needs field coefficients")
-    field = f.ring
-    raw = f._raw()
+    field, raw = f.ring, f._raw
     rng = _seeded_rng(raw, field)
     factors: list[tuple[Poly, int]] = []
     for g, mult in _raw_squarefree(_raw_monic(raw, field), field):
@@ -272,9 +280,9 @@ def roots_in(f: Poly, target_field) -> list[RingValue]:
         if not target_field.is_field:
             raise UnsupportedArgument("root finding needs a field target")
         embed(f.lead(), target_field)   # raises unless the coefficients embed
-        raws = _field_roots(f._raw(), f.ring, target_field)
-        cached = tuple(sorted((RingValue(target_field, r) for r in raws),
-                              key=_value_encoding))
+        raws = _field_roots(f._raw, f.ring, target_field)
+        cached = tuple(RingValue(target_field, r) for r in sorted(
+            raws, key=lambda r: _raw_encoding(r, target_field)))
         if len(_ROOTS_CACHE) >= _ROOTS_CACHE_SIZE:
             del _ROOTS_CACHE[next(iter(_ROOTS_CACHE))]
     _ROOTS_CACHE[key] = cached

@@ -132,7 +132,7 @@ def _field_symbol(f, g, place):
         B, num, den = geometry._place_payloads(h, place, order)
         o_n, o_d = min(num), min(den)
         rows.append((o_n - o_d,))
-        leads.append(RingValue(B, B._mul(num[o_n], B._inv(den[o_d]))))
+        leads.append(B._mul(num[o_n], B._inv(den[o_d])))
     return _tame_value(tuple(rows), leads, B)
 
 
@@ -173,7 +173,7 @@ def parshin_check(functions, flags, precision: int = None) -> ReciprocityReport:
         rows, leads = [], []
         for ((i, j), a), ((k, l), b) in zip(terms[::2], terms[1::2]):
             rows.append((i - k, j - l))
-            leads.append(RingValue(ring, ring._mul(a, ring._inv(b))))
+            leads.append(ring._mul(a, ring._inv(b)))
         if precision is not None and max(v2 for _, v2 in rows) >= precision:
             raise PrecisionExhausted("no unit among the known coefficients "
                                      f"of O(z2^{precision})")
@@ -190,7 +190,7 @@ def _raw(values) -> tuple:
 def _curve_key(flag: SurfaceFlag):
     if flag.kind == "vertical":
         return ("vertical", flag.data[0].raw)
-    return ("graph", _raw(flag.data[0].coeffs))
+    return ("graph", tuple(flag.data[0]._raw))
 
 
 def _check_flag_cover(functions, flags) -> list:
@@ -228,8 +228,8 @@ def _check_flag_cover(functions, flags) -> list:
         degrees = [min(map(sum, p)) for p in shifted]
         slopes = {}
         for p, m in zip(shifted, degrees):
-            cone = Poly(ring, [RingValue(ring, p.get((j, m - j), ring._zero_raw()))
-                               for j in range(m + 1)])
+            cone = Poly._of(ring, [p.get((j, m - j), ring._zero_raw())
+                                   for j in range(m + 1)])
             slopes.update((lam.raw, lam) for lam in roots_in(cone, ring))
         # line t2 = y0 + lam (t1 - x0) through the point, then the flags there
         candidates = [SurfaceFlag.graph(Poly(ring, [y0 - lam * x0, lam]), x0)

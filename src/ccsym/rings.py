@@ -2,7 +2,9 @@
 
 Every descriptor is a small immutable object that knows how to do exact
 arithmetic on raw payloads; `RingValue` is a thin operator-overloading wrapper
-around (descriptor, payload).  Descriptors are interned: equal constructor
+around (descriptor, payload) for the public API.  Below it, polynomials,
+series and the symbols compute on payloads (powers through `_signed_power`)
+and wrap a result once.  Descriptors are interned: equal constructor
 arguments give the same instance, so rings compare by identity and each
 holds its own tables and memos.  Payload conventions:
 
@@ -33,7 +35,8 @@ holds the 2d - 1 product coefficients, reduced by the pinned minpoly's nonzero
 terms only.
 
 All rings here are local: every element is a unit or nilpotent, so valuations
-of Laurent series over them are well defined.
+of Laurent series over them are well defined, and `RingDescriptor` tests
+nilpotency once, as "not a unit" (A((t)) over an artinian A is local too).
 
 An artinian ring with at most _TABLE_BOUND = 256 elements numbers its
 elements by small-int codes (`_ScalarTables`).  It answers `_mul` and `_add`
@@ -53,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 
 from .errors import (AlgebraError, DescriptorMismatch, DivisionByNonUnit,
@@ -169,6 +171,13 @@ def _power(x, e: int, one, mul):
     return result
 
 
+def _signed_power(ring, x, e: int):
+    """x**e on payloads of `ring`; a negative e goes through its inverse."""
+    if e < 0:
+        x, e = ring._inv(x), -e
+    return _power(x, e, ring._one_raw(), ring._mul)
+
+
 # ---------------------------------------------------------------------------
 # descriptors
 
@@ -217,13 +226,13 @@ class RingDescriptor(metaclass=_Interned):
         raise NotImplementedError
 
     def _is_nilpotent(self, a) -> bool:
-        raise NotImplementedError
+        return not self._is_unit(a)        # every ring here is local
 
     def _zero_raw(self):
-        raise NotImplementedError
+        return self._zero
 
     def _one_raw(self):
-        raise NotImplementedError
+        return self._one
 
     def _from_int_raw(self, n: int):
         raise NotImplementedError
@@ -298,10 +307,9 @@ class PrimeField(RingDescriptor):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise AlgebraError(f"{p} is not prime")
-        self.p = p
-        self.char = p
+        self.p = self.char = self.size = p
         self.degree = 1
-        self.size = p
+        self._zero, self._one = 0, 1
 
     @staticmethod
     def _key(p):
@@ -331,15 +339,6 @@ class PrimeField(RingDescriptor):
 
     def _is_unit(self, a):
         return a % self.p != 0
-
-    def _is_nilpotent(self, a):
-        return a % self.p == 0
-
-    def _zero_raw(self):
-        return 0
-
-    def _one_raw(self):
-        return 1 % self.p
 
     def _from_int_raw(self, n):
         return n % self.p
@@ -494,15 +493,6 @@ class GaloisField(RingDescriptor):
         # a reduced unit has its largest coordinate in (0, p), a nonzero
         # residue; any other payload is tested mod p, as `_inv` tests it
         return any(a) and (0 < max(a) < self.p or any(c % self.p for c in a))
-
-    def _is_nilpotent(self, a):
-        return not self._is_unit(a)
-
-    def _zero_raw(self):
-        return self._zero
-
-    def _one_raw(self):
-        return self._one
 
     def _from_int_raw(self, n):
         return tuple([n % self.p] + [0] * (self.d - 1))
@@ -740,9 +730,6 @@ class ArtinianLocal(RingDescriptor):
     def _is_unit(self, a):
         return self.base._is_unit(a[0])
 
-    def _is_nilpotent(self, a):
-        return not self.base._is_unit(a[0])
-
     def _valuation(self, a):
         """The least k with a unit coordinate k, m for none."""
         unit = self.base._is_unit
@@ -752,21 +739,11 @@ class ArtinianLocal(RingDescriptor):
         """a / e^k for a multiple a of e^k."""
         return a[k:] + self._zero[:k]
 
-    def _zero_raw(self):
-        return self._zero
-
-    def _one_raw(self):
-        return self._one
-
     def _from_int_raw(self, n):
-        z = self.base._zero_raw()
-        return tuple([self.base._from_int_raw(n)] + [z] * (self.m - 1))
+        return (self.base._from_int_raw(n),) + self._zero[1:]
 
     def eps(self) -> "RingValue":
-        z = self.base._zero_raw()
-        raw = [z] * self.m
-        raw[1] = self.base._one_raw()
-        return RingValue(self, tuple(raw))
+        return RingValue(self, self._zero[:1] + self._one[:1] + self._zero[2:])
 
     def elements(self):
         def rec(i):
@@ -825,9 +802,7 @@ class RingValue:
         return self * self._lift(other).inv()
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        return _power(self, e, self.ring.one(), operator.mul)
+        return RingValue(self.ring, _signed_power(self.ring, self.raw, e))
 
     def is_unit(self) -> bool:
         return self.ring._is_unit(self.raw)

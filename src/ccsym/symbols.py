@@ -48,7 +48,7 @@ from .errors import (DescriptorMismatch, NotAUnit, PrecisionExhausted,
                      UnsupportedArgument)
 from .laurent import (LaurentRing, LaurentSeries, reduce_mod_t, require_units,
                       unit_decompose)
-from .rings import _power
+from .rings import _signed_power
 
 CONVENTION = "boundary-composite/v1"
 
@@ -64,10 +64,6 @@ def _common_ring(*series):
     if ring is None:
         raise DescriptorMismatch("symbol needs at least one Laurent series argument")
     return ring
-
-
-def _sign_value(ring_base, parity: int):
-    return ring_base.from_int(-1) if parity % 2 else ring_base.one()
 
 
 def _det(rows) -> int:
@@ -102,30 +98,29 @@ def _tame_exponents(rows: tuple) -> tuple:
 
 
 def _tame_value(rows: tuple, leads, base):
-    """(-1)^K(V) prod_i a_i^((-1)^i det V_i) in `base`, for V as a tuple of
-    row tuples and the a_i in `leads`."""
+    """(-1)^K(V) prod_i a_i^((-1)^i det V_i) as an element of `base`, for V
+    as a tuple of row tuples and the payloads a_i in `leads`."""
     parity, exponents = _tame_exponents(rows)
-    out = _sign_value(base, parity)
+    out = base._from_int_raw(-1) if parity else base._one_raw()
     for a, e in zip(leads, exponents):
-        out = out * a ** e
-    return out
+        out = base._mul(out, _signed_power(base, a, e))
+    return base._wrapper()(out)
 
 
 def _leading_terms(f):
-    """(row of V, a) of a unit over a field tower, t1 first."""
+    """(row of V, payload of a) of a unit over a field tower, t1 first."""
     row = ()
     while isinstance(f, LaurentSeries):
         nu = f.valuation()
-        row, f = (nu,) + row, f.coeffs[nu]
+        row, f = (nu,) + row, f._raw[nu]
     return row, f
 
 
 def _leading_symbol(f, g, nu_f, nu_g):
     """The n = 1 closed form on the leading coefficients of f and g: the tame
     symbol when the base has no nilpotents."""
-    wrap = f.ring._coeff_ops.wrap
-    return _tame_value(((nu_f,), (nu_g,)),
-                       (wrap(f._raw[nu_f]), wrap(g._raw[nu_g])), f.ring.base)
+    return _tame_value(((nu_f,), (nu_g,)), (f._raw[nu_f], g._raw[nu_g]),
+                       f.ring.base)
 
 
 def tame_symbol(f, g):
@@ -147,7 +142,7 @@ def tame_symbol(f, g):
         return _leading_symbol(f, g, nu_f, nu_g)
     prod = (f ** nu_g) * (g ** (-nu_f))
     value = reduce_mod_t(prod)
-    return _sign_value(ring.base, nu_f * nu_g) * value
+    return -value if nu_f * nu_g % 2 else value
 
 
 def cc_symbol(f, g):
@@ -197,31 +192,29 @@ def _pair_decompositions(dec_f, dec_g, base, sign, out):
     C, P by rising index, N by rising depth) in turn against g's, skipping
     trivial pairs."""
     mul, add, negate, _, _ = dec_f.ring._coeff_ops
-    one, zero, inv = base._one_raw(), base._zero_raw(), base._inv
+    one, zero = base._one_raw(), base._zero_raw()
     # over scalar payloads a zero power absorbs the product; over a tower
     # the product keeps the other factor's precision
     absorbs = not isinstance(base, LaurentRing)
-
-    def power(x, e):
-        return _power(x, e, one, mul) if e >= 0 else _power(inv(x), -e, one, mul)
 
     def pair(i, a, j, b, sign):
         """(1 - a^(j/d) b^(i/d))^(sign*d) for P_i(a) and N_j(b), d = gcd(i, j);
         None when the b power vanishes."""
         d = math.gcd(i, j)
-        bp = power(b.raw, i // d)
+        bp = _signed_power(base, b.raw, i // d)
         if absorbs and bp == zero:
             return None
-        return power(add(one, negate(mul(power(a.raw, j // d), bp))), sign * d)
+        return _signed_power(base, add(one, negate(mul(
+            _signed_power(base, a.raw, j // d), bp))), sign * d)
 
     nu_f, nu_g = dec_f.nu, dec_g.nu
     if nu_f:
         if nu_f * nu_g % 2:
             out = mul(out, base._from_int_raw(-1))
         if not dec_g.lead.is_one():
-            out = mul(out, power(dec_g.lead.raw, -sign * nu_f))
+            out = mul(out, _signed_power(base, dec_g.lead.raw, -sign * nu_f))
     if nu_g and not dec_f.lead.is_one():
-        out = mul(out, power(dec_f.lead.raw, sign * nu_g))
+        out = mul(out, _signed_power(base, dec_f.lead.raw, sign * nu_g))
     for i, a in sorted(dec_f.pos.items()):
         for j, b in sorted(dec_g.neg.items(), reverse=True):
             x = pair(i, a, -j, b, sign)
