@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import (AlgebraError, NonUnitLeadingCoefficient, UnsupportedArgument,
                      ZeroFunction, ZeroOnCurve)
-from .laurent import LaurentRing, LaurentSeries, _add_into, _series, laurent_inv
+from .laurent import LaurentRing, LaurentSeries, _series, laurent_inv
 from .poly import Poly, factor, poly_gcd, roots_in
 from .rings import (ArtinianLocal, RingValue, _finite_field, _fmt_poly, _power,
                     embed, residue_field, residue_raw)
@@ -256,8 +256,7 @@ def _place_payloads(f: RationalFunction, place: Place, order: int = None):
     if not roots:
         raise AlgebraError(f"{place.label()} has no root in the residue field"
                            " (is it irreducible over the right field?)")
-    # over a field B the root already lies in B
-    alpha = roots[0].raw if B.is_field else embed(roots[0], B).raw
+    alpha = embed(roots[0], B).raw
     return B, *(_taylor_shift(B, p, alpha, order) for p in (num, den))
 
 
@@ -297,11 +296,20 @@ def _substitute(ring, poly: dict, s1: dict, s2: dict) -> dict:
     return _substitute_horner(ring, poly, s1, s2)
 
 
-def _pair_product(ring, x: dict, y: dict, acc: dict = None) -> dict:
-    """acc + x*y, zeros dropped, for payload dicts over the scalar ring keyed
-    by exponent pairs; a given acc is summed into in place."""
-    mul, add, nonzero = ring._mul, ring._add, ring._nonzero_test()
-    acc = {} if acc is None else acc
+def _pair_sum(ring, x: dict, y: dict) -> dict:
+    """x + y, zeros dropped, for payload dicts over the scalar ring keyed by
+    exponent pairs."""
+    add, nonzero, out = ring._add, ring._nonzero_test(), dict(x)
+    for k, c in y.items():
+        q = out.get(k)
+        out[k] = c if q is None else add(q, c)
+    return {k: c for k, c in out.items() if nonzero(c)}
+
+
+def _pair_product(ring, x: dict, y: dict) -> dict:
+    """x*y, zeros dropped, for payload dicts over the scalar ring keyed by
+    exponent pairs."""
+    mul, add, nonzero, acc = ring._mul, ring._add, ring._nonzero_test(), {}
     for (a1, b1), c1 in x.items():
         for (a2, b2), c2 in y.items():
             k, p = (a1 + a2, b1 + b2), mul(c1, c2)
@@ -315,7 +323,7 @@ def _substitute_horner(ring, poly: dict, s1: dict, s2: dict) -> dict:
     def horner(coeffs: dict, s: dict) -> dict:     # sum_e coeffs[e] * s^e
         acc: dict = {}
         for e in range(max(coeffs, default=-1), -1, -1):
-            acc = _pair_product(ring, acc, s, dict(coeffs.get(e, {})))
+            acc = _pair_sum(ring, coeffs.get(e, {}), _pair_product(ring, acc, s))
         return acc
 
     rows: dict = {}
@@ -412,9 +420,7 @@ class BivarPoly:
                          lambda body: " + " in body)
 
     def __add__(self, other):
-        out = dict(self._raw)
-        _add_into(LaurentRing(self.ring), out, other._raw)
-        return BivarPoly._of(self.ring, out)
+        return BivarPoly._of(self.ring, _pair_sum(self.ring, self._raw, other._raw))
 
     def __neg__(self):
         neg = self.ring._neg

@@ -49,7 +49,8 @@ import sys
 
 from .errors import (DivisionByNonUnit, ExpressionSyntaxError, UnknownSymbol,
                      UnsupportedArgument)
-from .geometry import BivarPoly, BivarRational, RationalFunction, _pair_product
+from .geometry import (BivarPoly, BivarRational, RationalFunction,
+                       _pair_product)
 from .laurent import LaurentRing, _add_into, _product, _series
 from .poly import Poly
 from .rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,

@@ -249,7 +249,8 @@ def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:
         raise AlgebraError("cannot factor the zero polynomial")
     if not f.ring.is_field:
         raise UnsupportedArgument("factorization needs field coefficients")
-    field, raw = f.ring, f._raw
+    field = f.ring
+    raw = f._raw
     rng = _seeded_rng(raw, field)
     factors: list[tuple[Poly, int]] = []
     for g, mult in _raw_squarefree(_raw_monic(raw, field), field):

@@ -307,8 +307,10 @@ class PrimeField(RingDescriptor):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise AlgebraError(f"{p} is not prime")
-        self.p = self.char = self.size = p
+        self.p = p
+        self.char = p
         self.degree = 1
+        self.size = p
         self._zero, self._one = 0, 1
 
     @staticmethod
@@ -856,11 +858,6 @@ def residue_raw(ring: RingDescriptor, raw):
         raw = raw[0]
         ring = ring.base
     return raw
-
-
-def residue_value(x: RingValue) -> RingValue:
-    """Image of a scalar in the residue field of its (artinian) ring."""
-    return RingValue(residue_field(x.ring), residue_raw(x.ring, x.raw))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from ccsym.errors import (AlgebraError, NotAUnit, PrecisionExhausted,
 from ccsym.laurent import (LaurentRing, LaurentSeries, require_units,
                            unit_decompose)
 from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
-                         residue_field, residue_value)
+                         residue_field, residue_raw)
 from ccsym.symbols import cc_symbol, tame_symbol
 from ccsym.toeplitz import (joint_torsion, mat_det, mat_inv, mat_mul,
                             szego_ratio, toeplitz_index, toeplitz_matrix)
@@ -624,7 +624,7 @@ def _oracle_index(f, window=None):
     span = (f.degree() if f.coeffs else 0) + shift
     n = window if window is not None else span + 2
     field = residue_field(f.ring.base)
-    m = [[residue_value(RingValue(f.ring.base, x)).raw for x in row]
+    m = [[residue_raw(f.ring.base, x) for x in row]
          for row in _oracle_matrix(f, n, shift)]
     rank = 0
     for col in range(n):
