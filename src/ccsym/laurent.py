@@ -11,11 +11,12 @@ Laurent polynomial.  Precision composes conservatively:
           the nilpotency bound, also under an explicit precision
 
 Inversion splits a unit as f = U + N, U from the first unit coefficient up
-and N nilpotent, so 1/f = U^-1 sum_{j<L} (-N U^-1)^j: over a scalar base a
-linear recurrence divides by U once per power of N.  A tower base sums the
-geometric series of 1/(1 + u), u = f/(lead t^nu) - 1, in a fixed window: an
-inner coefficient with no stored terms counts as zero, and the recurrence
-skips such terms, so it would drop the inner precisions the window keeps.
+and N nilpotent, so 1/f = U^-1 sum_{j<L} (-N U^-1)^j: over a scalar base
+the power-series recurrence in `rings`, which also inverts artinian units,
+divides by U once per power of N.  A tower base sums the geometric series
+of 1/(1 + u), u = f/(lead t^nu) - 1, in a fixed window: an inner coefficient
+with no stored terms counts as zero, and the recurrence skips such terms,
+so it would drop the inner precisions the window keeps.
 
 Coefficients may be scalars (RingValue) or again LaurentSeries, giving the
 iterated rings A((t1))...((tn)) as literal series-of-series.
@@ -48,8 +49,8 @@ from collections import namedtuple
 
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit, NotRegular,
                      PrecisionExhausted)
-from .rings import (RingDescriptor, _composite, _fmt_poly, _signed_power,
-                    format_value)
+from .rings import (RingDescriptor, _composite, _fmt_poly, _raw_series_div,
+                    _signed_power, format_value)
 
 #: raw coefficient operations that the kernel loops run on
 _CoeffOps = namedtuple("_CoeffOps", "mul add neg nonzero wrap")
@@ -431,11 +432,11 @@ def _geometric(ring: LaurentRing, m: dict, bound, steps: int):
 def _unit_inverse(ring: LaurentRing, raw: dict, nu: int, prec: int) -> dict:
     """Payloads of 1/f below t^prec, for f (a payload dict) of valuation nu,
     by the module docstring's rule.  Over a scalar base, dividing by U is the
-    causal recurrence y_n = d_nu^-1 (x_{n+nu} - sum_{i>=1} d_{nu+i} y_{n-i}),
-    O(prec * len(U)), run on x = 1, then on x = -N y of the pass before.  N
-    lowers the first unknown exponent by drop = nu - low(N), so pass j runs
-    to prec + (L-1-j) drop, and every stored coefficient is exact."""
-    mul, add, negate, nonzero, _ = ring._coeff_ops
+    causal recurrence of `rings._raw_series_div`, O(prec * len(U)), run on
+    x = 1, then on x = -N y of the pass before.  N lowers the first unknown
+    exponent by drop = nu - low(N), so pass j runs to prec + (L-1-j) drop,
+    and every stored coefficient is exact."""
+    mul, _, negate, nonzero, _ = ring._coeff_ops
     L = ring.nil_bound
     inv = ring.base._inv(raw[nu])
     if len(raw) == 1:
@@ -455,7 +456,6 @@ def _unit_inverse(ring: LaurentRing, raw: dict, nu: int, prec: int) -> dict:
             raise AlgebraError("inverse iteration failed to terminate")
         out = {e - nu: mul(c, inv) for e, c in acc.items() if e < rel_prec}
         return {e: c for e, c in out.items() if nonzero(c)}
-    zero = ring.base._zero_raw()
     minus_n = {e: negate(c) for e, c in raw.items() if e < nu}
     drop = nu - min(minus_n, default=nu)
     span = prec + nu + (L - 1) * drop   # passes read U below t^(nu + span)
@@ -463,21 +463,9 @@ def _unit_inverse(ring: LaurentRing, raw: dict, nu: int, prec: int) -> dict:
     out, x = {}, {0: ring.base._one_raw()}
     for passes_left in reversed(range(L)):
         bound = prec + passes_left * drop
-        if not tail:  # below the span U is a monomial
-            y = {e - nu: mul(c, inv) for e, c in x.items() if e - nu < bound}
-        else:
-            start, y = min(x) - nu, []
-            for n in range(bound - start):
-                acc = x.get(start + nu + n)
-                for i, c in tail:
-                    if i > n:
-                        break
-                    z = y[n - i]
-                    if nonzero(z):
-                        z = mul(c, z)
-                        acc = z if acc is None else add(acc, z)
-                y.append(zero if acc is None else mul(acc, inv))
-            y = {start + n: c for n, c in enumerate(y) if nonzero(c)}
+        start = min(x) - nu
+        y = _raw_series_div(x, start + nu, tail, inv, bound - start, ring.base)
+        y = {start + n: c for n, c in enumerate(y) if nonzero(c)}
         _add_into(ring, out, {e: c for e, c in y.items() if e < prec})
         x = _product(ring, minus_n, y, bound - drop + nu)
         if not x:

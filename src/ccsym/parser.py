@@ -54,7 +54,8 @@ from .geometry import (BivarPoly, BivarRational, RationalFunction,
 from .laurent import LaurentRing, _add_into, _product, _series
 from .poly import Poly
 from .rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
-                    _finite_field, _is_prime, _power, _signed_power, embed)
+                    _composite, _embed_raw, _finite_field, _fmt_poly,
+                    _is_prime, _power, _signed_power)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,7 @@ def _domain(kind: str, ring, var: str = "t", depth: int = 1,
     if field is not ring:
         leaves["e"] = {origin: ring.eps().raw}
     if isinstance(field, GaloisField):
-        leaves["g"] = {origin: embed(field.generator(), ring).raw}
+        leaves["g"] = {origin: _embed_raw(field.generator().raw, field, ring)}
     if series and depth > 1:
         variables = tuple(f"t{i}" for i in range(1, depth + 1))
     else:
@@ -603,6 +604,7 @@ def parse_polynomial(src: str, ring, var: str = "t"):
     dom = _domain("rational", ring, var)
     value = dom.value(_evaluate(parse_tree(src), dom))
     if not value.den.is_one():
+        den = _fmt_poly(enumerate(value.den.coeffs), var, str, _composite)
         raise UnsupportedArgument(
-            f"{src!r} is not polynomial in {var!r} (denominator {value.den!r})")
+            f"{src!r} is not polynomial in {var!r} (denominator {den})")
     return value.num

@@ -20,11 +20,11 @@ import operator
 
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit,
                      UnsupportedArgument)
-from .rings import (RingDescriptor, RingValue, _composite, _field_roots,
-                    _fmt_poly, _power, _raw_add, _raw_ddf, _raw_derivative,
-                    _raw_divmod, _raw_edf, _raw_encoding, _raw_gcd,
-                    _raw_monic, _raw_mul, _raw_trim, _seeded_rng,
-                    _signed_power, embed)
+from .rings import (RingDescriptor, RingValue, _composite, _embed_raw,
+                    _field_roots, _fmt_poly, _power, _raw_add, _raw_ddf,
+                    _raw_derivative, _raw_divmod, _raw_edf, _raw_encoding,
+                    _raw_gcd, _raw_monic, _raw_mul, _raw_trim, _seeded_rng,
+                    _signed_power)
 
 
 class Poly:
@@ -171,10 +171,9 @@ class Poly:
 
     def evaluate(self, x: RingValue) -> RingValue:
         """f(x) in the ring of x, into which f's coefficients embed."""
-        B, acc = x.ring, x.ring._zero_raw()
-        for c in reversed(self._raw if B is self.ring
-                          else [embed(c, B).raw for c in self.coeffs]):
-            acc = B._add(B._mul(acc, x.raw), c)
+        A, B, acc = self.ring, x.ring, x.ring._zero_raw()
+        for c in reversed(self._raw):
+            acc = B._add(B._mul(acc, x.raw), _embed_raw(c, A, B))
         return RingValue(B, acc)
 
     def map_coefficients(self, fn, target: RingDescriptor) -> "Poly":
@@ -280,7 +279,7 @@ def roots_in(f: Poly, target_field) -> list[RingValue]:
             raise AlgebraError("every element is a root of the zero polynomial")
         if not target_field.is_field:
             raise UnsupportedArgument("root finding needs a field target")
-        embed(f.lead(), target_field)   # raises unless the coefficients embed
+        _embed_raw(f._raw[-1], f.ring, target_field)   # raises unless they embed
         raws = _field_roots(f._raw, f.ring, target_field)
         cached = tuple(RingValue(target_field, r) for r in sorted(
             raws, key=lambda r: _raw_encoding(r, target_field)))

@@ -320,8 +320,6 @@ def higher_symbol(args):
     """
     ring = _common_ring(*args)
     args = [ring.coerce(a) for a in args]
-    if not isinstance(ring, LaurentRing):
-        raise DescriptorMismatch("higher symbols need Laurent series arguments")
     depth = ring.depth()
     if len(args) != depth + 1:
         raise UnsupportedArgument(

@@ -358,6 +358,38 @@ def test_argparse_rejects_bad_window():
     assert err.value.code == 2
 
 
+def test_argparse_rejects_a_window_that_is_not_two_integers(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["toeplitz", "--ring", "F5", "--window", "a,3", "t", "t"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --window: expected integers in --window M,N\n")
+
+
+_POSITION = " (line 1, column 1)"
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["parshin", "--flag", "t2=0"], 2,
+     "parse error: bad flag 't2=0': expected 'VAR=EXPR@POINT'" + _POSITION),
+    (["parshin", "--flag", "s=0@0"], 2,
+     "parse error: bad flag 's=0@0': left side must be 't1=' or 't2='"
+     + _POSITION),
+    (["parshin", "--flag", "t1=t1@0"], 2,
+     "parse error: bad flag 't1=t1@0': a vertical line needs a constant "
+     "right side" + _POSITION),
+    # the denominator is printed in the flag's variable
+    (["parshin", "--flag", "t2=1/t1@0"], 3,
+     "domain error: '1/t1' is not polynomial in 't1' (denominator t1)"),
+    (["weil", "--flag", "t1=0@0"], 2,
+     "parse error: --flag only applies to verify parshin" + _POSITION),
+])
+def test_flag_refusals(capsys, argv, code, message):
+    exprs = ["t1", "t2", "t1+t2"] if argv[0] == "parshin" else ["t", "1-t"]
+    got = run(capsys, "verify", *argv, "--ring", "F5", *exprs)
+    assert got == (code, "", f"sym: {message}\n")
+
+
 def test_wrong_arity_is_parse_error(capsys):
     code, _, err = run(capsys, "symbol", "cc", "--ring", "F5", "t")
     assert code == 2
@@ -413,6 +445,36 @@ def test_batch_mode(capsys, monkeypatch):
     assert rows[3]["exit"] == 2
     assert rows[4]["verdict"] is True
     assert code == 2  # first failing line sets the batch exit code
+
+
+def test_batch_refuses_an_open_quote_and_a_nested_batch(capsys, monkeypatch):
+    lines = ["symbol tame --ring F5 '1+t t", "batch",
+             "symbol tame --ring F5 t 1+t"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code = main(["batch"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows[:2] == [
+        {"schema": "cc-symbols/1", "error": f"bad command: {lines[0]}",
+         "exit": 2},
+        {"schema": "cc-symbols/1",
+         "error": "cannot nest batch mode (line 1, column 1)", "exit": 2}]
+    assert rows[2]["value"] == "1"
+    assert code == 2
+
+
+def test_batch_reply_to_a_false_verdict_carries_exit_4(capsys, monkeypatch):
+    F5 = PrimeField(5)
+    fake = ReciprocityReport(
+        law="weil", ok=False, product=F5.from_int(2),
+        factors=(LocalFactor("t", 1, F5.from_int(2), F5.from_int(2)),))
+    monkeypatch.setattr("ccsym.cli.weil_check", lambda f, g, precision: fake)
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "verify weil --ring F5 t 1-t\nsymbol tame --ring F5 t 1+t\n"))
+    code = main(["batch"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows[0]["verdict"] is False and rows[0]["exit"] == 4
+    assert "exit" not in rows[1] and rows[1]["value"] == "1"
+    assert code == 4
 
 
 def test_batch_domain_error_continues(capsys, monkeypatch):

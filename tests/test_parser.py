@@ -18,7 +18,8 @@ from ccsym.parser import (MAX_NESTING, parse_expression, parse_polynomial,
                           parse_ring, parse_scalar, parse_tree, ring_label,
                           tokenize)
 from ccsym.poly import Poly
-from ccsym.rings import ArtinianLocal, GaloisField, PrimeField, RingValue, embed
+from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
+                         _composite, _fmt_poly, embed)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -824,8 +825,9 @@ def _o_parse_polynomial(src: str, ring, var: str = "t"):
     dom.names[var] = dom.names.pop("t")
     value = _o_evaluate(_o_parse_tree(src), dom)
     if not value.den.is_one():
+        den = _fmt_poly(enumerate(value.den.coeffs), var, str, _composite)
         raise UnsupportedArgument(
-            f"{src!r} is not polynomial in {var!r} (denominator {value.den!r})")
+            f"{src!r} is not polynomial in {var!r} (denominator {den})")
     return value.num
 
 

@@ -503,6 +503,27 @@ def test_parshin_refuses_mixed_coefficient_rings():
             parshin_check(functions, flags)
 
 
+def test_parshin_refuses_an_artinian_ring():
+    A = ArtinianLocal(PrimeField(3), 2)
+    pool, zero = line_pool(A), A.zero()
+    flags = [SurfaceFlag.vertical(zero, zero),
+             SurfaceFlag.graph(Poly.zero(A), zero),
+             SurfaceFlag.graph(Poly(A, [0, -1]), zero)]
+    with pytest.raises(UnsupportedArgument,
+                       match="^plane reciprocity is implemented over fields$"):
+        parshin_check((pool["t1"], pool["t2"], pool["t1+t2"]), flags)
+
+
+def test_line_laws_refuse_functions_over_two_rings():
+    f, g = RationalFunction.variable(F5), RationalFunction.variable(F7)
+    a, b = (RationalFunction.variable(ArtinianLocal(F5, m)) for m in (2, 3))
+    for check, pair in ((weil_check, (f, g)), (cc_check, (f, g)),
+                        (cc_check, (a, b))):
+        with pytest.raises(UnsupportedArgument, match="^both functions "
+                           "must share one coefficient ring$"):
+            check(*pair)
+
+
 def test_parshin_refuses_a_repeated_flag():
     # counted twice, the factor 2 of t1 = 0 made the product 2: a false
     # refutation of the law

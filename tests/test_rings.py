@@ -210,6 +210,56 @@ def test_embed_refuses_a_field_of_another_characteristic():
         embed(F4.generator(), F9)
 
 
+def _old_field_embed(x, dst):
+    """Oracle: the former field embedding on RingValues, with the pinned
+    image of the generator found by scanning (`_scan_subfield_generator`)."""
+    src = x.ring
+    if src is dst:
+        return x
+    if isinstance(src, PrimeField):
+        return dst.from_int(x.raw)
+    ghat = RingValue(dst, _scan_subfield_generator(src, dst))
+    acc, power = dst.zero(), dst.one()
+    for c in x.raw:
+        acc = acc + power * c
+        power = power * ghat
+    return acc
+
+
+def _old_embed(x, dst):
+    """Oracle: the former `embed`, coordinate by coordinate into an
+    artinian ring."""
+    if not isinstance(dst, ArtinianLocal):
+        return _old_field_embed(x, dst)
+    if isinstance(x.ring, ArtinianLocal):
+        return RingValue(dst, tuple(
+            _old_field_embed(RingValue(x.ring.base, c), dst.base).raw
+            for c in x.raw))
+    return RingValue(dst, (_old_field_embed(x, dst.base).raw,)
+                     + dst.zero().raw[1:])
+
+
+F16, F81 = GaloisField(2, 4), GaloisField(3, 4)
+# the pairs this module embeds, and two artinian-to-artinian pairs
+EMBED_PAIRS = [(F3, F9), (F3, F3), (F9, F81), (F3, F81), (F2, F16), (F4, F16),
+               (F8, GaloisField(2, 6)), (F5, GaloisField(5, 2)),
+               (F3, ArtinianLocal(F3, 2)), (F9, ArtinianLocal(F9, 2)),
+               (ArtinianLocal(F3, 2), ArtinianLocal(F9, 2)),
+               (ArtinianLocal(F4, 3), ArtinianLocal(F16, 3))] + [
+    (GaloisField(p, D), ArtinianLocal(GaloisField(p, D), m))
+    for p, D in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]
+    for m in (2, 3)]
+
+
+@pytest.mark.parametrize("src, dst", EMBED_PAIRS, ids=repr)
+def test_embed_raw_matches_the_ring_value_embedding(src, dst):
+    rng = random.Random(repr((src, dst)))
+    for x in [src.zero(), src.one()] + [src.random(rng) for _ in range(12)]:
+        want = _old_embed(x, dst)
+        assert rings._embed_raw(x.raw, src, dst) == want.raw, x
+        assert embed(x, dst) == want
+
+
 def _field_conjugate_product(x, sub_degree):
     """Oracle: the product of the Galois conjugates x^(q^i), q = p^sub_degree,
     taken inside the big field."""
@@ -278,7 +328,7 @@ def _determinant_norm(x, sub_degree):
     if sub_degree == 1:
         sub_basis = [big.one()]
     else:
-        ghat = rings._pinned_subfield_generator(sub, big)
+        ghat = RingValue(big, rings._pinned_subfield_generator(sub, big))
         sub_basis = [ghat ** j for j in range(sub_degree)]
     cols = [list((s * b).raw) for b in basis for s in sub_basis]
     matrix = [list(row) for row in zip(*cols)]
@@ -320,10 +370,10 @@ def test_artinian_norm_matches_determinant_oracle(p, D, m):
 def test_subfield_coords_inverts_the_embedding(p, d, s):
     big, sub = GaloisField(p, d), rings._finite_field(p, s)
     for x in sub.elements():
-        assert rings._subfield_coords(embed(x, big), sub) == x
+        assert rings._subfield_coords(embed(x, big).raw, big, sub) == x.raw
     # a value outside the subfield fails the check on the other rows
     with pytest.raises(AlgebraError, match="inconsistent linear system"):
-        rings._subfield_coords(big.generator(), sub)
+        rings._subfield_coords(big.generator().raw, big, sub)
 
 
 def _scan_subfield_generator(sub, big):
@@ -350,7 +400,7 @@ def test_pinned_subfield_generator_matches_scan(p, top):
             if d % e == 0:
                 sub = GaloisField(p, e)
                 pinned = rings._pinned_subfield_generator(sub, big)
-                assert pinned.raw == _scan_subfield_generator(sub, big), (sub, big)
+                assert pinned == _scan_subfield_generator(sub, big), (sub, big)
 
 
 def _trial_division_is_prime(n):
@@ -729,6 +779,22 @@ def _tabled_artinian_rings():
             if k.size ** m <= rings._TABLE_BOUND]
 
 
+def _neumann_inverse(A, a):
+    """Oracle: the former artinian inverse, which inverted the constant term
+    c and summed the Neumann series of m - 1 full products against the
+    nilpotent tail -c (a - a_0)."""
+    base = A.base
+    c = base._inv(a[0])
+    zero = base._zero_raw()
+    minus_tail = tuple(base._neg(base._mul(c, x)) if i else zero
+                       for i, x in enumerate(a))
+    acc = term = A._one_raw()
+    for _ in range(A.m - 1):
+        term = A._mul_kernel(term, minus_tail)
+        acc = A._add_kernel(acc, term)
+    return tuple(base._mul(c, x) for x in acc)
+
+
 @pytest.mark.parametrize("A", _tabled_artinian_rings(), ids=repr)
 def test_tabled_inverse_matches_the_neumann_series_on_every_unit(A):
     A.__dict__.pop("_tables", None)
@@ -736,12 +802,50 @@ def test_tabled_inverse_matches_the_neumann_series_on_every_unit(A):
     for _ in range(2):              # the first pass fills, the second reads
         for a in elems:
             if A._is_unit(a):
-                assert A._inv(a) == A._inv_kernel(a), a
+                assert A._inv(a) == A._inv_kernel(a) == _neumann_inverse(A, a), a
             else:
                 with pytest.raises(DivisionByNonUnit):
                     A._inv(a)
     assert [x is None for x in A._tables.inverses] == [
         not A._is_unit(a) for a in A._tables.elems]
+
+
+def _unreduced(A, raw, rng):
+    """The same element of A with every prime-field coordinate moved by a
+    random multiple of p."""
+    p = A.char
+    if isinstance(A.base, PrimeField):
+        return tuple(c + p * rng.randrange(-2, 3) for c in raw)
+    return tuple(tuple(x + p * rng.randrange(-2, 3) for x in c) for c in raw)
+
+
+@pytest.mark.parametrize("k", [F5, F9], ids=repr)
+def test_inverse_kernel_matches_the_neumann_series_up_to_order_64(k):
+    rng = random.Random(64 * k.size)
+    for m in (2, 3, 4, 5, 7, 8, 13, 16, 21, 32, 33, 64):
+        A = ArtinianLocal(k, m)
+        units = [A.random_unit(rng).raw for _ in range(3)]
+        # a unit with one e-term, and one with none
+        units += [A.one().raw, (A.one() + A.eps() ** (m - 1)).raw]
+        for a in units:
+            want = _neumann_inverse(A, a)
+            assert A._inv_kernel(a) == want, (m, a)
+            assert A._inv_kernel(_unreduced(A, a, rng)) == want, (m, a)
+        with pytest.raises(DivisionByNonUnit):
+            A._inv_kernel((A.eps() * A.random(rng)).raw)
+
+
+def test_inverting_a_dense_unit_at_the_nilpotency_limit_is_fast():
+    # about 800 of the 1024 coordinates are nonzero: the Neumann series of
+    # 1023 full products took 25 s on a 2-core host, the recurrence is
+    # O(m * 800)
+    A = ArtinianLocal(F5, rings._NILPOTENCY_LIMIT)
+    a = A.random_unit(random.Random(1024)).raw
+    start = time.perf_counter()
+    inverse = A._inv(a)
+    assert time.perf_counter() - start < 2.0
+    assert sum(1 for c in a if c) > 700
+    assert A._mul_kernel(a, inverse) == A._one_raw()
 
 
 def test_rings_above_the_table_bound_use_the_kernel():

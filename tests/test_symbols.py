@@ -6,12 +6,12 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from ccsym.errors import (NotAUnit, NotRegular, PrecisionExhausted,
-                          UnsupportedArgument)
+from ccsym.errors import (DescriptorMismatch, NotAUnit, NotRegular,
+                          PrecisionExhausted, UnsupportedArgument)
 from ccsym.laurent import (LaurentRing, LaurentSeries, iterated_ring, nest,
                            reduce_mod_t, unit_decompose)
-from ccsym.parser import parse_expression
-from ccsym.rings import ArtinianLocal, GaloisField, PrimeField
+from ccsym.parser import parse_expression, parse_ring
+from ccsym.rings import ArtinianLocal, GaloisField, PrimeField, format_value
 from ccsym.symbols import (CONVENTION, cc_symbol, higher_symbol,
                            steinberg_expand, tame_symbol)
 
@@ -651,3 +651,33 @@ def test_closed_form_at_depth_eight_is_antisymmetric_and_fast():
         swapped[i], swapped[j] = args[j], args[i]
         assert (higher_symbol(args) * higher_symbol(swapped)).is_one()
     assert time.perf_counter() - start < 2.0
+
+
+def test_symbols_refuse_two_rings_and_arguments_without_a_series():
+    f, g = LaurentRing(F5).gen(), LaurentRing(F7).gen()
+    for symbol in (tame_symbol, cc_symbol):
+        with pytest.raises(DescriptorMismatch,
+                           match="^symbol arguments live in different rings$"):
+            symbol(f, g)
+        with pytest.raises(DescriptorMismatch, match="^symbol needs at least "
+                           "one Laurent series argument$"):
+            symbol(2, 3)
+    with pytest.raises(DescriptorMismatch,
+                       match="^symbol arguments live in different rings$"):
+        higher_symbol([f, g])
+    with pytest.raises(DescriptorMismatch, match="^symbol needs at least "
+                       "one Laurent series argument$"):
+        higher_symbol([2, 3])
+
+
+def test_cc_symbol_with_a_dense_lead_at_the_nilpotency_limit_is_fast():
+    # the lead 1 + e + e^2 + e^3 of the first argument is inverted in the
+    # ring: by a Neumann series of 1023 full products this took 8 s
+    # in-process on a 2-core host
+    ring = parse_ring("F5[e]/e^1024")
+    start = time.perf_counter()
+    f, g = (parse_expression(src, ring, domain="series")
+            for src in ("(1+e+e^2+e^3)*t+t^2", "(2+e)*t"))
+    value = cc_symbol(f, g)
+    assert time.perf_counter() - start < 2.0
+    assert format_value(value) == "2 + e + 4*e^2"

@@ -1022,3 +1022,10 @@ def test_szego_ratio_on_codes_matches_the_payload_kernel(monkeypatch, ring):
     assert got == want
     kinds = {x[0] if isinstance(x, tuple) else "value" for x in got}
     assert "value" in kinds and SingularCompression in kinds
+
+
+def test_joint_torsion_refuses_symbols_over_two_rings():
+    f, g = LaurentRing(PrimeField(5)).gen(), LaurentRing(PrimeField(7)).gen()
+    with pytest.raises(AlgebraError,
+                       match="^joint torsion needs symbols over one ring$"):
+        joint_torsion(f, g)
