@@ -33,13 +33,14 @@ Over a local coefficient ring every element splits as
 
     f = prod_{i<0} (1 - a_i t^i) * a_0 t^nu * prod_{i>0} (1 - a_i t^i)
 
-with the negative-index a_i nilpotent; `unit_decompose` computes this.  Its
-positive stage keeps the normalised remainder r = f / (a_0 t^nu) as one dense
-list below the cutoff N: a_i = -r[i], and dividing by (1 - a_i t^i) is the
-in-place recurrence r[k] += a_i r[k-i] for k rising from i to N - 1, which
-costs O(N) per factor.  A decomposition keeps r, so `extend` reruns only this
-stage at a larger cutoff.  The symbol evaluators live in `symbols`; they
-consume these decompositions.
+with the negative-index a_i nilpotent; `unit_decompose` computes this.  With
+t^-low f = F U, the Weierstrass preparation (F monic, F = t^d mod the maximal
+ideal, d = nu - low), F / t^d is the negative product, and the positive stage
+keeps r = U / U_0 as one dense list below the cutoff N: a_i = -r[i], and
+dividing by (1 - a_i t^i) is the in-place recurrence r[k] += a_i r[k-i] for k
+rising from i to N - 1, which costs O(N) per factor.  A decomposition keeps r,
+so `extend` reruns only this stage at a larger cutoff.  The symbol evaluators
+live in `symbols`; they consume these decompositions.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from collections import namedtuple
 
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit, NotRegular,
                      PrecisionExhausted)
-from .rings import (RingDescriptor, _composite, _fmt_poly, _raw_series_div,
-                    _signed_power, format_value)
+from .rings import (RingDescriptor, _composite, _fmt_poly, _raw_divmod,
+                    _raw_series_div, _signed_power, format_value)
 
 #: raw coefficient operations that the kernel loops run on
 _CoeffOps = namedtuple("_CoeffOps", "mul add neg nonzero wrap")
@@ -294,15 +295,11 @@ class LaurentSeries:
     def agrees_with(self, other, upto=None) -> bool:
         """Equality of coefficients below min(precisions, upto)."""
         o = self._lift(other)
-        bound = _merge_prec(self.prec, o.prec)
-        bound = _merge_prec(bound, upto)
-        for e in set(self.coeffs) | set(o.coeffs):
-            if bound is not None and e >= bound:
-                continue
-            if not (self.coeffs.get(e, self.ring.base.zero())
-                    == o.coeffs.get(e, self.ring.base.zero())):
-                return False
-        return True
+        bound = _merge_prec(_merge_prec(self.prec, o.prec), upto)
+        zero = self.ring.base.zero()
+        return all(self.coeffs.get(e, zero) == o.coeffs.get(e, zero)
+                   for e in self.coeffs.keys() | o.coeffs.keys()
+                   if bound is None or e < bound)
 
     def __repr__(self):
         return format_series(self)
@@ -388,11 +385,13 @@ def _build(ring: LaurentRing, raw: dict, prec=None) -> LaurentSeries:
 def _product(ring: LaurentRing, x: dict, y: dict, bound=None) -> dict:
     """Schoolbook product of payload dicts below `bound`, zero terms dropped."""
     mul, add, _, nonzero, _ = ring._coeff_ops
+    if bound is None:
+        bound = max(x, default=0) + max(y, default=0) + 1
     out: dict = {}
     for e1, c1 in x.items():
         for e2, c2 in y.items():
             e = e1 + e2
-            if bound is not None and e >= bound:
+            if e >= bound:
                 continue
             p = mul(c1, c2)
             s = out.get(e)
@@ -413,20 +412,6 @@ def _add_into(ring: LaurentRing, acc: dict, y: dict) -> None:
             acc[e] = s
         else:
             del acc[e]
-
-
-def _geometric(ring: LaurentRing, m: dict, bound, steps: int):
-    """1 + m + m^2 + ... on payload dicts, each power cut below `bound` (None:
-    exact).  Stops at the first zero power or after `steps` powers; returns
-    the sum and the last power, which is empty iff the series terminated."""
-    one = ring.base._one_raw()
-    acc, term = {0: one}, {0: one}
-    for _ in range(steps):
-        term = _product(ring, term, m, bound)
-        if not term:
-            break
-        _add_into(ring, acc, term)
-    return acc, term
 
 
 def _unit_inverse(ring: LaurentRing, raw: dict, nu: int, prec: int) -> dict:
@@ -451,8 +436,15 @@ def _unit_inverse(ring: LaurentRing, raw: dict, nu: int, prec: int) -> dict:
         # nilpotent factors to re-enter below rel_prec, so it never does
         work = rel_prec + (L - 1) * pole
         limit = max(0, work) + (L - 1) * (pole + 1) + 1
-        acc, term = _geometric(ring, m, work, limit)
-        if term:  # pragma: no cover
+        # 1 + m + m^2 + ... until a power vanishes in the window
+        one = ring.base._one_raw()
+        acc, term = {0: one}, {0: one}
+        for _ in range(limit):
+            term = _product(ring, term, m, work)
+            if not term:
+                break
+            _add_into(ring, acc, term)
+        else:  # pragma: no cover
             raise AlgebraError("inverse iteration failed to terminate")
         out = {e - nu: mul(c, inv) for e, c in acc.items() if e < rel_prec}
         return {e: c for e, c in out.items() if nonzero(c)}
@@ -499,8 +491,8 @@ class UnitDecomposition:
     `neg` and `pos` map exponents i to the coefficients a_i; `cutoff` is the
     exclusive bound on stored positive indices: the product reconstructs the
     source exactly below t^(nu + cutoff).  `rem` holds the payloads of the
-    normalised remainder f / (neg product * lead * t^nu), from which
-    `extend` reads the positive factors at another cutoff.
+    normalised remainder U / U_0 = f / (neg product * lead * t^nu), from
+    which `extend` reads the positive factors at another cutoff.
     """
 
     __slots__ = ("ring", "nu", "lead", "neg", "pos", "cutoff", "rem")
@@ -526,9 +518,7 @@ class UnitDecomposition:
     def reconstruct(self) -> LaurentSeries:
         ring = self.ring
         out = LaurentSeries(ring, {self.nu: self.lead}, None)
-        for i, a in self.pos.items():
-            out = out * LaurentSeries(ring, {0: ring.base.one(), i: -a}, None)
-        for i, a in self.neg.items():
+        for i, a in [*self.pos.items(), *self.neg.items()]:
             out = out * LaurentSeries(ring, {0: ring.base.one(), i: -a}, None)
         return out
 
@@ -575,58 +565,50 @@ def _truncated(f: LaurentSeries) -> bool:
 
 
 def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
-    """Split a unit series into elementary factors (see UnitDecomposition).
-
-    Works on the exact stored part.  The nilpotent below-valuation tail is
-    peeled in two stages: first f is divided by 1 + (tail * f_reg^{-1}) style
-    correctors until nothing survives below the valuation (the surviving
-    order doubles each pass, so nil_bound passes suffice), then the clean
-    corrector product, a series in s = 1/t, is resolved into factors
-    (1 - a_i s^-i) by the positive stage.  Positive factors
-    are then read off upward; they are truncated at `positive_cutoff` (default
-    from f.prec) since the positive product rarely terminates.
-    """
+    """Split a unit series into elementary factors (see UnitDecomposition)
+    by the Weierstrass preparation of the module docstring, on the exact
+    stored part.  Positive factors stop at `positive_cutoff` (default from
+    f.prec), since the positive product rarely terminates."""
     require_units("cannot decompose non-unit {f!r}", f)
-    ring = f.ring
+    ring, base = f.ring, f.ring.base
     mul, _, negate, nonzero, wrap = ring._coeff_ops
-    one = ring.base._one_raw()
-    nu = f.valuation()
+    zero, one = base._zero_raw(), base._one_raw()
+    nu, low = f.valuation(), f.low
 
-    # stage 1: strip the nilpotent negative tail
-    h = f._raw
-    w_acc = {0: one}
-    for _ in range(ring.nil_bound + 2):
-        tail = {e: c for e, c in h.items() if e < nu}
-        if not tail:
+    # stage 1: each pass lifts F by one power of the ideal.  F divides t^(L d)
+    # (1/w, w = F/t^d, has s-degree <= (L-1) d), so p up to degree L d decides
+    # F, and f_e t^e past that adds f_e t^(e+d-L d) Q, Q = t^(L d)/F monic, to h
+    L, d = ring.nil_bound, nu - low
+    p = [f._raw.get(e, zero) for e in range(low, min(max(f._raw), low + L * d) + 1)]
+    F = [zero] * d + [one]
+    for _ in range(L):
+        U, r = _raw_divmod(p, F, base)
+        if not any(map(nonzero, r)):
             break
-        regular = {e: c for e, c in h.items() if e >= nu}
-        r_inv = _unit_inverse(ring, regular, nu, 1 - min(tail))
-        n = _product(ring, tail, r_inv, 0)     # negative and nilpotent
-        n_inv, _ = _geometric(ring, {e: negate(c) for e, c in n.items()}, None,
-                              ring.nil_bound - 1)
-        h = _product(ring, h, n_inv)
-        w_acc = _product(ring, w_acc, {0: one, **n})
-    else:  # pragma: no cover
-        raise AlgebraError("negative-tail elimination failed to converge")
+        tail = [(i, negate(U[i])) for i in range(1, min(d, len(U)))]
+        # a coefficient without stored terms is zero, so r keeps what F misses
+        F = [c if nonzero(c) else zero for c in _raw_series_div(
+            f._raw, low, tail, base._inv(U[0]), d, base)] + [one]
+    else:
+        raise PrecisionExhausted(f"the stored terms of {f!r} do not determine its negative part")
+    far = {e: c for e, c in f._raw.items() if e > low + L * d}
+    h = {**far, **{nu + i: c for i, c in enumerate(U) if nonzero(c)}}
+    if d and far:
+        Q = _raw_divmod([zero] * (L * d) + [one], F, base)[0]
+        _add_into(ring, h, _product(ring, far, {
+            i + d - L * d: q for i, q in enumerate(Q[:-1]) if nonzero(q)}))
+    w = {d - j: c for j, c in enumerate(F) if nonzero(c)}
 
-    # stage 2: w_acc is a product of factors (1 - a_e t^e), e < 0, positive
-    # in s = 1/t.  Each a_e sums products of at least -e/D nilpotent
-    # coefficients of w_acc, D = -min(w_acc), so none lies past (L - 1) D
-    neg = {-i: a for i, a in _positive_factors(
-        ring, {-e: c for e, c in w_acc.items()},
-        (ring.nil_bound - 1) * -min(w_acc) + 1).items()}
+    # stage 2: w = prod (1 - a_e t^e), e < 0, each a_e a sum of products of at
+    # least -e/d nilpotent coefficients of F, so -e is at most (L - 1) d
+    neg = {-i: a for i, a in _positive_factors(ring, w, (L - 1) * d + 1).items()}
 
-    # stage 3: positive factors up to the cutoff, from the normalised
-    # remainder h / (lead t^nu)
-    lead = h[nu]
+    # stage 3: positive factors up to the cutoff, from rem = h / (U_0 t^nu)
+    lead = U[0]
     if positive_cutoff is None:
-        if f.prec is not None:
-            positive_cutoff = f.prec - nu
-        else:
-            positive_cutoff = (max(h) - nu) + 1
-    lead_inv = ring.base._inv(lead)
-    rem = {e - nu: mul(c, lead_inv) for e, c in h.items()}
-    rem = {e: c for e, c in rem.items() if nonzero(c)}
+        positive_cutoff = max(f._raw) - nu + 1 if f.prec is None else f.prec - nu
+    lead_inv = base._inv(lead)
+    rem = {e - nu: x for e, c in h.items() if nonzero(x := mul(c, lead_inv))}
     return UnitDecomposition(ring, nu, wrap(lead), neg,
                              _positive_factors(ring, rem, positive_cutoff),
                              positive_cutoff, rem)

@@ -512,8 +512,8 @@ class GaloisField(RingDescriptor):
 
 # the largest artinian ring, by number of elements, that gets scalar tables
 _TABLE_BOUND = 256
-# the largest nilpotency order m, refused before any m-long payload is built:
-# over F5[e]/e^1024 CC symbols take 0.1 s (lead 1+e+e^2+e^3) to 0.7 s (e*t^-1)
+# the largest nilpotency order m, refused before any m-long payload is built;
+# over F5[e]/e^1024 a CC symbol of two units with nilpotent poles takes 43 s
 _NILPOTENCY_LIMIT = 1024
 # the largest Galois field that gets log and Zech tables: the smallest power
 # of two that covers F_{3^8}, the residue field of degree-4 places over F9
@@ -1098,13 +1098,14 @@ def _raw_divmod(a: list, b: list, field) -> tuple[list, list]:
     zero = field._zero_raw()
     a = list(a)
     n = len(b) - 1
+    terms = [j for j in range(n) if b[j] != zero]
     quot = [zero] * max(len(a) - n, 0)
     for k in range(len(a) - 1, n - 1, -1):
         c = quot[k - n] = a[k]
         if c != zero:
-            c = neg(c)
-            for j in range(n):
-                a[k - n + j] = add(a[k - n + j], mul(c, b[j]))
+            c, i = neg(c), k - n
+            for j in terms:
+                a[i + j] = add(a[i + j], mul(c, b[j]))
     del a[n:]
     return quot, _raw_trim(a, zero)
 

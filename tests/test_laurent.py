@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccsym.errors import AlgebraError, NotAUnit, NotRegular, PrecisionExhausted
-from ccsym.laurent import (LaurentRing, LaurentSeries, _merge_prec, _mul_prec,
+from ccsym.laurent import (LaurentRing, LaurentSeries, UnitDecomposition,
+                           _add_into, _merge_prec, _mul_prec,
+                           _positive_factors, _product, _unit_inverse,
                            default_precision, format_series, iterated_ring,
-                           laurent_inv, nest, reduce_mod_t, unit_decompose)
+                           laurent_inv, nest, reduce_mod_t, require_units,
+                           unit_decompose)
 from ccsym.rings import (ArtinianLocal, GaloisField, PrimeField, RingValue,
                          format_value)
 
@@ -664,6 +667,8 @@ def test_unit_decompose_matches_oracle(label):
     rng = random.Random(label)
     units = [f for f in _diff_samples(label, 4, 30) if f.is_unit()]
     assert len(units) >= 8
+    if label in TAIL_SAMPLES:
+        units += _tail_samples(label, 12)
     exact_cases = 0
     for f in units:
         for cutoff in (None, 1, rng.randrange(2, 24)):
@@ -683,6 +688,157 @@ def test_unit_decompose_matches_oracle(label):
                 # positive factors may differ
                 assert got[:3] + got[4:] == tuple(want[:3] + want[4:]), (f, cutoff)
     assert exact_cases >= 8 or label in INEXACT
+
+
+# -- the corrector-product split that Weierstrass preparation replaced -------
+
+def _geometric(ring, m, bound, steps):
+    """1 + m + m^2 + ... on payload dicts, each power cut below `bound`;
+    stops at the first zero power or after `steps` powers."""
+    one = ring.base._one_raw()
+    acc, term = {0: one}, {0: one}
+    for _ in range(steps):
+        term = _product(ring, term, m, bound)
+        if not term:
+            break
+        _add_into(ring, acc, term)
+    return acc, term
+
+
+def _corrector_unit_decompose(f, positive_cutoff=None):
+    """The negative split by corrector products: f is divided by
+    1 + (tail * f_reg^-1) correctors until nothing survives below the
+    valuation, and their product gives the negative factors."""
+    require_units("cannot decompose non-unit {f!r}", f)
+    ring = f.ring
+    mul, _, negate, nonzero, wrap = ring._coeff_ops
+    one = ring.base._one_raw()
+    nu = f.valuation()
+    h = f._raw
+    w_acc = {0: one}
+    for _ in range(ring.nil_bound + 2):
+        tail = {e: c for e, c in h.items() if e < nu}
+        if not tail:
+            break
+        regular = {e: c for e, c in h.items() if e >= nu}
+        r_inv = _unit_inverse(ring, regular, nu, 1 - min(tail))
+        n = _product(ring, tail, r_inv, 0)
+        n_inv, _ = _geometric(ring, {e: negate(c) for e, c in n.items()}, None,
+                              ring.nil_bound - 1)
+        h = _product(ring, h, n_inv)
+        w_acc = _product(ring, w_acc, {0: one, **n})
+    else:
+        raise AlgebraError("negative-tail elimination failed to converge")
+    neg = {-i: a for i, a in _positive_factors(
+        ring, {-e: c for e, c in w_acc.items()},
+        (ring.nil_bound - 1) * -min(w_acc) + 1).items()}
+    lead = h[nu]
+    if positive_cutoff is None:
+        if f.prec is not None:
+            positive_cutoff = f.prec - nu
+        else:
+            positive_cutoff = (max(h) - nu) + 1
+    lead_inv = ring.base._inv(lead)
+    rem = {e - nu: mul(c, lead_inv) for e, c in h.items()}
+    rem = {e: c for e, c in rem.items() if nonzero(c)}
+    return UnitDecomposition(ring, nu, wrap(lead), neg,
+                             _positive_factors(ring, rem, positive_cutoff),
+                             positive_cutoff, rem)
+
+
+def _fields(fn, f, cutoff):
+    """All six fields of a decomposition, or the refusal's type and text."""
+    try:
+        d = fn(f, cutoff)
+    except AlgebraError as exc:
+        return type(exc).__name__, str(exc)
+    return d.nu, d.lead, d.neg, d.pos, d.cutoff, d.rem
+
+
+def _split_samples(base, count, rng):
+    """Units with up to four nilpotent terms, up to six places below the
+    valuation, half of them truncated, and some with a term far above the
+    rest, past the dense window of the split."""
+    ring = LaurentRing(base, "t")
+    out = []
+    for _ in range(count):
+        nu = rng.randrange(-2, 3)
+        coeffs = {e: base.eps() * base.random(rng)
+                  for e in rng.sample(range(nu - 6, nu), rng.randrange(0, 5))}
+        coeffs[nu] = base.random_unit(rng)
+        coeffs.update({e: base.random(rng) for e in range(nu + 1, nu + 5)
+                       if rng.random() < 0.5})
+        if rng.random() < 0.4:
+            coeffs[nu + 7 * base.nil_bound + 20] = base.random(rng)
+        out.append(LaurentSeries(ring, coeffs,
+                                 rng.choice((None, nu + rng.randrange(1, 12)))))
+    return out
+
+
+SPLIT_BASES = [ArtinianLocal(k, m) for k in (PrimeField(2), F3, F5, GaloisField(3, 2))
+               for m in range(2, 13)]
+
+
+@pytest.mark.parametrize("base", SPLIT_BASES, ids=repr)
+def test_weierstrass_split_matches_corrector_products(base):
+    rng = random.Random(f"split {base!r}")
+    for f in _split_samples(base, 5, rng):
+        for cutoff in (None, rng.randrange(1, 12)):
+            want = _fields(_corrector_unit_decompose, f, cutoff)
+            assert len(want) == 6, (f, cutoff)
+            assert _fields(unit_decompose, f, cutoff) == want, (f, cutoff)
+
+
+@pytest.mark.parametrize("label", sorted(set(TOWERS) - INEXACT))
+def test_weierstrass_split_matches_corrector_products_on_exact_towers(label):
+    rng = random.Random(f"split {label}")
+    units = [f for f in _diff_samples(label, 6, 40) if f.is_unit()]
+    assert len(units) >= 15
+    for f in units:
+        for cutoff in (None, rng.randrange(1, 12)):
+            want = _fields(_corrector_unit_decompose, f, cutoff)
+            assert _fields(unit_decompose, f, cutoff) == want, (f, cutoff)
+
+
+@pytest.mark.parametrize("label", sorted(INEXACT))
+def test_weierstrass_split_never_answers_where_corrector_products_refuse(label):
+    # truncated inner coefficients: the two routes drop O(t1^N) terms at
+    # different points, so only what both store must agree
+    rng = random.Random(f"split {label}")
+    units = [f for f in _diff_samples(label, 7, 60) if f.is_unit()]
+    answered = 0
+    for f in units:
+        for cutoff in (None, rng.randrange(1, 12)):
+            old = _fields(_corrector_unit_decompose, f, cutoff)
+            new = _fields(unit_decompose, f, cutoff)
+            if len(old) == 2:
+                assert len(new) == 2, (f, cutoff)
+                continue
+            if len(new) == 2:
+                continue
+            answered += 1
+            assert (new[0], new[4]) == (old[0], old[4]), (f, cutoff)
+            assert new[1].agrees_with(old[1]), (f, cutoff)
+            # neg, pos and rem: every coefficient both routes store
+            for got, want in zip(new[2:4] + new[5:], old[2:4] + old[5:]):
+                for e in got.keys() & want.keys():
+                    assert got[e].agrees_with(want[e]), (f, cutoff, e)
+    assert answered >= 40
+
+
+def test_a_split_that_leaves_a_term_below_the_valuation_is_refused():
+    # 1/c_-1 is known only below t1^-1, so F's low coefficient c_-2 / c_-1
+    # comes out as O(t1^-2), with no stored terms, and the remainder keeps
+    # c_-2 in every pass.  The corrector products stall on the same unit
+    tower = iterated_ring(A32, ["t1", "t2"])
+    e = A32.eps()
+    f = nest(tower, {-2: {-1: 2 * e, 0: 2 * e, 2: 2 * e},
+                     -1: {-1: e, 0: e, 1: 1 + e}}, prec=8, inner_prec=5)
+    assert _fields(_corrector_unit_decompose, f, None) == (
+        "AlgebraError", "negative-tail elimination failed to converge")
+    with pytest.raises(PrecisionExhausted,
+                       match="do not determine its negative part$"):
+        unit_decompose(f)
 
 
 @pytest.mark.parametrize("spec,depths", [("F5[e]/e^2", (1, 7, 25, 100, 200)),

@@ -572,3 +572,68 @@ def test_int_scales_a_polynomial_from_either_side(ring):
             f * other
         with pytest.raises(DescriptorMismatch, match="cannot multiply"):
             other * f
+
+
+# -- the raw division kernel against the loop it replaced --------------------
+
+def _dense_divmod(a, b, field):
+    """Division by the monic b that multiplies every divisor coefficient,
+    zeros included."""
+    mul, add, neg = field._mul, field._add, field._neg
+    zero = field._zero_raw()
+    a = list(a)
+    n = len(b) - 1
+    quot = [zero] * max(len(a) - n, 0)
+    for k in range(len(a) - 1, n - 1, -1):
+        c = quot[k - n] = a[k]
+        if c != zero:
+            c = neg(c)
+            for j in range(n):
+                a[k - n + j] = add(a[k - n + j], mul(c, b[j]))
+    del a[n:]
+    return quot, rings._raw_trim(a, zero)
+
+
+def _divisors(ring, rng):
+    """Sparse monic t^J - b for J up to 100, dense monic divisors, and the
+    degree-0 divisor [1]."""
+    zero, one = ring._zero_raw(), ring._one_raw()
+    out = [[one]]
+    for J in (1, 2, 5, 17, 64, 100):
+        out.append([ring._neg(ring.random(rng).raw)] + [zero] * (J - 1) + [one])
+    for n in range(1, 7):
+        out.append([ring.random(rng).raw for _ in range(n)] + [one])
+    return out
+
+
+@pytest.mark.parametrize("ring", [F2, F3, F4, F9, GaloisField(3, 10),
+                                  ArtinianLocal(F2, 3), ArtinianLocal(F5, 2)],
+                         ids=repr)
+def test_raw_divmod_matches_the_dense_loop(ring):
+    rng = random.Random(f"divmod kernel {ring!r}")
+    for b in _divisors(ring, rng):
+        for length in (0, 1, len(b) - 1, len(b), len(b) + 3, 2 * len(b) + 5):
+            a = [ring.random(rng).raw for _ in range(length)]
+            assert (rings._raw_divmod(a, b, ring)
+                    == _dense_divmod(a, b, ring)), (a, b)
+
+
+@pytest.mark.parametrize("field", [F9, GaloisField(3, 10)], ids=repr)
+def test_raw_divmod_on_unreduced_payloads_matches_up_to_reduction(field):
+    # coordinates raised by multiples of p: the loops may leave different
+    # representatives, never different elements
+    rng = random.Random(f"divmod unreduced {field!r}")
+    p, zero = field.p, field._zero_raw()
+
+    def unreduce(a):
+        return tuple(c + p * rng.randrange(0, 3) for c in a)
+
+    def reduced(coeffs):
+        return rings._raw_trim([field._add_kernel(c, zero) for c in coeffs], zero)
+
+    for b in _divisors(field, rng):
+        b = [unreduce(c) for c in b[:-1]] + b[-1:]
+        a = [unreduce(field.random(rng).raw) for _ in range(2 * len(b) + 3)]
+        got, want = ([reduced(part) for part in divmod_(a, b, field)]
+                     for divmod_ in (rings._raw_divmod, _dense_divmod))
+        assert got == want, (a, b)
