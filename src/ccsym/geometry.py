@@ -43,8 +43,8 @@ from .errors import (AlgebraError, NonUnitLeadingCoefficient, UnsupportedArgumen
                      ZeroFunction, ZeroOnCurve)
 from .laurent import LaurentRing, LaurentSeries, _series, laurent_inv
 from .poly import Poly, factor, poly_gcd, roots_in
-from .rings import (ArtinianLocal, RingValue, _finite_field, _fmt_poly, _power,
-                    embed, residue_field, residue_raw)
+from .rings import (ArtinianLocal, RingValue, _coded, _finite_field, _fmt_poly,
+                    _power, embed, residue_field, residue_raw)
 
 
 # -- fractions, and rational functions on the line ------------------------------
@@ -264,12 +264,13 @@ def _taylor_shift(ring, coeffs: list, alpha, order) -> dict:
     """sum_i coeffs[i] (alpha + u)^i below u^order as {exponent: payload},
     zeros dropped: Horner's rule with each step cut below u^order, as alpha +
     u never lowers an exponent (von zur Gathen-Gerhard, ISSAC 1997)."""
-    mul, add, zero = ring._mul, ring._add, ring._zero_raw()
+    k, (coeffs, (alpha,)) = _coded(ring, coeffs, [alpha])
+    mul, add, zero = k._mul, k._add, k._zero_raw()
     top = len(coeffs) if order is None else max(0, min(len(coeffs), order))
     acc = []
     for c in reversed(coeffs):                  # acc * (alpha + u) + c
         acc = [add(x, mul(alpha, y)) for x, y in zip([c] + acc, acc + [zero])][:top]
-    return {i: c for i, c in enumerate(acc) if c != zero}
+    return {i: k._decode(c) for i, c in enumerate(acc) if c != zero}
 
 
 def _lifted(coeffs, B) -> dict:

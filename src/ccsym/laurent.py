@@ -636,8 +636,10 @@ def _positive_factors(ring: LaurentRing, rem: dict, cutoff: int) -> dict:
             x = r[k - i]
             if nonzero(x):
                 r[k] = add(r[k], mul(a, x))
-    if any(map(nonzero, r[1:])):  # pragma: no cover
-        raise AlgebraError("positive part did not resolve cleanly")
+    if any(map(nonzero, r[1:])):    # a truncation hid r[0] = 1 from the updates
+        k = next(k for k in range(1, cutoff) if nonzero(r[k]))
+        raise PrecisionExhausted(f"the stored terms do not determine the coefficient "
+                                 f"of the positive factor at {ring.var}^{k}")
     return pos
 
 

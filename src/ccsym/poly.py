@@ -9,9 +9,11 @@ the kernel cannot live here.  `factor` splits f into squarefree parts
 (`_raw_squarefree`) and hands each to the kernel's distinct-degree split
 `_raw_ddf` and Cantor-Zassenhaus equal-degree split `_raw_edf`.
 `roots_in` runs `_field_roots` over the coefficient field of f, and the
-pinned minimal polynomials of `GaloisField` use the same modular powers.  The
-random choices are seeded from the polynomial, and factors and roots are
-sorted by encoding, so no output depends on them.
+pinned minimal polynomials of `GaloisField` use the same modular powers.
+Over a field with log tables, factors and roots are found on element codes
+(`rings._coded`) and only they are decoded.  The random choices are seeded
+from the payloads, and factors and roots are sorted by payload encoding, so
+no output depends on them or on the codes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import operator
 
 from .errors import (AlgebraError, DescriptorMismatch, NotAUnit,
                      UnsupportedArgument)
-from .rings import (RingDescriptor, RingValue, _composite, _embed_raw,
+from .rings import (RingDescriptor, RingValue, _coded, _composite, _embed_raw,
                     _field_roots, _fmt_poly, _power, _raw_add, _raw_ddf,
                     _raw_derivative, _raw_divmod, _raw_edf, _raw_encoding,
                     _raw_gcd, _raw_monic, _raw_mul, _raw_trim, _seeded_rng,
@@ -231,7 +233,7 @@ def _raw_squarefree(f: list, field) -> list[tuple[list, int]]:
             f = [_signed_power(field, c, p ** (field.degree - 1)) for c in f[::p]]
             e *= p
     return sorted(((list(g), m) for g, m in out.items()), key=lambda it: (
-        it[1], tuple(_raw_encoding(c, field) for c in it[0])))
+        it[1], tuple(_raw_encoding(field._decode(c), field) for c in it[0])))
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -249,14 +251,15 @@ def factor(f: Poly) -> tuple[RingValue, list[tuple[Poly, int]]]:
     if not f.ring.is_field:
         raise UnsupportedArgument("factorization needs field coefficients")
     field = f.ring
-    raw = f._raw
-    rng = _seeded_rng(raw, field)
+    k, (raw,) = _coded(field, f._raw)
+    rng = _seeded_rng(raw, k)
     factors: list[tuple[Poly, int]] = []
-    for g, mult in _raw_squarefree(_raw_monic(raw, field), field):
-        for h, d in _raw_ddf(g, field):
+    for g, mult in _raw_squarefree(_raw_monic(raw, k), k):
+        for h, d in _raw_ddf(g, k):
             irreducibles: list = []
-            _raw_edf(h, d, field, rng, irreducibles)
-            factors += [(Poly._of(field, irr), mult) for irr in irreducibles]
+            _raw_edf(h, d, k, rng, irreducibles)
+            factors += [(Poly._of(field, list(map(k._decode, irr))), mult)
+                        for irr in irreducibles]
     factors.sort(key=lambda it: (it[0].degree(), it[0].encoding()))
     return f.lead(), factors
 

@@ -48,11 +48,15 @@ multiply, add or inverse, not when the ring is constructed.  An inverse is
 the power series 1/a in e cut at e^m, by the causal recurrence
 `_raw_series_div` that also divides Laurent series: O(m) per e-term of a.
 
-The matrix kernel at the end of this module is written once, against the row
-primitive `_axpy` (row[j] += f * y over (j, y) pairs).  On codes the tables
-answer it with two list indexes per entry; a prime field answers on its ints
-with one `% p`, and any other ring through `_add` and `_mul`.  Callers encode
-their entries once (`_coded`) and decode only results.
+The matrix and polynomial kernels at the end of this module are written
+once, against the ring operations and the row primitive `_axpy` (row[j] +=
+f * y over (j, y) pairs).  Both kinds of tables answer them on small-int
+codes, with no payload hashed: an artinian code is the payload's base-|k|
+digits, and a log-tabled field's code is the log i of g^i, or q - 1 for
+zero, read off the log tables' own lists and dict (no added memory).
+Callers (matrix solves; factoring, root finding and Taylor shifts at places)
+encode their payload lists once (`_coded`; a list holding a payload outside
+the index, such as an unreduced one, stays on payloads) and decode results.
 """
 
 from __future__ import annotations
@@ -281,7 +285,7 @@ class RingDescriptor(metaclass=_Interned):
                 yield x
 
     def random(self, rng) -> "RingValue":
-        raise NotImplementedError
+        return RingValue(self, self._random_raw(rng))
 
     def random_unit(self, rng) -> "RingValue":
         while True:
@@ -352,8 +356,8 @@ class PrimeField(RingDescriptor):
         for a in range(self.p):
             yield RingValue(self, a)
 
-    def random(self, rng):
-        return RingValue(self, rng.randrange(self.p))
+    def _random_raw(self, rng):
+        return rng.randrange(self.p)
 
 
 def _minpoly(p: int, d: int) -> tuple[int, ...]:
@@ -422,6 +426,8 @@ class GaloisField(RingDescriptor):
         """The log and Zech tables, built on first use; None above
         _LOG_BOUND."""
         return _LogTables(self) if self.size <= _LOG_BOUND else None
+
+    _tables = property(lambda self: self._logs)     # the codes of `_coded`
 
     # With the tables, a nonzero payload is a power g^i of the generator, and
     # the list index i + j - n is (i + j) mod n for 0 <= i, j < n = q - 1.
@@ -506,8 +512,8 @@ class GaloisField(RingDescriptor):
         for enc in range(self.size):
             yield RingValue(self, tuple((enc // self.p ** i) % self.p for i in range(self.d)))
 
-    def random(self, rng):
-        return RingValue(self, tuple(rng.randrange(self.p) for _ in range(self.d)))
+    def _random_raw(self, rng):
+        return tuple(rng.randrange(self.p) for _ in range(self.d))
 
 
 # the largest artinian ring, by number of elements, that gets scalar tables
@@ -532,9 +538,12 @@ class _LogTables:
     back to its i, and `zech[k]` is the log of 1 + g^k (Zech's logarithm),
     or None where 1 + g^k = 0.  `exp` is filled by repeated multiplication
     by g, a shift of the coordinates with the top one folded back through
-    g^d = -minpoly(g); the log keys are the exp entries."""
+    g^d = -minpoly(g); the log keys are the exp entries.  They also run the
+    field on codes (`_coded`): code i < n is g^i, and code n is zero."""
 
-    __slots__ = ("exp", "log", "zech", "n")
+    __slots__ = ("exp", "log", "zech", "n", "field", "size", "char",
+                 "degree", "_zero", "_one", "_minus_one")
+    is_field = True
 
     def __init__(self, field: "GaloisField"):
         p, x = field.p, field._one_raw()
@@ -548,6 +557,50 @@ class _LogTables:
             exp.append(x)
         self.log = log = dict(zip(exp, range(n)))
         self.zech = [log.get(((x[0] + 1) % p,) + x[1:]) for x in exp]
+        self.field, self.size, self.char, self.degree = field, field.size, p, field.d
+        self._zero, self._one, self._minus_one = n, 0, self.zech.index(None)
+
+    def _code(self, x):
+        """The code of a payload; None for an unreduced one."""
+        i = self.log.get(x)
+        return self.n if i is None and x == self.field._zero else i
+
+    def _decode(self, a):
+        return self.exp[a] if a != self.n else self.field._zero
+
+    def _mul(self, a, b):
+        n = self.n
+        return n if a == n or b == n else (a + b) % n
+
+    def _add(self, a, b):
+        n = self.n
+        if a == n or b == n:
+            return a + b - n                    # the other code
+        z = self.zech[b - a]
+        return n if z is None else (a + z) % n
+
+    def _neg(self, a):
+        return self._mul(a, self._minus_one)
+
+    def _inv(self, a):
+        if a == self.n:
+            raise DivisionByNonUnit(f"0 is not invertible in {self.field}")
+        return -a % self.n
+
+    def _pow(self, a, e: int):
+        return (self.n if e else 0) if a == self.n else a * e % self.n
+
+    def _is_unit(self, a):
+        return a != self.n
+
+    def _from_int_raw(self, k: int):
+        return self._code(self.field._from_int_raw(k))
+
+    def _random_raw(self, rng):
+        return self._code(self.field._random_raw(rng))
+
+    _zero_raw, _one_raw = RingDescriptor._zero_raw, RingDescriptor._one_raw
+    _axpy = RingDescriptor._axpy
 
 
 class _ScalarTables:
@@ -561,7 +614,7 @@ class _ScalarTables:
     i's inverse; the ring's kernels fill each on first use."""
 
     __slots__ = ("index", "elems", "n", "q", "m", "results", "inverses",
-                 "_kernels", "_inv_kernel", "_one", "_minus_one")
+                 "_kernels", "_inv_kernel", "_code", "_zero", "_one", "_minus_one")
     is_field = False
 
     def __init__(self, ring: "ArtinianLocal"):
@@ -573,6 +626,7 @@ class _ScalarTables:
         self.inverses = [None] * n
         self._kernels = (ring._add_kernel, ring._mul_kernel)
         self._inv_kernel = ring._inv_kernel
+        self._code, self._zero = self.index.get, 0
         self._one = self.index[ring._one_raw()]
         self._minus_one = self.index[ring._neg(ring._one_raw())]
 
@@ -584,6 +638,9 @@ class _ScalarTables:
             c = self.results[op][k] = self.index[
                 self._kernels[op](self.elems[a], self.elems[b])]
         return c
+
+    def _add(self, a, b):
+        return self._slot(0, a, b)
 
     def _mul(self, a, b):
         return self._slot(1, a, b)
@@ -622,14 +679,10 @@ class _ScalarTables:
         """a / e^k for a multiple a of e^k."""
         return a // self.q ** k
 
-    def _zero_raw(self):
-        return 0
-
-    def _one_raw(self):
-        return self._one
-
     def _decode(self, a):
         return self.elems[a]
+
+    _zero_raw, _one_raw = RingDescriptor._zero_raw, RingDescriptor._one_raw
 
 
 def _tabled(kernel, op: int):
@@ -755,8 +808,8 @@ class ArtinianLocal(RingDescriptor):
         for raw in rec(0):
             yield RingValue(self, raw)
 
-    def random(self, rng):
-        return RingValue(self, tuple(self.base.random(rng).raw for _ in range(self.m)))
+    def _random_raw(self, rng):
+        return tuple(self.base._random_raw(rng) for _ in range(self.m))
 
 
 # ---------------------------------------------------------------------------
@@ -914,15 +967,13 @@ def format_value(x: RingValue) -> str:
 
 
 def _coded(ring, *lists):
-    """What the kernel runs on for these lists of payloads, and the lists
+    """What the kernels run on for these lists of payloads, and the lists
     in its entries: codes when the ring's tables index every payload."""
     tables = ring._tables
     if tables is not None:
-        index = tables.index
-        try:
-            return tables, [[index[x] for x in lst] for lst in lists]
-        except KeyError:
-            pass
+        coded = [list(map(tables._code, lst)) for lst in lists]
+        if not any(None in lst for lst in coded):
+            return tables, coded
     return ring, lists
 
 
@@ -1171,10 +1222,10 @@ def _raw_gcd(a: list, b: list, field) -> list:
 
 
 def _seeded_rng(coeffs: list, field) -> random.Random:
-    """An rng seeded from a polynomial's encoding, so runs are reproducible."""
+    """An rng seeded from a polynomial's payload encoding, for reproducible runs."""
     seed = field.size
     for c in coeffs:
-        seed = seed * 1000003 + _raw_encoding(c, field) + 1
+        seed = seed * 1000003 + _raw_encoding(field._decode(c), field) + 1
     return random.Random(seed)
 
 
@@ -1207,7 +1258,7 @@ def _raw_split(g: list, d: int, field, rng) -> list:
         # r of degree < 2d is uniform modulo any two factors (CRT), which
         # its quadratic character (odd p) or absolute trace (p = 2) in
         # F_{q^d} then separate with probability about 1/2
-        r = _raw_trim([field.random(rng).raw for _ in range(2 * d)], zero)
+        r = _raw_trim([field._random_raw(rng) for _ in range(2 * d)], zero)
         if field.char == 2:
             h = acc = r
             for _ in range((q.bit_length() - 1) * d - 1):
@@ -1238,25 +1289,28 @@ def _field_roots(coeffs: list, sub, field) -> list:
     Q = |field|, is split over `sub` into irreducibles h; each h of degree d
     gives one root r in `field`, halved off into the smaller half each time,
     and its orbit r, r^q, ..., r^(q^(d-1)), q = |sub| (Rabin, SIAM J.
-    Comput. 9, 1980)."""
-    g = _raw_monic(coeffs, sub)
-    rng = _seeded_rng(g, sub)
+    Comput. 9, 1980).  Each field runs on codes where `_coded` gives them."""
+    k, (g,) = _coded(sub, coeffs)
+    g = _raw_monic(g, k)
+    rng = _seeded_rng(g, k)
     if len(g) > 2:
-        zero, one = sub._zero_raw(), sub._one_raw()
-        h = _raw_powmod([zero, one], field.size, g, sub)
-        g = _raw_gcd(g, _raw_add(h, [zero, sub._neg(one)], sub), sub)
+        zero, one = k._zero_raw(), k._one_raw()
+        h = _raw_powmod([zero, one], field.size, g, k)
+        g = _raw_gcd(g, _raw_add(h, [zero, k._neg(one)], k), k)
     roots = []
-    for h, d in _raw_ddf(g, sub):
+    for h, d in _raw_ddf(g, k):
         irreducibles: list = []
-        _raw_edf(h, d, sub, rng, irreducibles)
+        _raw_edf(h, d, k, rng, irreducibles)
         for irr in irreducibles:
-            r = [_embed_raw(c, sub, field) for c in irr]
+            big, (r,) = _coded(field, [_embed_raw(k._decode(c), sub, field)
+                                       for c in irr])
             while len(r) > 2:
-                c = _raw_split(r, 1, field, rng)
-                r = min(c, _raw_divmod(r, c, field)[0], key=len)
-            roots.append(field._neg(r[0]))
+                c = _raw_split(r, 1, big, rng)
+                r = min(c, _raw_divmod(r, c, big)[0], key=len)
+            orbit = [big._neg(r[0])]
             for _ in range(d - 1):
-                roots.append(field._pow(roots[-1], sub.size))
+                orbit.append(big._pow(orbit[-1], sub.size))
+            roots += map(big._decode, orbit)
     return roots
 
 

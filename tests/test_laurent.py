@@ -504,7 +504,8 @@ def _o_unit_decompose(f, cutoff=None):
         pos[i] = a
         rem = _o_mul(rem, _o_geometric_inverse(ring, i, a, cutoff)).truncate(cutoff)
     if not set(rem.coeffs) <= {0}:
-        raise AlgebraError("positive part did not resolve cleanly")
+        # only a truncation leaves rem without its constant term 1
+        raise PrecisionExhausted("positive part did not resolve cleanly")
     return nu, lead, neg, pos, cutoff, exact
 
 
@@ -839,6 +840,39 @@ def test_a_split_that_leaves_a_term_below_the_valuation_is_refused():
     with pytest.raises(PrecisionExhausted,
                        match="do not determine its negative part$"):
         unit_decompose(f)
+
+
+def test_an_undetermined_positive_part_is_precision_exhausted():
+    # the lead's inverse is known only below t1^-2, so the constant term of
+    # rem = h / (U_0 t^nu) stores no terms and no positive factor is
+    # determined; the last check of `_positive_factors` sees it
+    tower = iterated_ring(A32, ["t1", "t2"])
+    e = A32.eps()
+    f = nest(tower, {-2: {1: 2 + e, -1: 2 * e, 2: 2 + 2 * e},
+                     -1: {0: 2, 2: 1 + e, -1: 2},
+                     2: {2: 2, -1: 2 + e, 1: 2 * e}}, inner_prec=5)
+    with pytest.raises(PrecisionExhausted, match="^the stored terms do not "
+                       "determine the coefficient of the positive factor at t2\\^1$"):
+        unit_decompose(f, 8)
+
+
+@pytest.mark.parametrize("label", sorted(TOWERS))
+def test_towers_refuse_an_open_positive_part_only_when_truncated(label):
+    rng = random.Random(f"positive part {label}")
+    units = [f for f in _diff_samples(label, 8, 150) if f.is_unit()]
+    refused = 0
+    for f in units:
+        for cutoff in (None, 8, rng.randrange(1, 12)):
+            try:
+                unit_decompose(f, cutoff)
+            except AlgebraError as exc:
+                assert label in INEXACT, (f, cutoff, exc)
+                assert type(exc) is not AlgebraError, (f, cutoff, exc)
+                refused += isinstance(exc, PrecisionExhausted) and \
+                    "positive factor" in str(exc)
+    # seeded exact towers always decompose; truncated ones over F3[e]/e^2
+    # meet the open positive part, and no refusal is a bare AlgebraError
+    assert refused or label != "F3[e]/e^2((t1))((t2)) truncated"
 
 
 @pytest.mark.parametrize("spec,depths", [("F5[e]/e^2", (1, 7, 25, 100, 200)),

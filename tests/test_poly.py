@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from ccsym.errors import (AlgebraError, DescriptorMismatch, NotAUnit,
                           UnsupportedArgument)
-from ccsym import poly, rings
-from ccsym.geometry import BivarPoly
+from ccsym import geometry, poly, rings
+from ccsym.geometry import BivarPoly, _taylor_shift, residue_extension
 from ccsym.poly import (Poly, _value_encoding, factor, is_irreducible, poly_gcd,
                         random_poly, roots_in, squarefree_decomposition)
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField, RingValue, embed
@@ -299,6 +299,74 @@ def test_roots_in_matches_scan_for_quartic_places_over_f9(monkeypatch):
         roots = roots_in(f, big)
         assert len(roots) == 4
         assert roots == _log_scan_roots(f, big), f
+
+
+# -- the place kernels on log codes against the payload route ------------------
+
+def _place_kernel_outcomes(field, places, products, shifts):
+    """factor and squarefree_decomposition of each product; roots_in, the
+    pinned subfield generator and Taylor shifts at each place."""
+    out = [(factor(f), squarefree_decomposition(f)) for f in products]
+    for pi, (coeffs, order) in zip(places, shifts):
+        big = residue_extension(field, pi.degree())
+        roots = roots_in(pi, big)
+        assert len(roots) == pi.degree()
+        out.append((roots, rings._pinned_subfield_generator.__wrapped__(field, big)
+                    if big is not field else None))
+        for B in (big, ArtinianLocal(big, 2)):
+            alpha = embed(roots[0], B).raw
+            lifted = [rings._embed_raw(c, big, B) for c in coeffs]
+            out.append(_taylor_shift(B, lifted, alpha, order))
+    return out
+
+
+@pytest.mark.parametrize("field", [F9, GaloisField(3, 3)], ids=repr)
+def test_place_kernels_on_codes_match_the_payload_route(monkeypatch, field):
+    rng = random.Random(f"place kernels {field!r}")
+    places = []
+    for d in (1, 2, 3, 4, 5):
+        while True:
+            pi = random_poly(field, rng, d, monic=True)
+            if is_irreducible(pi):
+                places.append(pi)
+                break
+    products = [places[1] ** 2 * places[3] * places[0] ** field.p,
+                places[2] * places[4] * random_poly(field, rng, 3),
+                random_poly(field, rng, 6) * random_poly(field, rng, 2) ** 3]
+    shifts = []
+    for pi in places:
+        big = residue_extension(field, pi.degree())
+        coeffs = [big.random(rng).raw for _ in range(rng.randrange(3, 9))]
+        shifts.append((coeffs, rng.choice((None, 2, len(coeffs)))))
+    # F9's places of degree 2-4 have residue fields of at most 2^13
+    # elements, hence codes; F27's stop at degree 2
+    coded = [residue_extension(field, pi.degree())._tables is not None
+             for pi in places]
+    assert coded == ([True] * 4 + [False] if field is F9
+                     else [True, True, False, False, False])
+    monkeypatch.setattr(poly, "_ROOTS_CACHE", {})
+    got = _place_kernel_outcomes(field, places, products, shifts)
+    with monkeypatch.context() as m:
+        for module in (rings, poly, geometry):
+            m.setattr(module, "_coded", lambda ring, *lists: (ring, list(lists)))
+        m.setattr(poly, "_ROOTS_CACHE", {})
+        rings._pinned_subfield_generator.cache_clear()
+        want = _place_kernel_outcomes(field, places, products, shifts)
+    rings._pinned_subfield_generator.cache_clear()
+    assert got == want
+    # the seed and the order of the squarefree parts read payloads, also
+    # when the kernel runs on codes
+    tables, most = field._tables, 0
+    for f in products:
+        raw = rings._raw_monic(f._raw, field)
+        codes = [tables._code(c) for c in raw]
+        assert (rings._seeded_rng(codes, tables).random()
+                == rings._seeded_rng(raw, field).random())
+        parts = poly._raw_squarefree(raw, field)
+        assert [([*map(tables._decode, g)], m)
+                for g, m in poly._raw_squarefree(codes, tables)] == parts
+        most = max(most, len(parts))
+    assert most > 2
 
 
 def test_roots_in_known_roots_over_a_61_bit_prime():

@@ -677,6 +677,78 @@ def test_unit_predicates_agree_with_inv_on_unreduced_payloads(field):
         assert field._is_unit(reduced) == any(reduced), a
 
 
+# -- log-tabled fields on element codes ----------------------------------------
+# The log tables answer the kernels on codes (code i < q - 1 is g^i, code
+# q - 1 is zero); each code op, read back through `_decode`, must be the
+# payload op
+
+def _check_codes_against_payloads(field, pairs):
+    t = field._tables
+    for a, b in pairs:
+        i, j = t._code(a), t._code(b)
+        assert (t._decode(i), t._decode(j)) == (a, b)
+        assert t._decode(t._mul(i, j)) == field._mul(a, b), (a, b)
+        assert t._decode(t._add(i, j)) == field._add(a, b), (a, b)
+        assert t._decode(t._neg(i)) == field._neg(a), a
+        assert t._is_unit(i) == field._is_unit(a), a
+        for e in (0, 1, 2, field.p, field.size - 2, field.size, 3 * field.size + 1):
+            assert t._decode(t._pow(i, e)) == field._pow(a, e), (a, e)
+        if any(a):
+            assert t._decode(t._inv(i)) == field._inv(a), a
+        else:
+            with pytest.raises(DivisionByNonUnit, match=f"^0 is not invertible in {field}$"):
+                t._inv(i)
+
+
+@pytest.mark.parametrize("field", [F4, F8, F9, GaloisField(3, 3),
+                                   GaloisField(3, 4)], ids=repr)
+def test_code_ops_match_the_payload_ops_on_every_pair(field):
+    t = field._tables
+    elems = [x.raw for x in field.elements()]
+    assert sorted(map(t._code, elems)) == list(range(field.size))
+    _check_codes_against_payloads(field, [(a, b) for a in elems for b in elems])
+    assert t._decode(t._zero_raw()) == field._zero_raw()
+    assert t._decode(t._one_raw()) == field._one_raw()
+    for k in range(-field.p, 2 * field.p + 1):
+        assert t._decode(t._from_int_raw(k)) == field._from_int_raw(k), k
+
+
+# F_{3^8} is the residue field of the bench's places; F_{2^13} is the bound,
+# where -1 = 1 and 1 + 1 = 0 is the Zech hole at k = 0
+@pytest.mark.parametrize("p, d", [(3, 8), (2, 13)])
+def test_code_ops_match_the_payload_ops_on_seeded_pairs(p, d):
+    field = GaloisField(p, d)
+    t, zero, one = field._tables, field._zero_raw(), field._one_raw()
+    assert field.size <= rings._LOG_BOUND and t is field._logs
+    rng = random.Random(f"codes {p}^{d}")
+    pairs = [(field.random(rng).raw, field.random(rng).raw) for _ in range(300)]
+    units = [field.random_unit(rng).raw for _ in range(20)]
+    pairs += [(a, field._neg(a)) for a in units] + [(a, a) for a in units]
+    pairs += [(zero, zero), (zero, one), (one, zero), (one, one)]
+    _check_codes_against_payloads(field, pairs)
+    i = t._code(one)
+    assert t._add(i, t._neg(i)) == t._zero_raw()
+    assert (t._add(i, i) == t._zero_raw()) == (p == 2)
+    # codes draw from an rng as payloads do
+    r1, r2 = random.Random(7), random.Random(7)
+    assert [t._decode(t._random_raw(r1)) for _ in range(50)] == [
+        field._random_raw(r2) for _ in range(50)]
+
+
+def test_zero_and_unreduced_payloads_keep_the_payload_route():
+    t, zero, g = F9._tables, F9._zero_raw(), F9.generator().raw
+    # zero has a code of its own; an unreduced payload (or unreduced zero)
+    # has none, so its list stays on payloads
+    assert rings._coded(F9, [zero, g, zero]) == (t, [[8, 1, 8]])
+    for odd in ((4, 1), (3, 0)):
+        assert t._code(odd) is None
+        lists = ([g], [zero, odd])
+        assert rings._coded(F9, *lists) == (F9, lists)
+    above = GaloisField(3, 10)
+    assert above._tables is None
+    assert rings._coded(above, [above._one_raw()]) == (above, ([above._one_raw()],))
+
+
 def _fresh_fields_counting_log_tables(monkeypatch, keys):
     """Drop the registered fields F_{p^d}, (p, d) in `keys`, for the test's
     duration, and return the list of fields whose `_LogTables` get built."""

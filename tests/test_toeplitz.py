@@ -944,14 +944,21 @@ def test_code_rings_sit_where_the_table_bound_puts_them():
     tabled = [ring for ring in CODE_RINGS if ring._tables is not None]
     assert [str(ring) for ring in tabled] == [
         "F3[e]/e^2", "F5[e]/e^3", "F2[e]/e^8", "F4[e]/e^4", "F16[e]/e^2",
-        "F3[e]/e^5"]
+        "F3[e]/e^5", "F9", "F6561"]
     assert all(ring.base.size ** ring.m == rings._TABLE_BOUND
                for ring in tabled[2:5])
     # a code is the payload's base-|k| digits, coordinate 0 lowest
-    for ring in tabled:
+    for ring in tabled[:6]:
         tables = ring._tables
         assert [rings._raw_encoding(x, ring) for x in tables.elems] == list(
             range(tables.n))
+    # over a log-tabled field, code i < q - 1 is g^i and code q - 1 is zero
+    for ring in tabled[6:]:
+        tables, n = ring._tables, ring.size - 1
+        assert tables is ring._logs
+        assert [tables._decode(i) for i in range(n + 1)] == [
+            rings._signed_power(ring, ring.generator().raw, i)
+            for i in range(n)] + [ring._zero_raw()]
 
 
 @pytest.mark.parametrize("ring", CODE_RINGS, ids=str)
@@ -1022,6 +1029,37 @@ def test_szego_ratio_on_codes_matches_the_payload_kernel(monkeypatch, ring):
     assert got == want
     kinds = {x[0] if isinstance(x, tuple) else "value" for x in got}
     assert "value" in kinds and SingularCompression in kinds
+
+
+@pytest.mark.parametrize("base", [F9, GaloisField(3, 3)], ids=str)
+def test_joint_torsion_over_log_coded_fields_matches_cc_symbol(base):
+    # the bands of a field with log tables are solved on its codes
+    rng = random.Random(f"log codes {base}")
+    R = LaurentRing(base, "t")
+    for _ in range(8):
+        f, g = random_unit(R, rng), random_unit(R, rng)
+        band = [c.raw for c in f.coeffs.values()]
+        assert rings._coded(base, band)[0] is base._logs
+        want = cc_symbol(f, g)
+        assert joint_torsion(f, g) == want == tame_symbol(f, g)
+        assert joint_torsion(f, g, corner=6, size=16) == want
+
+
+def test_det_raw_over_f_3_8_on_codes_matches_the_payload_route():
+    field = GaloisField(3, 8)
+    rng = random.Random("det codes F6561")
+    dets = []
+    for trial in range(20):
+        n = rng.randrange(1, 9)
+        a = [[field.random(rng).raw for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 0:                  # a repeated row: determinant 0
+            a[-1] = list(a[0])
+        kernel, coded = rings._coded(field, *a)
+        assert kernel is field._logs
+        det = kernel._decode(rings._det_raw(coded, kernel))
+        assert det == rings._det_raw(a, field) == _payload_det(a, field), a
+        dets.append(det)
+    assert field._zero_raw() in dets and any(map(field._is_unit, dets))
 
 
 def test_joint_torsion_refuses_symbols_over_two_rings():
