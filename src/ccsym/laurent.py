@@ -27,7 +27,10 @@ inverse.  A result series keeps its payload dict and wraps the values once,
 when its `coeffs` are first read.  A scalar payload is `RingValue.raw`; a
 series-valued coefficient is its own payload, with `LaurentRing` supplying
 the series operations and "no stored terms" as the zero test.  So towers run
-the same loops as scalar bases.
+the same loops as scalar bases.  The artinian symbol runs them on element
+codes too: over a tabled artinian ring (`rings._ScalarTables`) it builds
+a series ring whose base is the code tables, and a series there prints as
+its payloads, so every message names the series as given.
 
 Over a local coefficient ring every element splits as
 
@@ -583,6 +586,9 @@ def unit_decompose(f: LaurentSeries, positive_cutoff=None) -> UnitDecomposition:
     F = [zero] * d + [one]
     for _ in range(L):
         U, r = _raw_divmod(p, F, base)
+        if not base._is_unit(U[0]):     # a truncated tower coefficient lost it
+            raise PrecisionExhausted(
+                f"the stored terms of {f!r} do not determine its leading coefficient")
         if not any(map(nonzero, r)):
             break
         tail = [(i, negate(U[i])) for i in range(1, min(d, len(U)))]

@@ -54,9 +54,13 @@ f * y over (j, y) pairs).  Both kinds of tables answer them on small-int
 codes, with no payload hashed: an artinian code is the payload's base-|k|
 digits, and a log-tabled field's code is the log i of g^i, or q - 1 for
 zero, read off the log tables' own lists and dict (no added memory).
-Callers (matrix solves; factoring, root finding and Taylor shifts at places)
-encode their payload lists once (`_coded`; a list holding a payload outside
-the index, such as an unreduced one, stays on payloads) and decode results.
+Callers (matrix solves; factoring, root finding and Taylor shifts at places;
+the series kernel of the artinian Contou-Carrere symbol) encode their
+payload lists once (`_coded`; a list holding a payload outside the index,
+such as an unreduced one, stays on payloads) and decode results.  For the
+symbol, artinian tables answer as the base of a `LaurentRing`: they carry
+its `char`, `nil_bound`, zero test and wrapper, and `format_value` prints a
+code as its payload.
 """
 
 from __future__ import annotations
@@ -605,30 +609,34 @@ class _LogTables:
 
 class _ScalarTables:
     """The arithmetic of a small artinian ring A = k[e]/e^m on element
-    codes, which the matrix kernel runs on as on a descriptor.  A code is
-    the payload's base-|k| digits, coordinate 0 lowest (its place in
-    `elements()`; `index` and `elems` translate), so 0 codes zero, a unit
-    has a nonzero lowest digit and e^k divides a code with k zero digits.
-    Slot i * n + j of `results[0]` (sums) or `results[1]` (products) holds
-    the code for codes i and j, and slot i of `inverses` that of the unit
-    i's inverse; the ring's kernels fill each on first use."""
+    codes, which the matrix kernel and the series kernel of the artinian
+    symbol run on as on a descriptor.  A code is the payload's base-|k|
+    digits, coordinate 0 lowest (its place in `elements()`; `index` and
+    `elems` translate), so 0 codes zero, a unit has a nonzero lowest digit
+    and e^k divides a code with k zero digits.  Slot i * n + j of `sums`
+    (`results[0]`) or `prods` (`results[1]`) holds the code for codes i and
+    j, and slot i of `inverses` that of the unit i's inverse; the ring's
+    kernels fill each on first use."""
 
-    __slots__ = ("index", "elems", "n", "q", "m", "results", "inverses",
-                 "_kernels", "_inv_kernel", "_code", "_zero", "_one", "_minus_one")
+    __slots__ = ("ring", "index", "elems", "n", "q", "m", "char", "nil_bound",
+                 "results", "sums", "prods", "inverses", "_kernels",
+                 "_inv_kernel", "_code", "_zero", "_one", "_minus_one")
     is_field = False
 
     def __init__(self, ring: "ArtinianLocal"):
+        self.ring = ring
         self.elems = [x.raw for x in ring.elements()]
         self.index = {x: i for i, x in enumerate(self.elems)}
         self.n = n = len(self.elems)
         self.q, self.m = ring.base.size, ring.m
-        self.results = ([None] * (n * n), [None] * (n * n))
+        self.char, self.nil_bound = ring.char, ring.nil_bound
+        self.results = self.sums, self.prods = [None] * (n * n), [None] * (n * n)
         self.inverses = [None] * n
         self._kernels = (ring._add_kernel, ring._mul_kernel)
         self._inv_kernel = ring._inv_kernel
         self._code, self._zero = self.index.get, 0
         self._one = self.index[ring._one_raw()]
-        self._minus_one = self.index[ring._neg(ring._one_raw())]
+        self._minus_one = self.index[ring._from_int_raw(-1)]
 
     def _slot(self, op: int, a: int, b: int) -> int:
         """The code in results[op] for codes a and b, filled on first use."""
@@ -640,13 +648,16 @@ class _ScalarTables:
         return c
 
     def _add(self, a, b):
-        return self._slot(0, a, b)
+        c = self.sums[a * self.n + b]
+        return self._slot(0, a, b) if c is None else c
 
     def _mul(self, a, b):
-        return self._slot(1, a, b)
+        c = self.prods[a * self.n + b]
+        return self._slot(1, a, b) if c is None else c
 
     def _neg(self, a):
-        return self._slot(1, a, self._minus_one)
+        c = self.prods[a * self.n + self._minus_one]
+        return self._slot(1, a, self._minus_one) if c is None else c
 
     def _inv(self, a):
         c = self.inverses[a]
@@ -657,7 +668,7 @@ class _ScalarTables:
 
     def _axpy(self, row, f, pairs):
         """row[j] += f * y over the (j, y) pairs."""
-        n, (sums, prods) = self.n, self.results
+        n, sums, prods = self.n, self.sums, self.prods
         fn = f * n
         for j, y in pairs:
             c = prods[fn + y]
@@ -682,7 +693,11 @@ class _ScalarTables:
     def _decode(self, a):
         return self.elems[a]
 
+    def _from_int_raw(self, k: int):
+        return self.index[self.ring._from_int_raw(k)]
+
     _zero_raw, _one_raw = RingDescriptor._zero_raw, RingDescriptor._one_raw
+    _nonzero_test, _wrapper = RingDescriptor._nonzero_test, RingDescriptor._wrapper
 
 
 def _tabled(kernel, op: int):
@@ -746,6 +761,11 @@ class ArtinianLocal(RingDescriptor):
         return tuple(self.base._add(x, y) for x, y in zip(a, b))
 
     def _neg(self, a):
+        tables = self._tables
+        if tables is not None:
+            i = tables.index.get(a)
+            if i is not None:
+                return tables.elems[tables._neg(i)]
         return tuple(self.base._neg(x) for x in a)
 
     def _mul_kernel(self, a, b):
@@ -940,6 +960,8 @@ def _fmt_poly(terms, sym, fmt_coeff, composite,
 
 def format_value(x: RingValue) -> str:
     ring = x.ring
+    if isinstance(ring, _ScalarTables):     # a code prints as its payload
+        return format_value(RingValue(ring.ring, ring.elems[x.raw]))
     if isinstance(ring, PrimeField):
         return str(x.raw)
     if isinstance(ring, GaloisField):

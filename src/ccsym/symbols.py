@@ -46,9 +46,9 @@ from dataclasses import dataclass
 
 from .errors import (DescriptorMismatch, NotAUnit, PrecisionExhausted,
                      UnsupportedArgument)
-from .laurent import (LaurentRing, LaurentSeries, reduce_mod_t, require_units,
-                      unit_decompose)
-from .rings import _signed_power
+from .laurent import (LaurentRing, LaurentSeries, _series, reduce_mod_t,
+                      require_units, unit_decompose)
+from .rings import _coded, _signed_power
 
 CONVENTION = "boundary-composite/v1"
 
@@ -165,10 +165,18 @@ def _cc_product(fs, gs):
     bound and J the deepest pole on the other side: past that, P_i(a) pairs
     with N_j(b), j <= J, to 1, as d = gcd(i, j) <= j gives i/d >= L and
     b^(i/d) = 0.  PrecisionExhausted signals that a truncated argument does
-    not determine the factors the other side's poles can see."""
+    not determine the factors the other side's poles can see.
+
+    Over a tabled artinian A every argument is encoded once, as a series
+    over A's element codes (`rings._coded`), the decompositions and the
+    pairing run on codes, and only the value is decoded."""
     ring = fs[0][0].ring
-    sides = [[(x, e, unit_decompose(x, positive_cutoff=1)) for x, e in side]
-             for side in (fs, gs)]
+    # on payloads (above the bound, towers) `coded` is `ring` itself
+    kernel, values = _coded(ring.base, *(x._raw.values() for x, _ in fs + gs))
+    coded, values = LaurentRing(kernel, ring.var), iter(values)
+    sides = [[(x, e, unit_decompose(_series(coded, dict(zip(x._raw, next(values))),
+                                            x.prec), positive_cutoff=1))
+              for x, e in side] for side in (fs, gs)]
     extended = []
     for side, other in zip(sides, sides[::-1]):
         pole = max(dec.max_pole() for _, _, dec in other)
@@ -179,11 +187,11 @@ def _cc_product(fs, gs):
                     f"need {x!r} modulo t^{dec.nu + cut} to pair against the "
                     f"other argument's poles")
         extended.append([(e, dec.extend(cut)) for _, e, dec in side])
-    out = ring.base._one_raw()
+    out = kernel._one_raw()
     for e, dec_f in extended[0]:
         for k, dec_g in extended[1]:
-            out = _pair_decompositions(dec_f, dec_g, ring.base, e * k, out)
-    return ring._coeff_ops.wrap(out)
+            out = _pair_decompositions(dec_f, dec_g, kernel, e * k, out)
+    return ring._coeff_ops.wrap(kernel._decode(out))
 
 
 def _pair_decompositions(dec_f, dec_g, base, sign, out):

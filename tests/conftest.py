@@ -1,10 +1,11 @@
+import contextlib
 import random
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ccsym import symbols
+from ccsym import rings, symbols
 from ccsym.laurent import LaurentRing, require_units
 from ccsym.symbols import _evaluate_term, cc_symbol, steinberg_expand
 
@@ -45,3 +46,20 @@ def _steinberg_symbol(args):
 @pytest.fixture
 def steinberg_symbol():
     return _steinberg_symbol
+
+
+@contextlib.contextmanager
+def _on_payloads():
+    """Artinian rings without code tables inside the block, so every
+    kernel runs on payloads; the tables come back after it."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rings.ArtinianLocal, "_tables", None)
+        for ring in list(rings._RINGS.values()):
+            if isinstance(ring, rings.ArtinianLocal):
+                m.delitem(ring.__dict__, "_tables", raising=False)
+        yield
+
+
+@pytest.fixture
+def on_payloads():
+    return _on_payloads

@@ -488,6 +488,10 @@ def _o_unit_decompose(f, cutoff=None):
     if not w_acc.is_one():
         raise AlgebraError("negative part did not resolve cleanly")
     lead = h.coeffs[nu]
+    if not lead.is_unit():
+        # lead = f_nu modulo the maximal ideal, so only a truncated inner
+        # coefficient loses its unit term
+        raise PrecisionExhausted("the leading coefficient is not determined")
     if cutoff is None:
         cutoff = f.prec - nu if f.prec is not None else h.degree() - nu + 1
     lead_inv = _c_inv(lead)
@@ -854,6 +858,20 @@ def test_an_undetermined_positive_part_is_precision_exhausted():
     with pytest.raises(PrecisionExhausted, match="^the stored terms do not "
                        "determine the coefficient of the positive factor at t2\\^1$"):
         unit_decompose(f, 8)
+
+
+def test_a_lead_truncated_below_its_unit_term_is_precision_exhausted():
+    # U_0 = f_0 modulo the maximal ideal, but dividing by F leaves it known
+    # only below t1^-1, where it stores e*t1^-3 and no unit term
+    tower = iterated_ring(A32, ["t1", "t2"])
+    e = A32.eps()
+    f = nest(tower, {-2: {-1: e, 1: e, 2: 2 * e},
+                     -1: {0: 2 * e, 1: 2, 2: 1 + 2 * e},
+                     0: {-1: 1 + 2 * e, 0: 2, 1: e}, 2: {0: 2 + e}}, inner_prec=5)
+    for cutoff in (None, 8, 1):
+        with pytest.raises(PrecisionExhausted,
+                           match="do not determine its leading coefficient$"):
+            unit_decompose(f, cutoff)
 
 
 @pytest.mark.parametrize("label", sorted(TOWERS))

@@ -1,6 +1,7 @@
 """Reciprocity laws: Weil, Contou-Carrere and Parshin product formulas."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -358,6 +359,30 @@ def test_artinian_symbol_matches_the_quotient_and_expanded_routes(ring):
             poles += any(s.low < s.valuation()
                          for s in (local_expand(h, place) for h in (f, g)))
     assert degrees >= {1, 2} and nontrivial and poles
+
+
+@pytest.mark.parametrize("ring", [ArtinianLocal(PrimeField(3), 2),
+                                  ArtinianLocal(F5, 2),
+                                  ArtinianLocal(PrimeField(3), 3),
+                                  ArtinianLocal(GaloisField(3, 2), 2)], ids=repr)
+def test_cc_check_on_codes_matches_payloads(ring, on_payloads):
+    # the local symbols pair shifted numerators and denominators on element
+    # codes; with the code tables patched away they run on payloads, and
+    # every report prints the same JSON
+    rng = random.Random(f"coded cc_check {ring!r}")
+    pairs = [tuple(random_artinian_rational(ring, rng, 3) for _ in range(2))
+             for _ in range(12)]
+
+    def reports():
+        return [json.dumps(cc_check(f, g).to_json()) for f, g in pairs]
+
+    coded = reports()
+    with on_payloads():
+        assert reports() == coded
+    factors = [x for r in coded for x in json.loads(r)["factors"]]
+    assert all(json.loads(r)["verdict"] for r in coded)
+    assert {x["degree"] for x in factors} >= {1, 2}
+    assert any(x["local"] != "1" for x in factors)
 
 
 @pytest.mark.parametrize("ring", LINE_RINGS, ids=repr)

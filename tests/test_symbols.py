@@ -13,8 +13,9 @@ from ccsym.laurent import (LaurentRing, LaurentSeries, iterated_ring, nest,
                            reduce_mod_t, unit_decompose)
 from ccsym.parser import parse_expression, parse_ring
 from ccsym.rings import ArtinianLocal, GaloisField, PrimeField, format_value
-from ccsym.symbols import (CONVENTION, cc_symbol, higher_symbol,
+from ccsym.symbols import (CONVENTION, _cc_product, cc_symbol, higher_symbol,
                            steinberg_expand, tame_symbol)
+from ccsym.toeplitz import joint_torsion
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 F9 = GaloisField(3, 2)
@@ -501,6 +502,93 @@ def test_cc_symbol_keeps_the_precision_of_a_skipped_tower_pair():
     value = cc_symbol(f, g)
     assert value.prec == 15
     assert _outcome(cc_symbol, f, g) == _outcome(_o_cc_symbol, f, g)
+
+
+# -- the symbol on element codes against the symbol on payloads ---------------
+# Over an artinian ring of at most 256 elements `_cc_product` encodes its
+# arguments once and decomposes and pairs on element codes.  With the code
+# tables patched away (`on_payloads`) it runs on payloads: the values, and
+# the type and text of every refusal, must be equal.
+
+CODED_RINGS = [ArtinianLocal(k, m) for k, top in (
+    (PrimeField(2), 8), (F3, 5), (GaloisField(2, 2), 4), (F5, 3), (F7, 2),
+    (GaloisField(2, 3), 2), (F9, 2), (PrimeField(11), 2), (PrimeField(13), 2),
+    (GaloisField(2, 4), 2)) for m in range(2, top + 1)]
+
+
+def test_coded_rings_are_every_tabled_artinian_ring():
+    fields = [PrimeField(p) for p in (2, 3, 5, 7, 11, 13, 17)] + [
+        GaloisField(2, 2), GaloisField(2, 3), F9, GaloisField(2, 4)]
+    tabled = {ArtinianLocal(k, m) for k in fields for m in range(2, 10)
+              if ArtinianLocal(k, m)._tables is not None}
+    assert tabled == set(CODED_RINGS)
+
+
+def _coded_samples(A, rng, count):
+    """Unit pairs with nilpotent poles up to depth 12, every other f
+    truncated (some of them past every unit term, or short of what g's
+    poles need), and every third pair with a non-unit second factor for
+    the signed pairings."""
+    R = LaurentRing(A, "t")
+    out = []
+    for k in range(count):
+        f = random_unit_series(R, rng, low=-1 - k % 4, high=4)
+        g = random_unit_series(R, rng, low=-2, high=5)
+        if k % 3 == 0:
+            g = g + R.gen(-(3 + 3 * (k % 4))).scale(A.eps())
+        if k % 2:
+            f = f.truncate(rng.randrange(0, 14))
+        h = (R.gen(k % 3 - 1).scale(A.eps()) if k % 3 == 2
+             else random_unit_series(R, rng, low=-1, high=3))
+        out.append((f, g, h))
+    return out
+
+
+def _coded_outcomes(A, count):
+    rng = random.Random(f"coded {A!r}")
+    out = []
+    for f, g, h in _coded_samples(A, rng, count):
+        out.append(_outcome(cc_symbol, f, g))
+        out.append(_outcome(cc_symbol, g, f))
+        # the four signed pairings of the line laws: (f/h, g/f)
+        out.append(_outcome(_cc_product, ((f, 1), (h, -1)), ((g, 1), (f, -1))))
+    return out
+
+
+@pytest.mark.parametrize("A", CODED_RINGS, ids=repr)
+def test_cc_symbol_on_codes_matches_payloads(A, on_payloads):
+    count = 24 if A.nil_bound <= 4 else 12
+    coded = _coded_outcomes(A, count)
+    with on_payloads():
+        assert A._tables is None
+        assert _coded_outcomes(A, count) == coded
+    assert A._tables is not None
+    kinds = {x[0] if isinstance(x[0], str) else "value" for x in coded}
+    assert {"value", "PrecisionExhausted", "NotAUnit"} <= kinds, kinds
+
+
+@pytest.mark.parametrize("A", CODED_RINGS[::2], ids=repr)
+def test_cc_symbol_on_codes_matches_joint_torsion(A):
+    # an independent oracle: Toeplitz determinants instead of the factors
+    rng = random.Random(f"coded torsion {A!r}")
+    R = LaurentRing(A, "t")
+    for depth in (1, 2):
+        f = random_unit_series(R, rng, low=0, high=3) + R.gen(-depth).scale(A.eps())
+        g = random_unit_series(R, rng, low=-1, high=3)
+        assert cc_symbol(f, g) == joint_torsion(f, g), (f, g)
+
+
+def test_a_refusal_on_codes_names_the_payload_series():
+    A = ArtinianLocal(F5, 2)
+    f, g = (parse_expression(text, A, domain="series")
+            for text in ("1+e*t^-1+t+O(t^2)", "2+e*t^-3"))
+    with pytest.raises(PrecisionExhausted) as exc:
+        cc_symbol(f, g)
+    assert str(exc.value) == ("need e*t^-1 + 1 + t + O(t^2) modulo t^4 to pair "
+                              "against the other argument's poles")
+    with pytest.raises(NotAUnit) as exc:
+        _cc_product(((g, 1),), ((f.ring.gen(2).scale(A.eps()), 1),))
+    assert str(exc.value) == "cannot decompose non-unit e*t^2"
 
 
 # -- the closed form of field higher symbols against the Steinberg route --------
